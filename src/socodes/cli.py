@@ -33,7 +33,7 @@ from .designs import (
     format_design_text,
     validate,
     wso_search,
-    _stabilizer_orbits,
+    stabilizer_orbits,
 )
 from .fields import field_for_order
 from .groups import PermGroup, format_group_text, load_group
@@ -119,11 +119,11 @@ def cmd_group(args) -> int:
         print(f"degree {G.degree}")
         print(f"order {G.order}")
         print(f"transitive {_bool(G.is_transitive())}")
-        sizes = " ".join(str(len(o)) for o in _stabilizer_orbits(G, 0))
+        sizes = " ".join(str(len(o)) for o in stabilizer_orbits(G, 0))
         print(f"stabilizer-orbits {sizes}")
         return 0
     if args.action == "orbits":
-        for i, orb in enumerate(_stabilizer_orbits(G, 0)):
+        for i, orb in enumerate(stabilizer_orbits(G, 0)):
             pts = " ".join(str(p) for p in orb)
             print(f"orbit {i} size {len(orb)}: {pts}")
         return 0
@@ -161,7 +161,7 @@ def cmd_design(args) -> int:
         if args.orbits is None:
             raise UsageError("design build needs an orbit choice like 0,1")
         choice = _parse_orbit_choice(args.orbits)
-        count = len(_stabilizer_orbits(G, 0))
+        count = len(stabilizer_orbits(G, 0))
         if not choice or any(not 0 <= i < count for i in choice):
             raise UsageError(f"orbit indices must lie in 0..{count - 1}")
         D = from_group_action(G, 0, choice)

@@ -10,7 +10,6 @@ drives every construction theorem downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -81,10 +80,7 @@ class Design:
         return validate(self)[1]
 
     def incidence(self, fld: Field) -> GFMatrix:
-        M = np.zeros((self.b, self.v), dtype=np.int64)
-        for i, blk in enumerate(self.blocks):
-            M[i, list(blk)] = 1
-        return GFMatrix(fld, M)
+        return GFMatrix(fld, self.incidence_array())
 
     def incidence_array(self) -> np.ndarray:
         """Plain 0/1 integer incidence, for counting work outside any field."""
@@ -156,16 +152,19 @@ class WSOProfile:
 
 
 def intersection_profile(D: Design, p: int) -> WSOProfile:
-    """Classify all C(b,2) pairwise intersection sizes mod p."""
+    """Classify all C(b,2) pairwise intersection sizes mod p.
+
+    The Gram matrix M M^T is formed in float64 (BLAS; exact, since every
+    count is at most v).
+    """
     if D.b < 2:
         raise ValueError("need at least two blocks for an intersection profile")
     sizes = {len(blk) for blk in D.blocks}
     if len(sizes) != 1:
         raise NonConstantBlockSize(f"block sizes {sorted(sizes)}")
     k = sizes.pop()
-    M = D.incidence_array()
-    N = M @ M.T
-    off = N[~np.eye(D.b, dtype=bool)] % p
+    M = D.incidence_array().astype(np.float64)
+    off = np.remainder(M @ M.T, p)[~np.eye(D.b, dtype=bool)]
     resid = np.unique(off)
     a = k % p
     if resid.size != 1:
@@ -179,7 +178,9 @@ def intersection_profile(D: Design, p: int) -> WSOProfile:
 # developments of orbit unions
 
 
-def _stabilizer_orbits(G: PermGroup, alpha: int) -> list:
+def stabilizer_orbits(G: PermGroup, alpha: int) -> list:
+    """Point orbits of the stabilizer G_alpha; orbit unions are indexed by
+    positions in this list."""
     return G.stabilizer(alpha).point_orbits()
 
 
@@ -194,7 +195,7 @@ def from_group_action(G: PermGroup, alpha: int, orbit_choice) -> Design:
     """Develop Delta = union of chosen stabilizer orbits into {Delta g}."""
     if not G.is_transitive():
         raise NotTransitive("construction needs a transitive action")
-    orbits = _stabilizer_orbits(G, alpha)
+    orbits = stabilizer_orbits(G, alpha)
     delta = _delta_from_choice(orbits, orbit_choice)
     if not delta:
         raise DeltaEmpty("empty base block")
@@ -213,7 +214,7 @@ def r_formula(G: PermGroup, alpha: int, orbit_choice) -> int:
     orbit representatives delta_i (summation taken over the chosen orbits;
     the counted r is authoritative, this value is reported alongside it).
     """
-    orbits = _stabilizer_orbits(G, alpha)
+    orbits = stabilizer_orbits(G, alpha)
     delta = _delta_from_choice(orbits, orbit_choice)
     _, stab_order = G.set_orbit(delta)
     total = 0
@@ -240,7 +241,7 @@ def wso_search(G: PermGroup, alpha: int, p: int = 2,
     intersection residue mod p, in ascending bitmask order."""
     if not G.is_transitive():
         raise NotTransitive("search needs a transitive action")
-    orbits = _stabilizer_orbits(G, alpha)
+    orbits = stabilizer_orbits(G, alpha)
     if 2 ** len(orbits) > limit:
         raise TooManyOrbitCombinations(
             f"2^{len(orbits)} orbit unions exceed the cap {limit}")

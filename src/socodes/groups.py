@@ -2,7 +2,9 @@
 
 Full element enumeration (no stabilizer chains: every group in scope has
 order <= 7920), point and set orbits, stabilizers, induced actions on
-k-subsets, coset actions, and cyclic subgroups of prime order.
+k-subsets, coset actions, and cyclic subgroups of prime order. Point and
+set orbits are computed from the generators alone; the enumerated
+elements are needed only for group orders, stabilizers and cosets.
 
 Points are 0-based everywhere internally; the group file format uses the
 1-based convention of the literature and is converted at the I/O boundary.
@@ -14,8 +16,6 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb, gcd
-
-import numpy as np
 
 
 class OrderExceedsCap(RuntimeError):
@@ -75,7 +75,13 @@ class Perm:
         return len(self.images)
 
     def __mul__(self, other: "Perm") -> "Perm":
-        return Perm(tuple(other.images[x] for x in self.images))
+        # a composition of two bijections of equal degree is a bijection,
+        # so the constructor's check is skipped
+        if len(self.images) != len(other.images):
+            raise ValueError("degree mismatch")
+        h = Perm.__new__(Perm)
+        h.images = tuple([other.images[x] for x in self.images])
+        return h
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self.images)
@@ -177,7 +183,6 @@ class PermGroup:
             raise ValueError("generator degree mismatch")
         self.generators = gens
         self._elements = _elements
-        self._image_matrix = None
 
     # -- enumeration --------------------------------------------------------
 
@@ -212,14 +217,6 @@ class PermGroup:
 
     def __contains__(self, g: Perm) -> bool:
         return g in set(self.elements)
-
-    def image_matrix(self) -> np.ndarray:
-        """(order, degree) array: row e is the image tuple of element e."""
-        if self._image_matrix is None:
-            m = np.array([g.images for g in self.elements], dtype=np.int32)
-            m.setflags(write=False)
-            self._image_matrix = m
-        return self._image_matrix
 
     # -- orbits and stabilizers --------------------------------------------
 
@@ -256,18 +253,28 @@ class PermGroup:
         return PermGroup(self.degree, els, _elements=els)
 
     def set_orbit(self, delta):
-        """Distinct images of the point set delta under all elements.
+        """Distinct images of the point set delta under the group.
 
-        Returns (sorted list of sorted tuples, |G_delta|).
+        Breadth-first search over the generators: each new set is mapped by
+        every generator until no new set appears. Returns (sorted list of
+        sorted tuples, |G_delta|).
         """
-        delta = sorted(set(delta))
-        if not delta:
+        start = frozenset(int(x) for x in delta)
+        if not start:
             return [()], self.order
-        mat = self.image_matrix()
-        rows = np.zeros((mat.shape[0], self.degree), dtype=np.uint8)
-        rows[np.arange(mat.shape[0])[:, None], mat[:, delta]] = 1
-        uniq = np.unique(rows, axis=0)
-        orbit = sorted(tuple(int(i) for i in np.nonzero(r)[0]) for r in uniq)
+        gens = [g.images for g in self.generators]
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            new = []
+            for s in frontier:
+                for img in gens:
+                    t = frozenset([img[x] for x in s])
+                    if t not in seen:
+                        seen.add(t)
+                        new.append(t)
+            frontier = new
+        orbit = sorted(tuple(sorted(s)) for s in seen)
         return orbit, self.order // len(orbit)
 
     # -- derived actions ----------------------------------------------------
@@ -357,13 +364,6 @@ class PermGroup:
         sub = PermGroup(self.degree, squares)
         els = sub.enumerate()
         return PermGroup(self.degree, squares, _elements=els)
-
-    def orbit_profile(self) -> dict:
-        """Histogram orbit length -> count over point orbits."""
-        prof = {}
-        for orb in self.point_orbits():
-            prof[len(orb)] = prof.get(len(orb), 0) + 1
-        return dict(sorted(prof.items()))
 
     def __repr__(self):
         n = len(self._elements) if self._elements is not None else "?"

@@ -184,3 +184,28 @@ def weight_spectrum_naive(gen_rows, p, l, modulus):
         w = sum(1 for x in word if x)
         hist[w] = hist.get(w, 0) + 1
     return hist
+
+
+# ---------------------------------------------------------------------------
+# set orbits by applying every element of the plain group closure
+# ---------------------------------------------------------------------------
+
+def group_closure_naive(gens, n):
+    """All image tuples of the group generated by `gens` on n points."""
+    ident = tuple(range(n))
+    seen = {ident}
+    todo = [ident]
+    while todo:
+        g = todo.pop()
+        for s in gens:
+            h = tuple(s[x] for x in g)
+            if h not in seen:
+                seen.add(h)
+                todo.append(h)
+    return seen
+
+
+def set_orbit_naive(gens, n, delta):
+    """Sorted distinct images of the point set delta under every element."""
+    return sorted({tuple(sorted(g[x] for x in delta))
+                   for g in group_closure_naive(gens, n)})

@@ -5,6 +5,8 @@ numpy script (incidence ranks, pairwise intersections, orbit unions)
 before this module existed; they are frozen here.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from socodes.designs import (
     load_design,
     r_formula,
     save_design,
+    stabilizer_orbits,
     validate,
     wso_search,
 )
@@ -222,6 +225,36 @@ def test_wso_search_trivial_stabilizer_toy():
     assert (0, 2) in {h.orbit_choice for h in hits}
 
 
+def test_wso_search_degree165_frozen():
+    hits = wso_search(m11_degree(165), 0, 2)
+    assert [h.orbit_choice for h in hits] == [
+        (0,), (2,), (0, 2), (3, 4), (0, 3, 4), (2, 3, 4), (0, 2, 3, 4),
+        (1, 3, 5), (1, 2, 3, 5), (0, 1, 4, 5), (0, 1, 2, 4, 5), (3, 6, 7),
+        (2, 3, 6, 7), (0, 4, 6, 7), (0, 2, 4, 6, 7), (1, 5, 6, 7),
+        (0, 1, 5, 6, 7), (1, 2, 5, 6, 7), (0, 1, 2, 5, 6, 7),
+        (1, 3, 4, 5, 6, 7), (0, 1, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7),
+    ]
+    assert all(h.design.b == 165 for h in hits)
+
+
+def _profile_naive(D, p):
+    resid = {len(set(x) & set(y)) % p for x, y in combinations(D.blocks, 2)}
+    return resid.pop() if len(resid) == 1 else None
+
+
+def test_profile_matches_pairwise():
+    for degree in (22, 66):
+        G = m11_degree(degree)
+        n_orbits = len(stabilizer_orbits(G, 0))
+        for mask in range(1, 2 ** n_orbits - 1):
+            choice = tuple(i for i in range(n_orbits) if mask >> i & 1)
+            D = from_group_action(G, 0, choice)
+            for p in (2, 3):
+                prof = intersection_profile(D, p)
+                assert prof.d == _profile_naive(D, p)
+                assert prof.a == D.k % p
+
+
 def _subsets(n):
     out = []
     for mask in range(1 << n):
@@ -283,3 +316,5 @@ def test_incidence_matrix_shape():
     M = D.incidence(Field(2, 1))
     assert M.shape == (2, 4)
     assert np.array_equal(M.a, [[1, 1, 0, 0], [0, 0, 1, 1]])
+    assert np.array_equal(Design(3, [(), (0, 2), (1,)]).incidence_array(),
+                          [[0, 0, 0], [1, 0, 1], [0, 1, 0]])

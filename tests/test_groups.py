@@ -4,7 +4,9 @@ induced actions, coset actions, prime-order subgroups, file I/O."""
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import set_orbit_naive
 from socodes.groups import (
     Perm, PermGroup, OrderExceedsCap, DegreeTooLarge, NotASubgroup,
     parse_group_text, format_group_text,
@@ -30,6 +32,30 @@ def test_perm_basics():
     assert Perm.identity(4).images == (0, 1, 2, 3)
     with pytest.raises(ValueError):
         Perm((0, 0, 1))
+
+
+@st.composite
+def perm_pairs(draw):
+    n = draw(st.integers(1, 9))
+    g, h = (draw(st.permutations(range(n))) for _ in range(2))
+    return Perm(g), Perm(h)
+
+
+@settings(max_examples=50, deadline=None)
+@given(perm_pairs())
+def test_mul_matches_constructor(pair):
+    g, h = pair
+    gh = g * h
+    assert gh == Perm(tuple(h.images[x] for x in g.images))
+    assert isinstance(gh.images, tuple)
+    assert hash(gh) == hash(Perm(gh.images))
+
+
+def test_mul_rejects_degree_mismatch():
+    with pytest.raises(ValueError):
+        Perm((1, 0)) * Perm((0, 2, 1))
+    with pytest.raises(ValueError):
+        Perm((0, 2, 1)) * Perm((1, 0))
 
 
 def test_cycle_roundtrip():
@@ -90,6 +116,36 @@ def test_set_orbit_sizes_divide_group_order():
     for delta in [{0}, {0, 1}, {0, 3}, {0, 2, 4}]:
         orbit, stab = G.set_orbit(delta)
         assert len(orbit) * stab == G.order
+
+
+@st.composite
+def groups_and_sets(draw):
+    n = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(n)), max_size=3))
+    delta = draw(st.sets(st.integers(0, n - 1)))
+    return n, [tuple(g) for g in gens], delta
+
+
+@settings(max_examples=60, deadline=None)
+@given(groups_and_sets())
+def test_set_orbit_matches_closure(case):
+    n, gens, delta = case
+    G = PermGroup(n, [Perm(g) for g in gens])
+    orbit, stab_order = G.set_orbit(delta)
+    assert orbit == set_orbit_naive(gens, n, delta)
+    target = tuple(sorted(delta))
+    stab = sum(1 for g in G.elements if g.apply_set(delta) == target)
+    assert stab_order == stab
+    assert len(orbit) * stab == G.order
+
+
+def test_set_orbit_m11_matches_closure():
+    G = m11()
+    gens = [g.images for g in M11_GENS]
+    for delta in [(), (0,), (0, 1), (0, 1, 3), (2, 5, 7, 9, 10)]:
+        orbit, stab_order = G.set_orbit(delta)
+        assert orbit == set_orbit_naive(gens, 11, delta)
+        assert len(orbit) * stab_order == 7920
 
 
 def test_ksubset_action_s3():
