@@ -8,6 +8,14 @@ the right. Which borders appear, and with which scalars, is dispatched from
 the residues (a, d) of the intersection profile -- and, for orbit matrices,
 from the common orbit length w.
 
+One border table, ``_borders``, maps (a, d) mod p to the incidence
+theorems' sub-case and their labelled border residues; it serves both the
+incidence codes and OM1 of the fixed split. The binary entry points are
+the GF(2) instances of the GF(q) ones (every residue is then 1 and the
+field never extends): ``binary`` chooses only the theorem tags and the
+rejection class (NotWSO rather than NonConstantProfile). The binary
+orbit-matrix theorems keep their own 2-adic orbit-length rule.
+
 Over GF(q) the border scalars are square roots of prime-subfield residues;
 when a needed residue is not a square the construction settles in GF(q^2)
 instead, and the report says which scalar forced the move. Characteristic 2
@@ -75,34 +83,36 @@ class ConstructionReport:
         return "\n".join(head) + "\n" + self.code.generator.to_text()
 
 
-def _settle_field(q: int, needed) -> tuple[Field, str | None]:
-    """GF(q) if every needed residue is a square there, else GF(q^2).
+def _settle_field(F: Field, needed) -> tuple[Field, str | None]:
+    """F if every needed residue is a square there, else F's quadratic
+    extension.
 
     needed: (label, residue) pairs. In characteristic 2 the base field
     always suffices.
     """
-    F = field_for_order(q)
     if F.p != 2 and needed:
         bad = [lab for lab, r in needed if not F.is_square(F.from_int(r))]
         if bad:
-            ext, _ = F.extend_quadratic()
-            return ext, ", ".join(bad) + f" not square in GF({q})"
+            reason = ", ".join(bad) + f" not square in GF({F.q})"
+            return F.extend_quadratic(), reason
     return F, None
 
 
-def _finish(source: str, tag: str, F: Field, left_res, right_res, base,
-            sd_claim: bool, reason, forced) -> ConstructionReport:
+def _finish(source: str, tag: str, F: Field, left, right, base,
+            sd_claim: bool, forced) -> ConstructionReport:
     """Border, check, and wrap one generator matrix.
 
-    left_res / right_res are prime-subfield residues (None = no border);
-    their square roots in F become the placed scalars. The gram, rank, and
-    self-duality checks are theorem consequences, so failing them means a
-    bug, not bad input.
+    left / right are (label, residue) pairs of prime-subfield residues, or
+    None for no border; their square roots become the placed scalars, in F
+    or in its quadratic extension when one is not a square in F. The gram,
+    rank, and self-duality checks are theorem consequences, so failing them
+    means a bug, not bad input.
     """
     if forced is not None and forced != tag:
         raise CaseMismatch(f"profile dispatches to {tag}, not {forced}")
-    c_left = None if left_res is None else int(F.sqrt(F.from_int(left_res)))
-    c_right = None if right_res is None else int(F.sqrt(F.from_int(right_res)))
+    F, reason = _settle_field(F, [b for b in (left, right) if b is not None])
+    c_left = None if left is None else int(F.sqrt(F.from_int(left[1])))
+    c_right = None if right is None else int(F.sqrt(F.from_int(right[1])))
     gen = bordered(GFMatrix.from_int(F, base), left=c_left, right=c_right)
     if not gen.gram().is_zero():
         raise ArithmeticError(f"{tag}: generator rows are not self-orthogonal")
@@ -115,7 +125,45 @@ def _finish(source: str, tag: str, F: Field, left_res, right_res, base,
     return ConstructionReport(source, tag, F, c_left, c_right, code, sd, reason)
 
 
+def _constant_profile(D: Design, p: int, binary: bool):
+    """Intersection profile of a valid design, rejected unless constant."""
+    validate(D)
+    prof = intersection_profile(D, p)
+    if not prof.constant:
+        if binary:
+            raise NotWSO("pairwise intersection sizes have mixed parity")
+        raise NonConstantProfile(f"intersection sizes vary mod {p}")
+    return prof
+
+
+def _borders(a: int, d: int, p: int):
+    """Sub-case and labelled (left, right) border residues of the incidence
+    theorems for the residues (a, d) mod p; None means no border."""
+    if a == 0 and d == 0:
+        return "1", None, None
+    if a == 0:
+        return "2", ("d", d), ("-d", -d % p)
+    if d == 0:
+        return "3", ("-a", -a % p), None
+    if a == d:
+        return "4a", None, ("-a", -a % p)
+    return "4b", ("d-a", (d - a) % p), ("-d", -d % p)
+
+
+def _design_name(D: Design) -> str:
+    return f"1-({D.v},{D.k},{D.r}) design"
+
+
 # ---------------------------------------------------------------- incidence
+
+
+def _incidence(D: Design, q: int, theorem, binary: bool) -> ConstructionReport:
+    F = field_for_order(q)
+    prof = _constant_profile(D, F.p, binary)
+    sub, left, right = _borders(prof.a, prof.d, F.p)
+    tag = f"T2.1.{sub[0]}" if binary else f"T2.2.{sub}"
+    return _finish(f"{_design_name(D)}, {D.b} blocks", tag, F, left, right,
+                   D.incidence_array(), sub == "3" and D.b == D.v, theorem)
 
 
 def from_incidence_binary(D: Design,
@@ -123,47 +171,14 @@ def from_incidence_binary(D: Design,
     """Code of the incidence matrix over GF(2), bordered by parity case:
     (a,d) = (0,0) -> M; (0,1) -> [I_b, M, 1]; (1,0) -> [I_b, M];
     (1,1) -> [M, 1]."""
-    validate(D)
-    prof = intersection_profile(D, 2)
-    if not prof.constant:
-        raise NotWSO("pairwise intersection sizes have mixed parity")
-    case = prof.dispatch_case()
-    left = 1 if case in (2, 3) else None
-    right = 1 if case in (2, 4) else None
-    src = f"1-({D.v},{D.k},{D.r}) design, {D.b} blocks"
-    return _finish(src, f"T2.1.{case}", field_for_order(2), left, right,
-                   D.incidence_array(), False, None, theorem)
+    return _incidence(D, 2, theorem, binary=True)
 
 
 def from_incidence_q(D: Design, q: int,
                      theorem: str | None = None) -> ConstructionReport:
     """Bordered incidence code over GF(q), or GF(q^2) when a needed square
     root is missing, dispatched on the residues (a, d) mod p."""
-    validate(D)
-    p = field_for_order(q).p
-    prof = intersection_profile(D, p)
-    if not prof.constant:
-        raise NonConstantProfile(f"intersection sizes vary mod {p}")
-    a, d = prof.a, prof.d
-    sd = False
-    if a == 0 and d == 0:
-        tag, left, right, need = "T2.2.1", None, None, []
-    elif a == 0:
-        tag, left, right = "T2.2.2", d, (-d) % p
-        need = [("d", d), ("-d", -d)]
-    elif d == 0:
-        tag, left, right = "T2.2.3", (-a) % p, None
-        need, sd = [("-a", -a)], D.b == D.v
-    elif a == d:
-        tag, left, right = "T2.2.4a", None, (-a) % p
-        need = [("-a", -a)]
-    else:
-        tag, left, right = "T2.2.4b", (d - a) % p, (-d) % p
-        need = [("d-a", d - a), ("-d", -d)]
-    F, reason = _settle_field(q, need)
-    src = f"1-({D.v},{D.k},{D.r}) design, {D.b} blocks"
-    return _finish(src, tag, F, left, right, D.incidence_array(), sd,
-                   reason, theorem)
+    return _incidence(D, q, theorem, binary=False)
 
 
 # ------------------------------------------------------------ orbit matrices
@@ -215,16 +230,14 @@ def from_orbitmatrix_binary(D: Design, H: PermGroup,
     """Code of the orbit matrix over GF(2). Point orbits must share one
     length w = 2^u w'; block orbit lengths must share one 2-adic valuation
     o <= u. The (case, o, u) combination picks the border."""
-    validate(D)
-    prof = intersection_profile(D, 2)
-    if not prof.constant:
-        raise NotWSO("pairwise intersection sizes have mixed parity")
+    prof = _constant_profile(D, 2, binary=True)
     OM = build(D, H)
     w, o, u = _om_profile_binary(OM.point_orbit_sizes, OM.block_orbit_sizes)
     tag, left, right, claim = _branch_binary_om(prof.dispatch_case(), o, u)
-    src = (f"1-({D.v},{D.k},{D.r}) design, orbit matrix {OM.m}x{OM.n}, w={w}")
+    left, right = (None if f is None else ("1", f) for f in (left, right))
+    src = f"{_design_name(D)}, orbit matrix {OM.m}x{OM.n}, w={w}"
     return _finish(src, tag, field_for_order(2), left, right, OM.entries,
-                   claim and OM.m == OM.n, None, theorem)
+                   claim and OM.m == OM.n, theorem)
 
 
 def _om_profile_q(point_sizes, block_sizes) -> int:
@@ -236,48 +249,32 @@ def _om_profile_q(point_sizes, block_sizes) -> int:
 
 
 def _branch_q_om(a: int, d: int, w: int, p: int):
-    """Tag, border residues, and self-dual claim template for the GF(q)
-    orbit-matrix theorems. Residues are mod-p integers; the caller takes
-    square roots. The claim applies only when m = n."""
+    """Tag, labelled (left, right) border residues, and self-dual claim
+    template for the GF(q) orbit-matrix theorems. Residues are mod-p
+    integers; the caller takes square roots. The claim applies only when
+    m = n."""
     a %= p
     d %= p
     wr = w % p
+    wd = ("wd", (w * d) % p)
+    mwd = ("-wd", (-w * d) % p)
     if a == 0 and d == 0:
         return "T3.1.q", None, None, False
     if a == 0:
         if wr == 0:
-            return "T3.2.qa", d, None, True
+            return "T3.2.qa", ("d", d), None, True
         if wr == 1:
-            return "T3.2.qb", (w * d) % p, (-w * d) % p, False
-        return "T3.2.qc", d, (-w * d) % p, False
+            return "T3.2.qb", wd, mwd, False
+        return "T3.2.qc", ("d", d), mwd, False
     if d == 0:
-        return "T3.3.q", (-a) % p, None, True
+        return "T3.3.q", ("-a", -a % p), None, True
     if a == d:
-        if wr == 0:
-            return "T3.4.q", None, None, False
-        return "T3.4.q", None, (-w * d) % p, False
+        return "T3.4.q", None, None if wr == 0 else mwd, False
     if wr == 0:
-        return "T3.4.q", (d - a) % p, None, True
+        return "T3.4.q", ("d-a", (d - a) % p), None, True
     if wr == 1:
-        return "T3.4.q", (w * d - a) % p, (-w * d) % p, False
-    return "T3.4.q", (d - a) % p, (-w * d) % p, False
-
-
-def _qom_labels(a: int, d: int, w: int, p: int, tag: str):
-    # names of the left/right scalars, for extension_reason text only
-    if tag == "T3.2.qa":
-        return "d", None
-    if tag == "T3.2.qb":
-        return "wd", "-wd"
-    if tag == "T3.2.qc":
-        return "d", "-wd"
-    if tag == "T3.3.q":
-        return "-a", None
-    if tag == "T3.4.q":
-        left = None if a % p == d % p else ("wd-a" if w % p == 1 else "d-a")
-        right = None if w % p == 0 else "-wd"
-        return left, right
-    return None, None
+        return "T3.4.q", ("wd-a", (w * d - a) % p), mwd, False
+    return "T3.4.q", ("d-a", (d - a) % p), mwd, False
 
 
 def from_orbitmatrix_q(D: Design, H: PermGroup, q: int,
@@ -285,24 +282,37 @@ def from_orbitmatrix_q(D: Design, H: PermGroup, q: int,
     """Bordered orbit-matrix code over GF(q)/GF(q^2); every point and block
     orbit must share one length w, and the branch depends on (a, d) and
     w mod p."""
-    validate(D)
-    p = field_for_order(q).p
-    prof = intersection_profile(D, p)
-    if not prof.constant:
-        raise NonConstantProfile(f"intersection sizes vary mod {p}")
+    F = field_for_order(q)
+    prof = _constant_profile(D, F.p, binary=False)
     OM = build(D, H)
     w = _om_profile_q(OM.point_orbit_sizes, OM.block_orbit_sizes)
-    tag, left, right, claim = _branch_q_om(prof.a, prof.d, w, p)
-    llab, rlab = _qom_labels(prof.a, prof.d, w, p, tag)
-    need = [(lab, res) for lab, res in ((llab, left), (rlab, right))
-            if res is not None]
-    F, reason = _settle_field(q, need)
-    src = f"1-({D.v},{D.k},{D.r}) design, orbit matrix {OM.m}x{OM.n}, w={w}"
+    tag, left, right, claim = _branch_q_om(prof.a, prof.d, w, F.p)
+    src = f"{_design_name(D)}, orbit matrix {OM.m}x{OM.n}, w={w}"
     return _finish(src, tag, F, left, right, OM.entries,
-                   claim and OM.m == OM.n, reason, theorem)
+                   claim and OM.m == OM.n, theorem)
 
 
 # -------------------------------------------------------------- fixed splits
+
+
+def _fixed(D: Design, H: PermGroup, q: int, alpha: int, theorem,
+           binary: bool):
+    F = field_for_order(q)
+    p = F.p
+    if not 1 <= alpha <= F.l:
+        raise ValueError(f"alpha must lie in 1..{F.l} for GF({q})")
+    prof = _constant_profile(D, p, binary)
+    fs = fixed_split(D, H, p, alpha)
+    a, d = prof.a, prof.d
+    sub, left1, right1 = _borders(a, d, p)
+    left2 = None if a == d else ("d" if a == 0 else "d-a", (d - a) % p)
+    tag = f"T3.{sub[0]}.fix" + ("" if binary else ".q")
+    base = f"{_design_name(D)}, fixed split"
+    rep1 = _finish(f"{base}, OM1 {fs.f2}x{fs.f1}", tag, F, left1, right1,
+                   fs.om1, False, theorem)
+    rep2 = _finish(f"{base}, OM2 {fs.m}x{fs.n}", tag, F, left2, None, fs.om2,
+                   left2 is not None and fs.m == fs.n, theorem)
+    return rep1, rep2
 
 
 def from_fixed_split_binary(D: Design, H: PermGroup,
@@ -310,29 +320,7 @@ def from_fixed_split_binary(D: Design, H: PermGroup,
     """Two codes from the fixed/moving split of an orbit matrix under a
     subgroup with orbit lengths {1, 2}: one on the f1 fixed points from OM1,
     one on the n moving point orbits from OM2."""
-    validate(D)
-    prof = intersection_profile(D, 2)
-    if not prof.constant:
-        raise NotWSO("pairwise intersection sizes have mixed parity")
-    fs = fixed_split(D, H, 2, 1)
-    case = prof.dispatch_case()
-    tag = f"T3.{case}.fix"
-    if case == 1:
-        parts = (None, None, False), (None, None, False)
-    elif case == 2:
-        parts = (1, 1, False), (1, None, fs.m == fs.n)
-    elif case == 3:
-        parts = (1, None, False), (1, None, fs.m == fs.n)
-    else:
-        parts = (None, 1, False), (None, None, False)
-    (l1, r1, s1), (l2, r2, s2) = parts
-    F = field_for_order(2)
-    base = f"1-({D.v},{D.k},{D.r}) design, fixed split"
-    rep1 = _finish(f"{base}, OM1 {fs.f2}x{fs.f1}", tag, F, l1, r1, fs.om1,
-                   s1, None, theorem)
-    rep2 = _finish(f"{base}, OM2 {fs.m}x{fs.n}", tag, F, l2, r2, fs.om2,
-                   s2, None, theorem)
-    return rep1, rep2
+    return _fixed(D, H, 2, 1, theorem, binary=True)
 
 
 def from_fixed_split_q(D: Design, H: PermGroup, q: int, alpha: int,
@@ -343,38 +331,4 @@ def from_fixed_split_q(D: Design, H: PermGroup, q: int, alpha: int,
     a = d and [sqrt(d-a) I_m, OM2] otherwise. The two reports settle their
     fields independently: each extends to GF(q^2) only for its own scalars.
     """
-    validate(D)
-    F0 = field_for_order(q)
-    p = F0.p
-    if not 1 <= alpha <= F0.l:
-        raise ValueError(f"alpha must lie in 1..{F0.l} for GF({q})")
-    prof = intersection_profile(D, p)
-    if not prof.constant:
-        raise NonConstantProfile(f"intersection sizes vary mod {p}")
-    fs = fixed_split(D, H, p, alpha)
-    a, d = prof.a, prof.d
-    case = prof.dispatch_case()
-    tag = f"T3.{case}.fix.q"
-    if case == 1:
-        l1, r1, need1 = None, None, []
-    elif case == 2:
-        l1, r1, need1 = d, (-d) % p, [("d", d), ("-d", -d)]
-    elif case == 3:
-        l1, r1, need1 = (-a) % p, None, [("-a", -a)]
-    elif a == d:
-        l1, r1, need1 = None, (-a) % p, [("-a", -a)]
-    else:
-        l1, r1, need1 = (d - a) % p, (-d) % p, [("d-a", d - a), ("-d", -d)]
-    if a == d:
-        l2, need2, s2 = None, [], False
-    else:
-        lab2 = "d" if a == 0 else "d-a"
-        l2, need2, s2 = (d - a) % p, [(lab2, d - a)], fs.m == fs.n
-    F1, reason1 = _settle_field(q, need1)
-    F2, reason2 = _settle_field(q, need2)
-    base = f"1-({D.v},{D.k},{D.r}) design, fixed split"
-    rep1 = _finish(f"{base}, OM1 {fs.f2}x{fs.f1}", tag, F1, l1, r1, fs.om1,
-                   False, reason1, theorem)
-    rep2 = _finish(f"{base}, OM2 {fs.m}x{fs.n}", tag, F2, l2, None, fs.om2,
-                   s2, reason2, theorem)
-    return rep1, rep2
+    return _fixed(D, H, q, alpha, theorem, binary=False)

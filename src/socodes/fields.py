@@ -325,40 +325,9 @@ class Field:
 
     # -- extension ----------------------------------------------------------
 
-    def extend_quadratic(self):
-        """GF(q^2) as the degree-2l field with default modulus, plus the
-        embedding GF(q) -> GF(q^2) sending x to the lexicographically least
-        root of this field's modulus."""
-        ext = Field(self.p, 2 * self.l)
-        codes = np.arange(ext.q)
-        acc = np.full(ext.q, self.modulus[-1], dtype=np.int64)
-        for c in reversed(self.modulus[:-1]):
-            acc = ext._codes(ext.add(ext.mul(acc, codes), np.int64(c)))
-        roots = np.nonzero(acc == 0)[0]
-        beta = min((int(r) for r in roots), key=ext.coeffs)
-        pw = [1]
-        for _ in range(self.l - 1):
-            pw.append(ext.mul(pw[-1], beta))
-        table = np.zeros(self.q, dtype=np.int64)
-        for x in range(self.q):
-            s = 0
-            for c, b in zip(self.coeffs(x), pw):
-                s = ext.add(s, ext.mul(int(c), b))
-            table[x] = s
-        return ext, Embedding(self, ext, table)
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """Injective field homomorphism defined by a code-translation table."""
-
-    domain: Field
-    codomain: Field
-    table: np.ndarray
-
-    def __call__(self, x):
-        a = self.domain._codes(x)
-        return Field._out(self.table[a])
+    def extend_quadratic(self) -> "Field":
+        """GF(q^2) as the degree-2l field with its default modulus."""
+        return Field(self.p, 2 * self.l)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 Full element enumeration (no stabilizer chains: every group in scope has
 order <= 7920), point and set orbits, stabilizers, induced actions on
-k-subsets, coset actions, and cyclic subgroups of prime order. Point and
-set orbits are computed from the generators alone; the enumerated
-elements are needed only for group orders, stabilizers and cosets.
+k-subsets, coset actions, and elements of a given order. Point and set
+orbits are computed from the generators alone; the enumerated elements
+are needed only for group orders, stabilizers and cosets.
 
 Points are 0-based everywhere internally; the group file format uses the
 1-based convention of the literature and is converted at the I/O boundary.
@@ -145,17 +145,6 @@ class Perm:
     def parity(self) -> int:
         """0 for even, 1 for odd."""
         return sum(len(c) - 1 for c in self.cycles()) % 2
-
-    def restriction_parity(self, exclude=()) -> int:
-        """Parity of the restriction to the points outside `exclude`.
-
-        Only valid when the excluded points are fixed or permuted among
-        themselves; cycles meeting `exclude` are fully excluded.
-        """
-        if isinstance(exclude, int):
-            exclude = (exclude,)
-        ex = set(exclude)
-        return sum(len(c) - 1 for c in self.cycles() if not ex & set(c)) % 2
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
@@ -328,24 +317,6 @@ class PermGroup:
         gens = [Perm(tuple(index[canon(rep * s)] for rep in ordered))
                 for s in self.generators]
         return PermGroup(len(ordered), gens)
-
-    def prime_order_subgroups(self, p: int) -> list:
-        """All cyclic subgroups of order p, deduplicated, sorted by their
-        least non-identity element."""
-        found = {}
-        for g in self.elements:
-            if g.order() != p:
-                continue
-            members = [g]
-            h = g * g
-            while not h.is_identity():
-                members.append(h)
-                h = h * g
-            least = min(members)
-            if least not in found:
-                els = tuple(sorted(members + [Perm.identity(self.degree)]))
-                found[least] = PermGroup(self.degree, (least,), _elements=els)
-        return [found[k] for k in sorted(found)]
 
     def element_of_order(self, t: int):
         """First element of order t in sorted element order, or None."""

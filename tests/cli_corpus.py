@@ -185,5 +185,6 @@ def record() -> list:
 if __name__ == "__main__":
     entries = record()
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(entries, indent=1) + "\n")
+    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries)
+                      + "\n]\n")
     print(f"wrote {len(entries)} runs to {GOLDEN}", file=sys.stderr)

@@ -17,9 +17,10 @@ from socodes.constructions import (
     _branch_binary_om, _branch_q_om, _om_profile_binary, _om_profile_q,
     from_fixed_split_binary, from_fixed_split_q, from_incidence_binary,
     from_incidence_q, from_orbitmatrix_binary, from_orbitmatrix_q)
-from socodes.designs import Design
+from socodes.designs import Design, wso_search
 from socodes.fields import field_for_order
 from socodes.groups import Perm, PermGroup
+from socodes.m11 import m11_degree
 from socodes.matrices import GFMatrix
 from socodes.orbitmat import BadOrbitProfile
 
@@ -229,12 +230,31 @@ def test_incidence_q_rejects_nonconstant_profile():
         from_incidence_q(FOURCYC, 3)
 
 
+def report_body(rep):
+    """Everything a report says except its theorem tag."""
+    return (rep.source, rep.field, rep.c_left, rep.c_right,
+            rep.code.generator.to_text(), rep.self_dual, rep.extension_reason)
+
+
+def m11_wso_hits(degree):
+    return [hit.design for hit in wso_search(m11_degree(degree), 0, 2)]
+
+
 def test_incidence_q2_matches_binary():
-    for D in (PAIRS, TRI, ALL3_V4, FANO7, SING2):
+    # over GF(2) every border residue is 1 and (a, d) = (1, 1) is case 4a
+    tags = {"T2.1.1": "T2.2.1", "T2.1.2": "T2.2.2", "T2.1.3": "T2.2.3",
+            "T2.1.4": "T2.2.4a"}
+    designs = [PAIRS, TRI, ALL3_V4, FANO7, SING2]
+    designs += m11_wso_hits(22) + m11_wso_hits(66)
+    seen = set()
+    for D in designs:
         rb = from_incidence_binary(D)
         rq = from_incidence_q(D, 2)
         assert rq.field.q == 2
-        assert rb.code.generator.row_space_equals(rq.code.generator)
+        assert rq.theorem == tags[rb.theorem]
+        assert report_body(rq) == report_body(rb)
+        seen.add(rb.theorem)
+    assert seen == set(tags)
 
 
 # ------------------------------------------------- binary orbit matrices
@@ -460,19 +480,24 @@ def test_om_profile_q_selector():
 
 
 def test_branch_q_om_table():
-    # (a, d, w, p) -> (tag, left residue, right residue, SD claim if m=n).
+    # (a, d, w, p) -> (tag, labelled left residue, labelled right residue,
+    # SD claim if m=n); the labels name the scalars in extension_reason.
     # The (a=0, d!=0, p|w) row cannot occur in any 1-design: k(r-1) = 0 and
     # (b-1)d = 0 mod p force b = 1 mod p, while p | w | b. Pinned here.
     assert _branch_q_om(0, 0, 5, 5) == ("T3.1.q", None, None, False)
-    assert _branch_q_om(0, 2, 3, 3) == ("T3.2.qa", 2, None, True)
-    assert _branch_q_om(0, 1, 4, 3) == ("T3.2.qb", 1, 2, False)
-    assert _branch_q_om(0, 1, 2, 3) == ("T3.2.qc", 1, 1, False)
-    assert _branch_q_om(2, 0, 2, 3) == ("T3.3.q", 1, None, True)
+    assert _branch_q_om(0, 2, 3, 3) == ("T3.2.qa", ("d", 2), None, True)
+    assert _branch_q_om(0, 1, 4, 3) == ("T3.2.qb", ("wd", 1), ("-wd", 2),
+                                        False)
+    assert _branch_q_om(0, 1, 2, 3) == ("T3.2.qc", ("d", 1), ("-wd", 1),
+                                        False)
+    assert _branch_q_om(2, 0, 2, 3) == ("T3.3.q", ("-a", 1), None, True)
     assert _branch_q_om(1, 1, 3, 3) == ("T3.4.q", None, None, False)
-    assert _branch_q_om(1, 1, 5, 3) == ("T3.4.q", None, 1, False)
-    assert _branch_q_om(2, 1, 3, 3) == ("T3.4.q", 2, None, True)
-    assert _branch_q_om(2, 1, 4, 3) == ("T3.4.q", 2, 2, False)
-    assert _branch_q_om(2, 1, 2, 3) == ("T3.4.q", 2, 1, False)
+    assert _branch_q_om(1, 1, 5, 3) == ("T3.4.q", None, ("-wd", 1), False)
+    assert _branch_q_om(2, 1, 3, 3) == ("T3.4.q", ("d-a", 2), None, True)
+    assert _branch_q_om(2, 1, 4, 3) == ("T3.4.q", ("wd-a", 2), ("-wd", 2),
+                                        False)
+    assert _branch_q_om(2, 1, 2, 3) == ("T3.4.q", ("d-a", 2), ("-wd", 1),
+                                        False)
 
 
 # ---------------------------------------------- binary fixed-point splits
@@ -540,6 +565,26 @@ def test_fixed_binary_rejects_long_orbits():
 def test_fixed_binary_rejects_nonwso():
     with pytest.raises(NotWSO):
         from_fixed_split_binary(FOURCYC, trivial(4))
+
+
+def test_fixed_q2_matches_binary():
+    cases = [(FB1, chunks(6, 2, 2)), (FB2, chunks(5, 2, 1)),
+             (V7K6, chunks(7, 2, 1)),
+             (ALL3_V4, PermGroup(4, [Perm.from_cycles(4, [(0, 1)])])),
+             (FB4, chunks(6, 2, 2)),
+             (TRIP3, PermGroup(3, [Perm.from_cycles(3, [(1, 2)])]))]
+    for degree in (22, 66):
+        G = m11_degree(degree)
+        H = PermGroup(degree, [G.element_of_order(2)])
+        cases += [(D, H) for D in m11_wso_hits(degree)]
+    seen = set()
+    for D, H in cases:
+        for rb, rq in zip(from_fixed_split_binary(D, H),
+                          from_fixed_split_q(D, H, 2, 1)):
+            assert rq.theorem == rb.theorem + ".q"
+            assert report_body(rq) == report_body(rb)
+            seen.add(rb.theorem)
+    assert seen == {"T3.1.fix", "T3.2.fix", "T3.3.fix", "T3.4.fix"}
 
 
 # --------------------------------------------------- q fixed-point splits

@@ -1,5 +1,5 @@
 """Permutation groups by generators: enumeration, orbits, stabilizers,
-induced actions, coset actions, prime-order subgroups, file I/O."""
+induced actions, coset actions, elements of given order, file I/O."""
 
 import math
 
@@ -191,14 +191,6 @@ def test_coset_action_not_subgroup():
         G.coset_action(H)
 
 
-def test_restriction_parity_is_trivial_on_m11():
-    # the whole group is even, and a fixed point never changes parity, so a
-    # parity filter on the stabilizer keeps everything; the index-2 part is
-    # instead generated by squares
-    S = m11().stabilizer(0)
-    assert all(g.restriction_parity(exclude=0) == 0 for g in S.elements[:50])
-
-
 def test_m11_degree22_action():
     G = m11()
     H = G.stabilizer(0).squares_subgroup()
@@ -210,26 +202,20 @@ def test_m11_degree22_action():
     assert A.stabilizer(0).order == 360
 
 
-def test_prime_order_subgroups_cyclic4():
-    C4 = PermGroup(4, [Perm((1, 2, 3, 0))])
-    subs = C4.prime_order_subgroups(2)
-    assert len(subs) == 1
-    assert subs[0].order == 2
-    assert subs[0].generators[0].images == (2, 3, 0, 1)
-
-
 def test_m11_involutions_cycle_type():
-    subs = m11().prime_order_subgroups(2)
-    assert len(subs) == 165
-    for H in subs[:5] + subs[-5:]:
-        g = H.generators[0]
-        assert g.cycle_type() == ((1, 3), (2, 4))   # 3 fixed points, four 2-cycles
+    # all involutions of M11 are conjugate, so the one tables uses stands
+    # for every one of them
+    g = m11().element_of_order(2)
+    assert g.cycle_type() == ((1, 3), (2, 4))   # 3 fixed points, four 2-cycles
+    involutions = [h for h in m11().elements if h.order() == 2]
+    assert len(involutions) == 165
+    assert {h.cycle_type() for h in involutions} == {g.cycle_type()}
 
 
 def test_m11_order11_subgroups():
-    subs = m11().prime_order_subgroups(11)
-    assert len(subs) == 144
-    assert all(H.order == 11 for H in subs[:3])
+    # 1440 elements of order 11, ten to each cyclic subgroup
+    assert sum(h.order() == 11 for h in m11().elements) == 1440
+    assert PermGroup(11, [m11().element_of_order(11)]).order == 11
 
 
 def test_orbit_sizes_sum_to_degree():
