@@ -297,7 +297,7 @@ def _build_parser() -> _Parser:
                            help="field order (prime power), default 2")
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                           help="max codewords to enumerate for distances")
+                           help="distances are exact only if q^k is at most this")
         if theorem:
             p.add_argument("--theorem", default=None,
                            help="require this construction tag, else error")

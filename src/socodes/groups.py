@@ -142,10 +142,6 @@ class Perm:
     def fixed_points(self) -> tuple:
         return tuple(i for i, x in enumerate(self.images) if i == x)
 
-    def parity(self) -> int:
-        """0 for even, 1 for odd."""
-        return sum(len(c) - 1 for c in self.cycles()) % 2
-
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
 

@@ -1,9 +1,13 @@
 """Linear-code analytics: parameters, minimum distance, weight spectra,
 self-orthogonality and self-duality."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from socodes import analysis, constructions
 from socodes.analysis import (
     BudgetExceeded,
     Exact,
@@ -17,10 +21,11 @@ from socodes.analysis import (
     params,
     weight_distribution,
 )
-from socodes.designs import from_group_action
+from socodes.designs import from_group_action, wso_search
 from socodes.fields import Field
+from socodes.groups import PermGroup
 from socodes.m11 import m11_degree
-from socodes.matrices import GFMatrix
+from socodes.matrices import GFMatrix, vstack
 
 from oracles import min_distance_naive, weight_spectrum_naive
 
@@ -28,6 +33,7 @@ GF2 = Field(2)
 GF3 = Field(3)
 GF4 = Field(2, 2)
 GF9 = Field(3, 2)
+GF25 = Field(5, 2)
 
 # extended Hamming [8,4,4], self-dual
 H8 = GFMatrix(GF2, [
@@ -129,6 +135,94 @@ def test_weight_distribution_matches_naive():
         got = weight_distribution(C)
         assert got == expect
         assert sum(got.values()) == F.q ** C.k
+
+
+@st.composite
+def small_generators(draw):
+    """Generators over GF(2), GF(3), GF(4), GF(5), GF(9) or GF(25) with at
+    most 8 columns and at most 4 drawn rows (fewer where q^4 would make the
+    pure-Python oracles slow), sometimes followed by a combination of the
+    drawn rows."""
+    F = draw(st.sampled_from((GF2, GF3, GF4, Field(5), GF9, GF25)))
+    k = draw(st.integers(1, max(j for j in range(1, 5) if F.q ** j <= 729)))
+    n = draw(st.integers(1, 8))
+    cell = st.integers(0, F.q - 1)
+    M = GFMatrix(F, draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                  min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        c = GFMatrix(F, [draw(st.lists(cell, min_size=k, max_size=k))])
+        M = vstack(M, c @ M)
+    return M
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_generators(), st.integers(1, 1000))
+def test_projective_enumeration_matches_naive(M, chunk):
+    """Each projective point is visited exactly once, for any chunking of
+    the GF(q) pair loop."""
+    C = code(M)
+    F = C.field
+    if C.k == 0:
+        assert weight_distribution(C) == {0: 1}
+        return
+    with mock.patch.object(analysis, "_CHUNK", chunk):
+        spectrum = weight_distribution(C)
+        d = min_distance(C)
+    rows = C.basis().a.tolist()
+    assert spectrum == weight_spectrum_naive(rows, F.p, F.l, F.modulus)
+    assert all(count % (F.q - 1) == 0 for w, count in spectrum.items() if w)
+    assert d == Exact(min_distance_naive(rows, F.p, F.l, F.modulus))
+
+
+# display(rep.code) of the incidence, orbit-matrix (<11-cycle>) and fixed-split
+# (<p-element>, alpha = 1) reports on each WSO orbit union of m11:22, mod p,
+# over GF(q), distances under a 2^20 budget; recorded before the GF(q)
+# distance search enumerated one word per projective point.
+M11_22_ODD_DISPLAYS = {
+    (3, (0,), 3): ("[44,22,?]_9", "[4,2,2]_9", "[8,4,2]_9", "[12,6,2]_9"),
+    (3, (0,), 9): ("[44,22,?]_9", "[4,2,2]_9", "[8,4,2]_9", "[12,6,2]_9"),
+    (3, (1,), 3): ("[44,22,?]_9", "[4,2,2]_9", "[8,4,2]_9", "[12,6,2]_9"),
+    (3, (1,), 9): ("[44,22,?]_9", "[4,2,2]_9", "[8,4,2]_9", "[12,6,2]_9"),
+    (3, (0, 1), 3): ("[33,11,3]_3", "[3,1,3]_3", "[6,2,3]_3", "[9,3,3]_3"),
+    (3, (0, 1), 9): ("[33,11,?]_9", "[3,1,3]_9", "[6,2,3]_9", "[9,3,3]_9"),
+    (3, (2,), 3): ("[33,11,6]_3", "[3,1,3]_3", "[6,2,3]_3", "[9,3,3]_3"),
+    (3, (2,), 9): ("[33,11,?]_9", "[3,1,3]_9", "[6,2,3]_9", "[9,3,3]_9"),
+    (3, (0, 2), 3): ("[45,22,?]_9", "[5,2,3]_9", "[9,4,4]_9", "[12,6,2]_9"),
+    (3, (0, 2), 9): ("[45,22,?]_9", "[5,2,3]_9", "[9,4,4]_9", "[12,6,2]_9"),
+    (3, (1, 2), 3): ("[45,22,?]_9", "[5,2,3]_9", "[9,4,4]_9", "[12,6,2]_9"),
+    (3, (1, 2), 9): ("[45,22,?]_9", "[5,2,3]_9", "[9,4,4]_9", "[12,6,2]_9"),
+    (5, (0,), 5): ("[44,22,?]_5", "[4,2,2]_5", "[4,2,2]_5", "[8,4,2]_5"),
+    (5, (0,), 25): ("[44,22,?]_25", "[4,2,2]_25", "[4,2,2]_25", "[8,4,2]_25"),
+    (5, (1,), 5): ("[44,22,?]_5", "[4,2,2]_5", "[4,2,2]_5", "[8,4,2]_5"),
+    (5, (1,), 25): ("[44,22,?]_25", "[4,2,2]_25", "[4,2,2]_25", "[8,4,2]_25"),
+    (5, (0, 1), 5): ("[33,11,?]_25", "[3,1,3]_25", "[3,1,3]_25", "[6,2,3]_25"),
+    (5, (0, 1), 25): ("[33,11,?]_25", "[3,1,3]_25", "[3,1,3]_25", "[6,2,3]_25"),
+    (5, (2,), 5): ("[34,11,?]_25", "[4,1,2]_25", "[4,1,2]_25", "[6,2,3]_25"),
+    (5, (2,), 25): ("[34,11,?]_25", "[4,1,2]_25", "[4,1,2]_25", "[6,2,3]_25"),
+    (5, (0, 2), 5): ("[44,22,?]_5", "[4,2,2]_5", "[4,2,2]_5", "[8,4,2]_5"),
+    (5, (0, 2), 25): ("[44,22,?]_25", "[4,2,2]_25", "[4,2,2]_25", "[8,4,2]_25"),
+    (5, (1, 2), 5): ("[44,22,?]_5", "[4,2,2]_5", "[4,2,2]_5", "[8,4,2]_5"),
+    (5, (1, 2), 25): ("[44,22,?]_25", "[4,2,2]_25", "[4,2,2]_25", "[8,4,2]_25"),
+}
+
+
+def test_m11_22_odd_q_displays_pinned():
+    """Covers GF(9) k=6, GF(25) k=4 and the GF(3) [33,11] codes, whose
+    pair loop runs over several chunks."""
+    G = m11_degree(22)
+    H11 = PermGroup(22, [G.element_of_order(11)])
+    got = {}
+    for p in (3, 5):
+        Hp = PermGroup(22, [G.element_of_order(p)])
+        for hit in wso_search(G, 0, p):
+            for q in (p, p * p):
+                reports = [constructions.from_incidence_q(hit.design, q),
+                           constructions.from_orbitmatrix_q(hit.design, H11, q),
+                           *constructions.from_fixed_split_q(hit.design, Hp, q, 1)]
+                for rep in reports:
+                    min_distance(rep.code, budget=2 ** 20)
+                got[p, hit.orbit_choice, q] = tuple(display(r.code) for r in reports)
+    assert got == M11_22_ODD_DISPLAYS
 
 
 def test_weight_distribution_budget():
