@@ -137,14 +137,6 @@ def _gf2_halves(basis: GFMatrix):
     return _subset_xor_table(packed[:k1]), _subset_xor_table(packed[k1:])
 
 
-def _arith_tables(F):
-    """Addition and multiplication tables of F, as element codes."""
-    xs = np.arange(F.q)
-    dtype = np.min_scalar_type(F.q - 1)
-    return (np.asarray(F.add(xs[:, None], xs), dtype=dtype),
-            np.asarray(F.mul(xs[:, None], xs), dtype=dtype))
-
-
 def _leading_one(rows: np.ndarray, add: np.ndarray, mul: np.ndarray):
     """(P, S): S = span(rows), and P holds the words of S whose first
     nonzero coefficient is 1, one per projective point of S."""
@@ -167,8 +159,10 @@ def _point_weights(C: LinearCode):
             w = np.bitwise_count(A[i] ^ B).sum(axis=1, dtype=np.int64)
             yield w[1:] if i == 0 else w  # A[0] ^ B[0] is the zero word
         return
-    add, mul = _arith_tables(C.field)
-    rows = basis.a.astype(add.dtype)
+    dtype = np.min_scalar_type(C.field.q - 1)
+    add = C.field.add_table.astype(dtype)
+    mul = C.field.mul_table.astype(dtype)
+    rows = basis.a.astype(dtype)
     top = (basis.rows + 1) // 2
     A, _ = _leading_one(rows[:top], add, mul)
     bottom_points, B = _leading_one(rows[top:], add, mul)

@@ -207,27 +207,6 @@ def from_group_action(G: PermGroup, alpha: int, orbit_choice) -> Design:
     return D
 
 
-def r_formula(G: PermGroup, alpha: int, orbit_choice) -> int:
-    """Replication predicted by the stabilizer-sum formula.
-
-    r = (|G_alpha| / |G_Delta|) * sum_i |alpha G_{delta_i}| over the chosen
-    orbit representatives delta_i (summation taken over the chosen orbits;
-    the counted r is authoritative, this value is reported alongside it).
-    """
-    orbits = stabilizer_orbits(G, alpha)
-    delta = _delta_from_choice(orbits, orbit_choice)
-    _, stab_order = G.set_orbit(delta)
-    total = 0
-    for i in orbit_choice:
-        rep = orbits[int(i)][0]
-        G_rep = G.stabilizer(rep)
-        total += len(G_rep.orbit_of(alpha))
-    num = G.stabilizer(alpha).order * total
-    if num % stab_order:
-        raise ArithmeticError("formula value is not an integer")
-    return num // stab_order
-
-
 @dataclass(frozen=True)
 class SearchHit:
     orbit_choice: tuple

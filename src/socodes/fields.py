@@ -6,6 +6,15 @@ coefficients (c_0, ..., c_{l-1}) (ascending degree) has code sum c_i * p^i.
 All Field operations accept plain ints or numpy arrays of codes and
 broadcast; scalar in, scalar out.
 
+Only ``Field`` knows this encoding, and within it only ``Field.dot`` (the
+product of code matrices by convolution of base-p digit vectors), the q x q
+addition, negation and multiplication tables a Field builds on first use,
+and the lexicographic order of canonical square roots read digits. The
+multiplication table is ``dot`` of a column of codes with a row of codes;
+element operations, inverses and square roots are table lookups.
+``matrices`` and ``analysis`` use ``dot`` and the tables and never see a
+digit.
+
 The canonical square root and the default modulus are both defined by
 lexicographic order on ascending-degree coefficient tuples, which keeps every
 downstream generator matrix byte-reproducible.
@@ -13,7 +22,6 @@ downstream generator matrix byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
@@ -33,7 +41,7 @@ class NotASquare(ArithmeticError):
 
 
 class SpecMismatch(ValueError):
-    """Raised when elements of different fields are mixed."""
+    """Raised when matrices over different fields are mixed."""
 
 
 def _is_prime(p: int) -> bool:
@@ -218,63 +226,75 @@ class Field:
     def _out(a):
         return int(a) if np.ndim(a) == 0 else a
 
-    def coeffs(self, x) -> tuple:
-        """Ascending-degree coefficient tuple of a single element code."""
-        return tuple(int(c) for c in self._digits[int(x)])
-
-    def element(self, x) -> "FieldElement":
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise SpecMismatch("element belongs to a different field")
-            return x
-        return FieldElement(int(self._codes(x)), self)
-
-    def elements(self):
-        return range(self.q)
-
     def from_int(self, n):
         """Reduce an ordinary integer (array) into the prime subfield."""
         return self._out(np.asarray(n, dtype=np.int64) % self.p)
 
+    # -- the encoding: dot and the tables -----------------------------------
+
+    def dot(self, a, b) -> np.ndarray:
+        """Matrix product of code arrays of shapes (m, K) and (K, n).
+
+        The entries must already be codes in [0, q); they are not checked.
+        """
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if self.l == 1:
+            return (a @ b) % self.p
+        # additive digit convolution: l^2 integer matmuls, then reduce
+        l = self.l
+        da = self._digits[a]            # (m, K, l)
+        db = self._digits[b]            # (K, n, l)
+        conv = np.zeros((a.shape[0], b.shape[1], 2 * l - 1), dtype=np.int64)
+        for s in range(l):
+            for t in range(l):
+                conv[:, :, s + t] += da[:, :, s] @ db[:, :, t]
+        low = conv[:, :, :l]
+        for t in range(l - 1):
+            low += conv[:, :, l + t:l + t + 1] * self._red[t]
+        return (low % self.p) @ self._powers
+
+    @staticmethod
+    def _frozen(table):
+        # a cached table is shared by every caller of this field
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def add_table(self) -> np.ndarray:
+        """Read-only int64 q x q table: add_table[x, y] = x + y."""
+        d = self._digits
+        return self._frozen(((d[:, None] + d[None, :]) % self.p) @ self._powers)
+
+    @cached_property
+    def neg_table(self) -> np.ndarray:
+        """Read-only int64 table of length q: neg_table[x] = -x."""
+        return self._frozen(((-self._digits) % self.p) @ self._powers)
+
+    @cached_property
+    def mul_table(self) -> np.ndarray:
+        """Read-only int64 q x q table: mul_table[x, y] = x * y."""
+        xs = np.arange(self.q, dtype=np.int64)
+        return self._frozen(self.dot(xs[:, None], xs[None, :]))
+
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, x, y):
-        dx = self._digits[self._codes(x)]
-        dy = self._digits[self._codes(y)]
-        return self._out(((dx + dy) % self.p) @ self._powers)
+        return self._out(self.add_table[self._codes(x), self._codes(y)])
 
     def neg(self, x):
-        dx = self._digits[self._codes(x)]
-        return self._out(((-dx) % self.p) @ self._powers)
+        return self._out(self.neg_table[self._codes(x)])
 
     def sub(self, x, y):
-        dx = self._digits[self._codes(x)]
-        dy = self._digits[self._codes(y)]
-        return self._out(((dx - dy) % self.p) @ self._powers)
+        return self._out(self.add_table[self._codes(x), self.neg_table[self._codes(y)]])
 
     def mul(self, x, y):
-        l = self.l
-        if l == 1:
-            a = self._codes(x)
-            b = self._codes(y)
-            return self._out((a * b) % self.p)
-        dx = self._digits[self._codes(x)]
-        dy = self._digits[self._codes(y)]
-        conv = np.zeros(np.broadcast_shapes(dx.shape, dy.shape)[:-1] + (2 * l - 1,),
-                        dtype=np.int64)
-        for i in range(l):
-            conv[..., i:i + l] += dx[..., i:i + 1] * dy
-        low = conv[..., :l].copy()
-        for t in range(l - 1):
-            low += conv[..., l + t:l + t + 1] * self._red[t]
-        return self._out((low % self.p) @ self._powers)
+        return self._out(self.mul_table[self._codes(x), self._codes(y)])
 
     @cached_property
     def _inv_table(self):
-        xs = np.arange(self.q)
-        prods = self.mul(xs[:, None], xs[None, :])
         table = np.zeros(self.q, dtype=np.int64)
-        ii, jj = np.nonzero(prods == 1)
+        ii, jj = np.nonzero(self.mul_table == 1)
         table[ii] = jj
         return table
 
@@ -289,12 +309,12 @@ class Field:
         if e < 0:
             a = self._codes(self.inv(a))
             e = -e
-        result = np.ones(a.shape, dtype=np.int64) if a.ndim else np.int64(1)
+        result = np.ones_like(a)
         base = a
         while e:
             if e & 1:
-                result = self._codes(self.mul(result, base))
-            base = self._codes(self.mul(base, base))
+                result = self.mul_table[result, base]
+            base = self.mul_table[base, base]
             e >>= 1
         return self._out(result)
 
@@ -305,7 +325,7 @@ class Field:
         # exhaustive: for each square keep the root with lexicographically
         # least coefficient tuple (primary key = coefficient of degree 0)
         order = np.lexsort(tuple(self._digits[:, i] for i in range(self.l - 1, -1, -1)))
-        squares = self._codes(self.mul(order, order))
+        squares = self.mul_table[order, order]
         vals, first = np.unique(squares, return_index=True)
         table = np.full(self.q, -1, dtype=np.int64)
         table[vals] = order[first]
@@ -328,66 +348,6 @@ class Field:
     def extend_quadratic(self) -> "Field":
         """GF(q^2) as the degree-2l field with its default modulus."""
         return Field(self.p, 2 * self.l)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A single field element; thin scalar wrapper over the code arithmetic.
-
-    Ordering is lexicographic on the ascending-degree coefficient tuple.
-    """
-
-    code: int
-    field: Field
-
-    def _peer(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise SpecMismatch("elements of different fields")
-            return other.code
-        return int(other)
-
-    @property
-    def coeffs(self) -> tuple:
-        return self.field.coeffs(self.code)
-
-    def __add__(self, other):
-        return FieldElement(self.field.add(self.code, self._peer(other)), self.field)
-
-    def __sub__(self, other):
-        return FieldElement(self.field.sub(self.code, self._peer(other)), self.field)
-
-    def __mul__(self, other):
-        return FieldElement(self.field.mul(self.code, self._peer(other)), self.field)
-
-    def __neg__(self):
-        return FieldElement(self.field.neg(self.code), self.field)
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field.pow(self.code, e), self.field)
-
-    def __lt__(self, other):
-        return self.coeffs < self.field.element(other).coeffs
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        return f"{self.code}:{self.field!r}"
-
-
-def parse_field(s: str) -> Field:
-    """Parse "p^l:c0,c1,...,cl" (the modulus part may be omitted)."""
-    if ":" in s:
-        head, tail = s.split(":", 1)
-        modulus = tuple(int(c) for c in tail.split(","))
-    else:
-        head, modulus = s, None
-    if "^" in head:
-        p, l = head.split("^")
-    else:
-        p, l = head, "1"
-    return Field(int(p), int(l), modulus)
 
 
 def field_for_order(q: int) -> Field:

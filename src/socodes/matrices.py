@@ -9,14 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Field, FieldElement, SpecMismatch, field_for_order
+from .fields import Field, SpecMismatch, field_for_order
 
 
 def _scalar_code(field: Field, x) -> int:
-    if isinstance(x, FieldElement):
-        if x.field != field:
-            raise SpecMismatch("scalar from a different field")
-        return x.code
     x = int(x)
     if not 0 <= x < field.q:
         raise ValueError(f"scalar code {x} out of range for {field}")
@@ -85,21 +81,7 @@ class GFMatrix:
             raise SpecMismatch("matrices over different fields")
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        F = self.field
-        if F.l == 1:
-            return GFMatrix(F, (self.a @ other.a) % F.p)
-        # additive digit convolution: l^2 integer matmuls, then reduce
-        l = F.l
-        da = F._digits[self.a]          # (m, K, l)
-        db = F._digits[other.a]         # (K, n, l)
-        conv = np.zeros((self.rows, other.cols, 2 * l - 1), dtype=np.int64)
-        for s in range(l):
-            for t in range(l):
-                conv[:, :, s + t] += da[:, :, s] @ db[:, :, t]
-        low = conv[:, :, :l]
-        for t in range(l - 1):
-            low += conv[:, :, l + t:l + t + 1] * F._red[t]
-        return GFMatrix(F, (low % F.p) @ F._powers)
+        return GFMatrix(self.field, self.field.dot(self.a, other.a))
 
     def gram(self) -> "GFMatrix":
         """M M^T: entry (i,j) is the standard inner product of rows i and j."""

@@ -96,6 +96,14 @@ def field_add_naive(a, b, p, l):
     return poly_to_code(poly_add(code_to_poly(a, p, l), code_to_poly(b, p, l), p), p)
 
 
+def field_neg_naive(a, p, l):
+    return poly_to_code(poly_trim((-c) % p for c in code_to_poly(a, p, l)), p)
+
+
+def field_sub_naive(a, b, p, l):
+    return field_add_naive(a, field_neg_naive(b, p, l), p, l)
+
+
 # ---------------------------------------------------------------------------
 # rank over GF(p^l) by naive fraction-free elimination on element codes
 # ---------------------------------------------------------------------------
@@ -112,10 +120,6 @@ def rank_naive(rows, p, l, modulus):
             if field_mul_naive(a, y, p, l, modulus) == 1:
                 return y
         raise ZeroDivisionError
-
-    def sub(a, b):
-        neg = poly_trim((-c) % p for c in code_to_poly(b, p, l))
-        return poly_to_code(poly_add(code_to_poly(a, p, l), neg, p), p)
 
     rows = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
@@ -135,7 +139,7 @@ def rank_naive(rows, p, l, modulus):
         for i in range(len(rows)):
             if i != rix and rows[i][col] != 0:
                 f = rows[i][col]
-                rows[i] = [sub(x, field_mul_naive(f, y, p, l, modulus))
+                rows[i] = [field_sub_naive(x, field_mul_naive(f, y, p, l, modulus), p, l)
                            for x, y in zip(rows[i], rows[rix])]
         rix += 1
         rank += 1

@@ -20,7 +20,6 @@ from socodes.designs import (
     from_group_action,
     intersection_profile,
     load_design,
-    r_formula,
     save_design,
     stabilizer_orbits,
     validate,
@@ -167,17 +166,6 @@ def test_m11_degree22_developments():
     D2 = from_group_action(G, 0, (0, 1))
     assert (D2.v, D2.k, D2.r, D2.b) == (22, 2, 1, 11)
     assert intersection_profile(D2, 2).case == "SO"
-
-
-def test_r_formula_matches_counted_r():
-    # the stabilizer-sum formula (s-reading) agrees with direct counting
-    G = m11_degree(22)
-    assert r_formula(G, 0, (2,)) == 10
-    assert r_formula(G, 0, (0, 1)) == 1
-    G66 = m11_degree(66)
-    for choice in [(1,), (0, 1), (2, 3), (0, 2, 3)]:
-        D = from_group_action(G66, 0, choice)
-        assert r_formula(G66, 0, choice) == D.r
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from socodes.fields import Field, FieldElement
+from socodes.fields import Field
 from socodes.matrices import GFMatrix, bordered, hstack, vstack
 import oracles
 
@@ -69,16 +69,22 @@ def test_gram_symmetric():
 
 
 def test_matmul_matches_naive():
-    for field in (GF2, GF3, GF9, GF4):
-        A = rand_matrix(field, 4, 5, 1)
-        B = rand_matrix(field, 5, 3, 2)
-        C = (A @ B).a
-        for i in range(4):
-            for j in range(3):
-                acc = 0
-                for k in range(5):
-                    acc = field.add(acc, field.mul(int(A.a[i, k]), int(B.a[k, j])))
-                assert C[i, j] == acc
+    # accumulate with the plain polynomial oracles, not with field.add and
+    # field.mul, which read the same tables as @; GF(8) and GF(27) are the
+    # first degree with two reduction rows, K = 1 is a bare outer product
+    for field in (GF2, GF3, GF4, GF9, Field(2, 3), Field(3, 3)):
+        p, l, m = field.p, field.l, field.modulus
+        for rows, inner, cols in [(4, 5, 3), (3, 1, 4)]:
+            A = rand_matrix(field, rows, inner, 1)
+            B = rand_matrix(field, inner, cols, 2)
+            C = (A @ B).a
+            for i in range(rows):
+                for j in range(cols):
+                    acc = 0
+                    for k in range(inner):
+                        prod = oracles.field_mul_naive(int(A.a[i, k]), int(B.a[k, j]), p, l, m)
+                        acc = oracles.field_add_naive(acc, prod, p, l)
+                    assert C[i, j] == acc, (field, rows, inner, cols, i, j)
 
 
 def test_bordered_shapes_and_content():
