@@ -7,6 +7,9 @@ subgroup; scanning involutions y until |<x, y>| = 660 finds it.  The coset
 action of M11 on that subgroup is the degree-12 representation, with the
 standard generators mapped through generator-wise.
 
+``derive()`` returns the file text without writing anything; the test suite
+compares it with the shipped file.
+
 Run from the repository root:  python scripts/derive_m11_degree12.py
 """
 
@@ -15,44 +18,41 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from socodes.groups import PermGroup, Perm, OrderExceedsCap, save_group
+from socodes.groups import PermGroup, OrderExceedsCap, format_group_text
 from socodes.m11 import m11_natural
 
+OUT = Path(__file__).resolve().parent.parent / "src" / "socodes" / "data" / "m11_12.grp"
 
-def main():
+
+def derive() -> str:
+    """Text of the degree-12 group file, derived from the natural action."""
     G = m11_natural()
     assert G.order == 7920
 
     x = next(g for g in G.elements if g.order() == 11)
-    involutions = [g for g in G.elements if g.order() == 2]
-    print(f"order-11 element: {x}")
-    print(f"{len(involutions)} involutions to scan")
-
     H = None
-    hits = 0
-    for y in involutions:
+    for y in (g for g in G.elements if g.order() == 2):
         cand = PermGroup(11, [x, y])
         try:
             cand.enumerate(cap=660)
         except OrderExceedsCap:
             continue
         if cand.order == 660:
-            hits += 1
-            if H is None:
-                H = cand
-    print(f"involutions generating an order-660 subgroup with x: {hits}")
+            H = cand
+            break
     assert H is not None
 
     A = G.coset_action(H)
     assert A.degree == 12
     assert A.is_transitive()
     assert A.order == 7920
-    inv12 = next(g for g in A.elements if g.order() == 2)
-    print(f"degree-12 action: order {A.order}, involution cycle type {inv12.cycle_type()}")
+    return format_group_text(
+        A, comment="Mathieu group M11, coset action on a PSL(2,11) subgroup, degree 12")
 
-    out = Path(__file__).resolve().parent.parent / "src" / "socodes" / "data" / "m11_12.grp"
-    save_group(out, A, comment="Mathieu group M11, coset action on a PSL(2,11) subgroup, degree 12")
-    print(f"wrote {out}")
+
+def main():
+    OUT.write_text(derive(), encoding="utf-8")
+    print(f"wrote {OUT}")
 
 
 if __name__ == "__main__":

@@ -95,10 +95,6 @@ class LinearCode:
         return f"LinearCode({display(self)})"
 
 
-def params(C: LinearCode):
-    return C.n, C.k
-
-
 def display(C: LinearCode) -> str:
     return f"[{C.n},{C.k},{C.d}]_{C.field.q}"
 

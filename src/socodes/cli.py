@@ -286,6 +286,9 @@ def cmd_reproduce(args) -> int:
 
 # -------------------------------------------------------------------- parser
 
+# actions that only print, so --out has nothing to write
+_NO_ARTIFACT = {"group": ("info", "orbits"), "design": ("search", "classify")}
+
 
 def _build_parser() -> _Parser:
     top = _Parser(prog="socodes", description=__doc__.splitlines()[0])
@@ -360,6 +363,8 @@ def main(argv=None) -> int:
         if (getattr(args, "func", None) is cmd_code
                 and args.action != "from-design" and args.group is None):
             raise UsageError(f"code {args.action} needs a subgroup argument")
+        if getattr(args, "out", None) and args.action in _NO_ARTIFACT.get(args.command, ()):
+            raise UsageError(f"{args.command} {args.action} writes no artifact for --out")
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

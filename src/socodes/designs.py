@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Field
 from .groups import NotTransitive, PermGroup
-from .matrices import GFMatrix
 
 
 class NonConstantBlockSize(ValueError):
@@ -78,9 +76,6 @@ class Design:
     @property
     def r(self) -> int:
         return validate(self)[1]
-
-    def incidence(self, fld: Field) -> GFMatrix:
-        return GFMatrix(fld, self.incidence_array())
 
     def incidence_array(self) -> np.ndarray:
         """Plain 0/1 integer incidence, for counting work outside any field."""
@@ -201,8 +196,7 @@ def from_group_action(G: PermGroup, alpha: int, orbit_choice) -> Design:
         raise DeltaEmpty("empty base block")
     if len(delta) == G.degree:
         raise DeltaIsOmega("base block is the whole point set")
-    blocks, _ = G.set_orbit(delta)
-    D = Design(G.degree, blocks)
+    D = Design(G.degree, G.set_orbit(delta))
     validate(D)
     return D
 
@@ -230,8 +224,7 @@ def wso_search(G: PermGroup, alpha: int, p: int = 2,
         delta = _delta_from_choice(orbits, choice)
         if len(delta) == G.degree:
             continue
-        blocks, _ = G.set_orbit(delta)
-        D = Design(G.degree, blocks)
+        D = Design(G.degree, G.set_orbit(delta))
         validate(D)
         prof = intersection_profile(D, p)
         if prof.constant:
@@ -263,11 +256,6 @@ def parse_design_text(text: str) -> Design:
         raise ValueError(f"expected {b} block rows, found {len(lines) - 1}")
     blocks = [tuple(int(x) for x in ln.split()) for ln in lines[1:]]
     return Design(v, blocks)
-
-
-def save_design(path, D: Design) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_design_text(D))
 
 
 def load_design(path) -> Design:

@@ -67,16 +67,6 @@ def _ptrim(c):
     return tuple(c)
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
 def _pmod(a, m, p):
     a = list(_ptrim(a))
     dm = len(m) - 1
@@ -90,61 +80,16 @@ def _pmod(a, m, p):
     return _ptrim(a)
 
 
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _ptrim((x - y) % p for x, y in zip(a, b))
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _ppowmod(base, e, m, p):
-    result = (1,)
-    base = _pmod(base, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
 def _is_irreducible(coeffs, p) -> bool:
+    """Trial division by every monic polynomial of degree 1..deg/2."""
     coeffs = _ptrim(coeffs)
     deg = len(coeffs) - 1
     if deg <= 0:
         return False
-    if deg == 1:
-        return True
-    if deg <= 4:
-        # trial division by every monic polynomial of degree 1..deg/2
-        for d in range(1, deg // 2 + 1):
-            for tail in product(range(p), repeat=d):
-                if not _pmod(coeffs, tail + (1,), p):
-                    return False
-        return True
-    # x^(p^deg) = x mod f, and gcd(x^(p^(deg/t)) - x, f) = 1 for prime t | deg
-    x = (0, 1)
-    if _ppowmod(x, p ** deg, coeffs, p) != x:
-        return False
-    t = 2
-    rem = deg
-    primes = set()
-    while rem > 1:
-        while rem % t == 0:
-            primes.add(t)
-            rem //= t
-        t += 1
-    for t in primes:
-        h = _psub(_ppowmod(x, p ** (deg // t), coeffs, p), x, p)
-        if len(_pgcd(coeffs, h, p)) > 1:
-            return False
+    for d in range(1, deg // 2 + 1):
+        for tail in product(range(p), repeat=d):
+            if not _pmod(coeffs, tail + (1,), p):
+                return False
     return True
 
 

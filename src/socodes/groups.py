@@ -2,9 +2,11 @@
 
 Full element enumeration (no stabilizer chains: every group in scope has
 order <= 7920), point and set orbits, stabilizers, induced actions on
-k-subsets, coset actions, and elements of a given order. Point and set
-orbits are computed from the generators alone; the enumerated elements
-are needed only for group orders, stabilizers and cosets.
+k-subsets, coset actions, and elements of a given order. Every closure
+(the elements, a point orbit, a set orbit, the coset representatives) is
+one breadth-first search over the generators, ``_closure``. Point and set
+orbits need the generators alone; the enumerated elements are needed only
+for group orders, stabilizers and cosets.
 
 Points are 0-based everywhere internally; the group file format uses the
 1-based convention of the literature and is converted at the I/O boundary.
@@ -83,20 +85,11 @@ class Perm:
         h.images = tuple([other.images[x] for x in self.images])
         return h
 
-    def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, x in enumerate(self.images):
-            inv[x] = i
-        return Perm(inv)
-
     def apply(self, point: int) -> int:
         return self.images[point]
 
     def apply_set(self, points) -> tuple:
         return tuple(sorted(self.images[p] for p in points))
-
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
 
     def cycles(self):
         """Nontrivial cycles, each rotated to start at its least point."""
@@ -158,6 +151,27 @@ class Perm:
         return "Perm" + "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
 
 
+def _closure(start, gens, act, cap=None) -> set:
+    """Everything reached from start by repeated x -> act(x, g), g in gens.
+
+    Breadth-first; raises OrderExceedsCap once more than cap are found.
+    """
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = act(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+                    if cap is not None and len(seen) > cap:
+                        raise OrderExceedsCap(f"group order exceeds cap {cap}")
+        frontier = new
+    return seen
+
+
 class PermGroup:
     """Group generated by a list of permutations of common degree."""
 
@@ -173,23 +187,9 @@ class PermGroup:
 
     def enumerate(self, cap: int = DEFAULT_CAP) -> tuple:
         """Breadth-first closure of the generators; sorted by image tuple."""
-        if self._elements is not None:
-            return self._elements
-        ident = Perm.identity(self.degree)
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            new = []
-            for g in frontier:
-                for s in self.generators:
-                    h = g * s
-                    if h not in seen:
-                        seen.add(h)
-                        new.append(h)
-                        if len(seen) > cap:
-                            raise OrderExceedsCap(f"group order exceeds cap {cap}")
-            frontier = new
-        self._elements = tuple(sorted(seen))
+        if self._elements is None:
+            self._elements = tuple(sorted(_closure(
+                Perm.identity(self.degree), self.generators, Perm.__mul__, cap)))
         return self._elements
 
     @property
@@ -200,24 +200,11 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, g: Perm) -> bool:
-        return g in set(self.elements)
-
     # -- orbits and stabilizers --------------------------------------------
 
     def orbit_of(self, point: int) -> tuple:
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in self.generators:
-                    y = g.images[x]
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-            frontier = new
-        return tuple(sorted(seen))
+        return tuple(sorted(_closure(point, self.generators,
+                                     lambda x, g: g.images[x])))
 
     def point_orbits(self) -> list:
         done = set()
@@ -237,30 +224,13 @@ class PermGroup:
         els = tuple(g for g in self.elements if g.images[point] == point)
         return PermGroup(self.degree, els, _elements=els)
 
-    def set_orbit(self, delta):
-        """Distinct images of the point set delta under the group.
-
-        Breadth-first search over the generators: each new set is mapped by
-        every generator until no new set appears. Returns (sorted list of
-        sorted tuples, |G_delta|).
-        """
-        start = frozenset(int(x) for x in delta)
-        if not start:
-            return [()], self.order
-        gens = [g.images for g in self.generators]
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for s in frontier:
-                for img in gens:
-                    t = frozenset([img[x] for x in s])
-                    if t not in seen:
-                        seen.add(t)
-                        new.append(t)
-            frontier = new
-        orbit = sorted(tuple(sorted(s)) for s in seen)
-        return orbit, self.order // len(orbit)
+    def set_orbit(self, delta) -> list:
+        """Distinct images of the point set delta under the group, as a
+        sorted list of sorted tuples, found from the generators alone."""
+        seen = _closure(frozenset(int(x) for x in delta),
+                        [g.images for g in self.generators],
+                        lambda s, img: frozenset([img[x] for x in s]))
+        return sorted(tuple(sorted(s)) for s in seen)
 
     # -- derived actions ----------------------------------------------------
 
@@ -287,7 +257,7 @@ class PermGroup:
         Cosets are numbered by their lexicographically least element, sorted.
         """
         gset = set(self.elements)
-        if any(h not in gset for h in H.elements):
+        if H.degree != self.degree or any(h not in gset for h in H.generators):
             raise NotASubgroup("H is not contained in G")
         if self.order // H.order > INDEX_CAP:
             raise IndexTooLarge(f"index {self.order // H.order} exceeds {INDEX_CAP}")
@@ -296,19 +266,9 @@ class PermGroup:
         def canon(g: Perm) -> Perm:
             return min(h * g for h in hels)
 
-        start = canon(Perm.identity(self.degree))
-        reps = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for rep in frontier:
-                for s in self.generators:
-                    c = canon(rep * s)
-                    if c not in reps:
-                        reps.add(c)
-                        new.append(c)
-            frontier = new
-        ordered = sorted(reps)
+        ordered = sorted(_closure(canon(Perm.identity(self.degree)),
+                                  self.generators,
+                                  lambda rep, s: canon(rep * s)))
         index = {rep: i for i, rep in enumerate(ordered)}
         gens = [Perm(tuple(index[canon(rep * s)] for rep in ordered))
                 for s in self.generators]
@@ -327,10 +287,7 @@ class PermGroup:
         For a group with a unique subgroup of index 2 this is that subgroup
         (squares die in any C2 quotient, and what they generate is normal).
         """
-        squares = sorted({g * g for g in self.elements})
-        sub = PermGroup(self.degree, squares)
-        els = sub.enumerate()
-        return PermGroup(self.degree, squares, _elements=els)
+        return PermGroup(self.degree, sorted({g * g for g in self.elements}))
 
     def __repr__(self):
         n = len(self._elements) if self._elements is not None else "?"
@@ -390,8 +347,3 @@ def format_group_text(G: PermGroup, comment: str = "") -> str:
 def load_group(path) -> PermGroup:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_group_text(fh.read())
-
-
-def save_group(path, G: PermGroup, comment: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_group_text(G, comment))

@@ -34,10 +34,6 @@ class GFMatrix:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "GFMatrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
     def identity(cls, field: Field, n: int, scale=1) -> "GFMatrix":
         return cls(field, np.eye(n, dtype=np.int64) * _scalar_code(field, scale))
 
@@ -56,10 +52,6 @@ class GFMatrix:
     @property
     def cols(self) -> int:
         return self.a.shape[1]
-
-    @property
-    def shape(self):
-        return self.a.shape
 
     def __eq__(self, other):
         return (isinstance(other, GFMatrix) and self.field == other.field
@@ -86,10 +78,6 @@ class GFMatrix:
     def gram(self) -> "GFMatrix":
         """M M^T: entry (i,j) is the standard inner product of rows i and j."""
         return self @ self.transpose()
-
-    def scale(self, c) -> "GFMatrix":
-        code = _scalar_code(self.field, c)
-        return GFMatrix(self.field, self.field.mul(self.a, np.int64(code)))
 
     # -- elimination --------------------------------------------------------
 
@@ -157,28 +145,18 @@ class GFMatrix:
     @classmethod
     def from_text(cls, text: str, field: Field | None = None) -> "GFMatrix":
         lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+        if not lines:
+            raise ValueError("empty matrix text")
         rows, cols, q = (int(t) for t in lines[0].split())
         if field is None:
             field = field_for_order(q)
         elif field.q != q:
             raise ValueError(f"matrix is over GF({q}), not {field}")
-        data = [[int(t) for t in ln.split()] for ln in lines[1:1 + rows]]
+        data = [[int(t) for t in ln.split()] for ln in lines[1:]]
+        if len(data) != rows or any(len(row) != cols for row in data):
+            raise ValueError(f"expected {rows} rows of {cols} entries")
         a = np.array(data, dtype=np.int64).reshape(rows, cols)
         return cls(field, a)
-
-
-def hstack(*mats: GFMatrix) -> GFMatrix:
-    field = mats[0].field
-    if any(m.field != field for m in mats):
-        raise SpecMismatch("matrices over different fields")
-    return GFMatrix(field, np.hstack([m.a for m in mats]))
-
-
-def vstack(*mats: GFMatrix) -> GFMatrix:
-    field = mats[0].field
-    if any(m.field != field for m in mats):
-        raise SpecMismatch("matrices over different fields")
-    return GFMatrix(field, np.vstack([m.a for m in mats]))
 
 
 def bordered(M: GFMatrix, left=None, right=None) -> GFMatrix:

@@ -8,8 +8,8 @@ orbit matrix is a certificate, not an assumption.
 
 fixed_split carves the orbit matrix of a group with orbit lengths in
 {1, p^alpha} into the fixed part OM1 (fixed blocks x fixed points) and the
-moving part OM2. congruence_data returns the mod-p Gram table of the rows,
-which downstream theorems constrain when all orbits share one length.
+moving part OM2. The text format writes an orbit matrix with its orbit
+lengths for the CLI.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ class IllDefinedEntry(ArithmeticError):
 
 
 class BadOrbitProfile(ValueError):
-    pass
-
-
-class UnequalBlockOrbitLengths(ValueError):
     pass
 
 
@@ -172,19 +168,6 @@ def build(D: Design, H: PermGroup) -> OrbitMatrix:
     return OrbitMatrix(D, entries, point_orbits, block_orbits)
 
 
-def congruence_data(OM: OrbitMatrix, p: int) -> np.ndarray:
-    """Mod-p Gram table of orbit-matrix rows, O[s]·O[t] mod p.
-
-    Requires all block orbits to share one length (the hypothesis under
-    which the table's diagonal and off-diagonal residues are forced).
-    """
-    lengths = set(OM.block_orbit_sizes.tolist())
-    if len(lengths) > 1:
-        raise UnequalBlockOrbitLengths(
-            f"block orbit lengths {sorted(lengths)} are not all equal")
-    return (OM.entries @ OM.entries.T) % p
-
-
 def fixed_split(D: Design, H: PermGroup, p: int, alpha: int) -> FixedSplit:
     """Split the orbit matrix of an action whose point and block orbits all
     have length 1 or p^alpha into OM1 (fixed x fixed) and OM2 (moving x
@@ -221,29 +204,3 @@ def format_orbit_matrix_text(OM: OrbitMatrix) -> str:
         " ".join(map(str, OM.point_orbit_sizes.tolist())))
     rows = [" ".join(map(str, row)) for row in OM.entries.tolist()]
     return "\n".join([head] + rows) + "\n"
-
-
-def parse_orbit_matrix_text(text: str):
-    """Inverse of format_orbit_matrix_text.
-
-    Returns (m, n, w, block_sizes, point_sizes, entries).
-    """
-    lines = [ln for ln in (s.strip() for s in text.splitlines())
-             if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty orbit matrix text")
-    parts = [p.split() for p in lines[0].split("|")]
-    if len(parts) != 3 or len(parts[0]) != 3:
-        raise ValueError(f"bad orbit matrix header: {lines[0]!r}")
-    m, n, w = (int(x) for x in parts[0])
-    bsizes = [int(x) for x in parts[1]]
-    vsizes = [int(x) for x in parts[2]]
-    if len(bsizes) != m or len(vsizes) != n:
-        raise ValueError("header sizes disagree with orbit counts")
-    if len(lines) != 1 + m:
-        raise ValueError(f"expected {m} rows, got {len(lines) - 1}")
-    entries = np.array([[int(x) for x in ln.split()] for ln in lines[1:]],
-                       dtype=np.int64)
-    if entries.shape != (m, n):
-        raise ValueError("row width disagrees with header")
-    return m, n, w, bsizes, vsizes, entries

@@ -191,7 +191,9 @@ def weight_spectrum_naive(gen_rows, p, l, modulus):
 
 
 # ---------------------------------------------------------------------------
-# set orbits by applying every element of the plain group closure
+# orbits and cosets by applying every element of the plain group closure;
+# a permutation is its image tuple and products act on the right
+# (first g, then h), as in the library
 # ---------------------------------------------------------------------------
 
 def group_closure_naive(gens, n):
@@ -213,3 +215,21 @@ def set_orbit_naive(gens, n, delta):
     """Sorted distinct images of the point set delta under every element."""
     return sorted({tuple(sorted(g[x] for x in delta))
                    for g in group_closure_naive(gens, n)})
+
+
+def coset_action_naive(gens, n, hgens):
+    """Action of G = <gens> on the right cosets of H = <hgens>.
+
+    Each coset Hg is the set {h g : h in H}; cosets are numbered by their
+    lexicographically least elements in sorted order, and a generator s
+    sends Hg to Hgs. Returns the image tuple of every generator.
+    """
+    def mul(g, h):
+        return tuple(h[x] for x in g)
+
+    H = group_closure_naive(hgens, n)
+    cosets = {frozenset(mul(h, g) for h in H) for g in group_closure_naive(gens, n)}
+    reps = sorted(min(c) for c in cosets)
+    number = {rep: i for i, rep in enumerate(reps)}
+    label = {g: number[min(c)] for c in cosets for g in c}
+    return [tuple(label[mul(rep, s)] for rep in reps) for s in gens]

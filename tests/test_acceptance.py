@@ -19,7 +19,6 @@ from socodes.analysis import (
     Unknown,
     is_self_orthogonal,
     min_distance,
-    params,
 )
 from socodes.constructions import (
     NonConstantProfile,
@@ -108,7 +107,7 @@ def test_criterion_01_table1_small_rows():
     for degree in (22, 66):
         for hit in wso_search(m11_degree(degree), 0, 2):
             rep = from_incidence_binary(hit.design)
-            nk = params(rep.code)
+            nk = (rep.code.n, rep.code.k)
             if nk in targets and nk not in found:
                 found[nk] = _exact_d(rep.code)
     assert found == targets
@@ -119,40 +118,40 @@ def test_criterion_01_table1_small_rows():
 
 def test_criterion_02_table12_fixed_split_22(hits22, inv22):
     r1, r2 = from_fixed_split_binary(_design(hits22, (22, 20, 10)), inv22)
-    assert params(r1.code) == (6, 2) and _exact_d(r1.code) == 4
-    assert params(r2.code) == (8, 4) and _exact_d(r2.code) == 2
+    assert (r1.code.n, r1.code.k) == (6, 2) and _exact_d(r1.code) == 4
+    assert (r2.code.n, r2.code.k) == (8, 4) and _exact_d(r2.code) == 2
     r3, _ = from_fixed_split_binary(_design(hits22, (22, 2, 1)), inv22)
-    assert params(r3.code) == (6, 3) and _exact_d(r3.code) == 2
+    assert (r3.code.n, r3.code.k) == (6, 3) and _exact_d(r3.code) == 2
     _pass(2, "[6,2,4] [8,4,2] [6,3,2] from the 22-point designs")
 
 
 def test_criterion_03_table13_fixed_split_66(hits66, inv66):
     r1, r2 = from_fixed_split_binary(_design(hits66, (66, 20, 20)), inv66)
-    assert params(r1.code) == (10, 2) and _exact_d(r1.code) == 4
-    assert params(r2.code) == (28, 4) and _exact_d(r2.code) == 10
+    assert (r1.code.n, r1.code.k) == (10, 2) and _exact_d(r1.code) == 4
+    assert (r2.code.n, r2.code.k) == (28, 4) and _exact_d(r2.code) == 10
     r3, _ = from_fixed_split_binary(_design(hits66, (66, 46, 46)), inv66)
-    assert params(r3.code) == (10, 3) and _exact_d(r3.code) == 4
+    assert (r3.code.n, r3.code.k) == (10, 3) and _exact_d(r3.code) == 4
     _pass(3, "[10,2,4] [28,4,10] [10,3,4] from the 66-point designs")
 
 
 def test_criterion_04_table8_orbit_matrices(hits66, z11):
     r1 = from_orbitmatrix_binary(_design(hits66, (66, 21, 21)), z11)
     assert r1.theorem == "T3.3.bina" and r1.self_dual
-    assert params(r1.code) == (12, 6) and _exact_d(r1.code) == 2
+    assert (r1.code.n, r1.code.k) == (12, 6) and _exact_d(r1.code) == 2
     r2 = from_orbitmatrix_binary(_design(hits66, (66, 45, 45)), z11)
     assert r2.theorem == "T3.3.bina" and r2.self_dual
-    assert params(r2.code) == (12, 6) and _exact_d(r2.code) == 4
+    assert (r2.code.n, r2.code.k) == (12, 6) and _exact_d(r2.code) == 4
     _pass(4, "[12,6,2] [12,6,4] self-dual under the order-11 subgroup")
 
 
 def test_criterion_05_table16_rows(hits66, inv66):
     r1, r2 = from_fixed_split_binary(_design(hits66, (66, 21, 21)), inv66)
     assert r1.theorem == "T3.3.fix"
-    assert params(r1.code) == (20, 10) and _exact_d(r1.code) == 2
-    assert params(r2.code) == (56, 28) and r2.self_dual
+    assert (r1.code.n, r1.code.k) == (20, 10) and _exact_d(r1.code) == 2
+    assert (r2.code.n, r2.code.k) == (56, 28) and r2.self_dual
     assert _exact_d(r2.code, 1 << 28) == 4
     r3, _ = from_fixed_split_binary(_design(hits66, (66, 45, 45)), inv66)
-    assert params(r3.code) == (20, 10) and _exact_d(r3.code) == 4
+    assert (r3.code.n, r3.code.k) == (20, 10) and _exact_d(r3.code) == 4
     _pass(5, "[20,10,2] [56,28,4] [20,10,4] from the case-3 designs")
 
 
@@ -164,7 +163,7 @@ def test_criterion_06_large_rows_sanity():
     assert (D.v, D.k, D.r, D.b) == (165, 116, 116, 165)
     assert intersection_profile(D, 2).dispatch_case() == 2
     rep = from_incidence_binary(D)
-    assert params(rep.code) == (331, 165)
+    assert (rep.code.n, rep.code.k) == (331, 165)
     assert is_self_orthogonal(rep.code)
     assert isinstance(min_distance(rep.code), Unknown)
     _pass(6, "1-(165,116,116) gives [331,165] SO, distance Unknown")
@@ -178,10 +177,10 @@ def _random_designs(H: PermGroup, v: int, rng, want: int, tries: int = 80):
         if len(out) >= want:
             break
         k = rng.randrange(1, v)
-        first, _ = H.set_orbit(tuple(sorted(rng.sample(range(v), k))))
+        first = H.set_orbit(tuple(sorted(rng.sample(range(v), k))))
         blocks = tuple(first)
         if rng.random() < 0.5:
-            more, _ = H.set_orbit(tuple(sorted(rng.sample(range(v), k))))
+            more = H.set_orbit(tuple(sorted(rng.sample(range(v), k))))
             blocks = tuple(sorted(set(blocks) | set(more)))
         if not 2 <= len(blocks) <= 30 or blocks in seen:
             continue

@@ -28,12 +28,12 @@ def c6_files(tmp_path):
 @pytest.fixture
 def inv22(tmp_path):
     # involution of the degree-22 M11 action, as a group file
-    from socodes.groups import PermGroup, save_group
+    from socodes.groups import PermGroup, format_group_text
     from socodes.m11 import m11_degree
 
     G = m11_degree(22)
     path = tmp_path / "inv22.grp"
-    save_group(str(path), PermGroup(22, [G.element_of_order(2)]))
+    path.write_text(format_group_text(PermGroup(22, [G.element_of_order(2)])))
     return str(path)
 
 
@@ -258,6 +258,36 @@ def test_analyze_roundtrip(capsys, tmp_path, d2210):
     code, out, _ = run(capsys, "analyze", str(gen_path))
     assert code == 0
     assert out.strip() == "[22,10,4]_2 SO=true SD=false"
+
+
+@pytest.mark.parametrize("text", ["2 3 2\n1 0 1 1 0 1\n",       # one wide row
+                                  "1 3 2\n1 0 1\n1 1 1\n",      # an extra row
+                                  ""])
+def test_analyze_rejects_malformed_matrix(capsys, tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1 and out == ""
+    assert "bad matrix file" in err
+
+
+@pytest.mark.parametrize("argv", [("group", "info", "m11:11"),
+                                  ("group", "orbits", "m11:11"),
+                                  ("design", "search", "m11:11")])
+def test_out_rejected_where_nothing_is_written(capsys, tmp_path, argv):
+    path = tmp_path / "x.txt"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 1 and out == ""
+    assert "writes no artifact" in err
+    assert not path.exists()
+
+
+def test_out_rejected_by_design_classify(capsys, tmp_path, c6_files):
+    _, des = c6_files
+    path = tmp_path / "x.txt"
+    code, _, err = run(capsys, "design", "classify", des, "--out", str(path))
+    assert code == 1 and "writes no artifact" in err
+    assert not path.exists()
 
 
 # --------------------------------------------------------------- reproduce

@@ -11,7 +11,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from socodes.analysis import Exact, is_self_orthogonal, min_distance, params
+from socodes.analysis import Exact, is_self_orthogonal, min_distance
 from socodes.constructions import (
     CaseMismatch, ConstructionReport, NonConstantProfile, NotWSO,
     _branch_binary_om, _branch_q_om, _om_profile_binary, _om_profile_q,
@@ -95,7 +95,7 @@ C9F1 = PermGroup(10, [Perm.from_cycles(10, [tuple(range(9))])])
 def assert_params(report, n, k, q):
     assert isinstance(report, ConstructionReport)
     C = report.code
-    assert params(C) == (n, k)
+    assert (C.n, C.k) == (n, k)
     assert report.field.q == q
     assert is_self_orthogonal(C)
 
@@ -543,7 +543,7 @@ def test_fixed_binary_case3():
 def test_fixed_binary_case4_no_fixed_blocks():
     r1, r2 = from_fixed_split_binary(FB4, chunks(6, 2, 2))
     assert r1.theorem == r2.theorem == "T3.4.fix"
-    assert params(r1.code) == (3, 0)  # no fixed blocks: zero code
+    assert (r1.code.n, r1.code.k) == (3, 0)  # no fixed blocks: zero code
     assert_params(r2, 2, 1, 2)        # OM2 rank 1
     assert_d(r2, 2)
 
@@ -554,7 +554,7 @@ def test_fixed_binary_case4_no_moving_blocks():
     assert r1.theorem == "T3.4.fix"
     assert_params(r1, 2, 1, 2)   # [OM1 | 1] = three copies of [1 1]
     assert_d(r1, 2)
-    assert params(r2.code) == (1, 0)
+    assert (r2.code.n, r2.code.k) == (1, 0)
 
 
 def test_fixed_binary_rejects_long_orbits():
@@ -592,7 +592,7 @@ def test_fixed_q2_matches_binary():
 def test_fixed_q_case1():
     r1, r2 = from_fixed_split_q(FQ1, chunks(10, 3, 1), 3, 1)
     assert r1.theorem == r2.theorem == "T3.1.fix.q"
-    assert params(r1.code) == (1, 0)  # fixed blocks avoid the fixed point
+    assert (r1.code.n, r1.code.k) == (1, 0)  # fixed blocks avoid the fixed point
     assert_params(r2, 3, 1, 3)        # OM2 = [1 2 2]
     assert_d(r2, 3)
 
@@ -811,7 +811,7 @@ def random_valid_designs(H, v, rng, want=3, tries=30):
         blocks = []
         for _ in range(int(rng.integers(1, 4))):
             picks = rng.choice(v, size=k, replace=False)
-            orb, _ = H.set_orbit(tuple(sorted(int(x) for x in picks)))
+            orb = H.set_orbit(tuple(sorted(int(x) for x in picks)))
             blocks.extend(b for b in orb if b not in blocks)
         if len(blocks) < 2 or len(blocks) > 24:
             continue

@@ -1,16 +1,20 @@
 """Permutation groups by generators: enumeration, orbits, stabilizers,
 induced actions, coset actions, elements of given order, file I/O."""
 
+import importlib.util
 import math
+from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import set_orbit_naive
+from oracles import coset_action_naive, group_closure_naive, set_orbit_naive
 from socodes.groups import (
-    Perm, PermGroup, OrderExceedsCap, DegreeTooLarge, NotASubgroup,
-    parse_group_text, format_group_text,
+    Perm, PermGroup, OrderExceedsCap, DegreeTooLarge, IndexTooLarge,
+    NotASubgroup, INDEX_CAP, parse_group_text, format_group_text,
 )
+from socodes.m11 import m11_degree
 
 # standard generators on 11 points, 0-based
 M11_GENS = [
@@ -23,11 +27,16 @@ def m11():
     return PermGroup(11, M11_GENS)
 
 
+def set_stabilizer_order(G, delta) -> int:
+    """|{g : delta g = delta}|, counted over the enumerated elements."""
+    target = tuple(sorted(delta))
+    return sum(1 for g in G.elements if g.apply_set(delta) == target)
+
+
 def test_perm_basics():
     g = Perm((1, 2, 0))
     h = Perm((0, 2, 1))
     assert (g * h).images == (2, 1, 0)       # right action: first g, then h
-    assert g.inverse().images == (2, 0, 1)
     assert g.order() == 3
     assert Perm.identity(4).images == (0, 1, 2, 3)
     with pytest.raises(ValueError):
@@ -102,11 +111,12 @@ def test_orbit_stabilizer():
 
 def test_set_orbit_toys():
     triv = PermGroup(4, [])
-    orbit, stab_order = triv.set_orbit({0, 1})
-    assert orbit == [(0, 1)] and stab_order == 1
+    assert triv.set_orbit({0, 1}) == [(0, 1)]
+    assert set_stabilizer_order(triv, {0, 1}) == 1
     C3 = PermGroup(3, [Perm((1, 2, 0))])
-    orbit, stab_order = C3.set_orbit({0})
-    assert orbit == [(0,), (1,), (2,)] and stab_order == 1
+    assert C3.set_orbit({0}) == [(0,), (1,), (2,)]
+    assert set_stabilizer_order(C3, {0}) == 1
+    assert C3.set_orbit(()) == [()]
 
 
 def test_set_orbit_sizes_divide_group_order():
@@ -114,8 +124,7 @@ def test_set_orbit_sizes_divide_group_order():
                       Perm.from_cycles(6, [(1, 5), (2, 4)])])   # dihedral, order 12
     assert G.order == 12
     for delta in [{0}, {0, 1}, {0, 3}, {0, 2, 4}]:
-        orbit, stab = G.set_orbit(delta)
-        assert len(orbit) * stab == G.order
+        assert len(G.set_orbit(delta)) * set_stabilizer_order(G, delta) == G.order
 
 
 @st.composite
@@ -131,21 +140,63 @@ def groups_and_sets(draw):
 def test_set_orbit_matches_closure(case):
     n, gens, delta = case
     G = PermGroup(n, [Perm(g) for g in gens])
-    orbit, stab_order = G.set_orbit(delta)
+    orbit = G.set_orbit(delta)
     assert orbit == set_orbit_naive(gens, n, delta)
-    target = tuple(sorted(delta))
-    stab = sum(1 for g in G.elements if g.apply_set(delta) == target)
-    assert stab_order == stab
-    assert len(orbit) * stab == G.order
+    assert len(orbit) * set_stabilizer_order(G, delta) == G.order
 
 
 def test_set_orbit_m11_matches_closure():
     G = m11()
     gens = [g.images for g in M11_GENS]
     for delta in [(), (0,), (0, 1), (0, 1, 3), (2, 5, 7, 9, 10)]:
-        orbit, stab_order = G.set_orbit(delta)
+        orbit = G.set_orbit(delta)
         assert orbit == set_orbit_naive(gens, 11, delta)
-        assert len(orbit) * stab_order == 7920
+        assert len(orbit) * set_stabilizer_order(G, delta) == 7920
+
+
+def test_orbits_leave_elements_unenumerated():
+    G = PermGroup(165, m11_degree(165).generators)
+    assert G.orbit_of(0) == tuple(range(165))
+    assert len(G.set_orbit((0, 1, 2))) == 3960
+    assert G.set_orbit(()) == [()]
+    assert G._elements is None
+
+
+@st.composite
+def small_groups(draw):
+    """A group on at most 8 points with 1-3 generators, a point set, and a
+    draw that picks the generator of a cyclic subgroup."""
+    n = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    delta = draw(st.sets(st.integers(0, n - 1)))
+    return n, [tuple(g) for g in gens], delta, draw(st.integers(0, 10 ** 9))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_groups())
+def test_group_layer_matches_naive(case):
+    n, gens, delta, pick = case
+    closure = group_closure_naive(gens, n)
+    order = len(closure)
+    G = PermGroup(n, gens)
+    assert [g.images for g in G.enumerate(cap=order)] == sorted(closure)
+    if order > 1:
+        with pytest.raises(OrderExceedsCap):
+            PermGroup(n, gens).enumerate(cap=order - 1)
+
+    orbits = sorted({tuple(sorted({g[x] for g in closure})) for x in range(n)})
+    assert G.point_orbits() == orbits
+    assert G.set_orbit(delta) == set_orbit_naive(gens, n, delta)
+
+    h = G.elements[pick % order]
+    H = PermGroup(n, [h])
+    if order // H.order > INDEX_CAP:
+        with pytest.raises(IndexTooLarge):
+            G.coset_action(H)
+        return
+    A = G.coset_action(H)
+    assert A.degree == order // H.order
+    assert [g.images for g in A.generators] == coset_action_naive(gens, n, [h.images])
 
 
 def test_ksubset_action_s3():
@@ -189,6 +240,8 @@ def test_coset_action_not_subgroup():
     H = PermGroup(3, [Perm((1, 0, 2))])
     with pytest.raises(NotASubgroup):
         G.coset_action(H)
+    with pytest.raises(NotASubgroup):
+        G.coset_action(PermGroup(4, []))
 
 
 def test_m11_degree22_action():
@@ -246,3 +299,14 @@ def test_group_file_img_notation():
     text = "degree 3\nimg: 2 3 1\n"
     G = parse_group_text(text)
     assert G.generators[0].images == (1, 2, 0)
+
+
+def test_derive_script_reproduces_m11_12():
+    # enumerate(cap=660), order, coset_action and format_group_text on an
+    # action the shipped data does not otherwise rebuild
+    path = Path(__file__).resolve().parent.parent / "scripts" / "derive_m11_degree12.py"
+    spec = importlib.util.spec_from_file_location("derive_m11_degree12", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    shipped = resources.files("socodes.data").joinpath("m11_12.grp").read_text(encoding="utf-8")
+    assert script.derive() == shipped

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from socodes.fields import Field
-from socodes.matrices import GFMatrix, bordered, hstack, vstack
+from socodes.matrices import GFMatrix, bordered
 import oracles
 
 GF2 = Field(2)
@@ -24,7 +24,7 @@ def test_identity_rank():
 
 
 def test_zero_rank():
-    assert GFMatrix.zeros(GF3, 3, 7).rank() == 0
+    assert GFMatrix(GF3, np.zeros((3, 7), dtype=int)).rank() == 0
 
 
 def test_rank_matches_independent_oracle():
@@ -59,7 +59,7 @@ def test_gram_identity():
 
 def test_gram_all_ones():
     M = GFMatrix(GF2, np.ones((2, 4), dtype=int))
-    assert M.gram() == GFMatrix.zeros(GF2, 2, 2)
+    assert M.gram() == GFMatrix(GF2, np.zeros((2, 2), dtype=int))
 
 
 def test_gram_symmetric():
@@ -128,7 +128,7 @@ def test_null_space_identity():
 
 
 def test_null_space_zero():
-    N = GFMatrix.zeros(GF2, 2, 3).null_space()
+    N = GFMatrix(GF2, np.zeros((2, 3), dtype=int)).null_space()
     assert N.rows == 3
     assert N.rank() == 3
 
@@ -141,7 +141,7 @@ def test_null_space_is_kernel():
             assert N.rows == 8 - M.rank()
             if N.rows:
                 prod = M @ N.transpose()
-                assert prod == GFMatrix.zeros(field, 5, N.rows)
+                assert prod == GFMatrix(field, np.zeros((5, N.rows), dtype=int))
 
 
 def test_rref_canonical_for_row_space():
@@ -170,6 +170,24 @@ def test_serialization_roundtrip():
     assert M2.field == GF9
 
 
+@pytest.mark.parametrize("text", [
+    "2 3 2\n1 0 1 1 0 1\n",         # one row holding both rows' entries
+    "2 3 2\n1 0 1\n0 1\n",          # a short row
+    "2 3 2\n1 0 1\n0 1 1 0\n",      # a long row
+    "1 3 2\n1 0 1\n1 1 1\n",        # a row past the header's count
+    "2 3 2\n1 0 1\n",               # a missing row
+    "# only a comment\n",
+])
+def test_from_text_rejects_shape_mismatch(text):
+    with pytest.raises(ValueError):
+        GFMatrix.from_text(text)
+
+
+def test_from_text_zero_rows():
+    M = GFMatrix.from_text("0 3 2\n")
+    assert (M.rows, M.cols) == (0, 3)
+
+
 def test_from_int_reduces_mod_p():
     M = GFMatrix.from_int(GF3, [[0, 1, 2], [3, 4, 5]])
     assert np.array_equal(M.a, [[0, 1, 2], [0, 1, 2]])
@@ -184,14 +202,6 @@ def test_entries_validated_and_immutable():
     M = GFMatrix(GF2, [[0, 1]])
     with pytest.raises(ValueError):
         M.a[0, 0] = 1
-
-
-def test_stack_helpers():
-    A = rand_matrix(GF2, 2, 3, 0)
-    B = rand_matrix(GF2, 2, 2, 1)
-    C = rand_matrix(GF2, 1, 3, 2)
-    assert hstack(A, B).cols == 5
-    assert vstack(A, C).rows == 3
 
 
 def test_scale_identity():
