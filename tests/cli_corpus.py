@@ -159,6 +159,20 @@ def corpus() -> list:
         ["code", "from-design", _des("d22_2"), "--q", "1"],
         ["code", "from-design", _des("d22_2"), "--q", "6"],
     ]
+    # characteristics 7 and 11, over GF(p) and GF(p^2)
+    for q in (7, 49, 11, 121):
+        for degree in (11, 22, 55, 66):
+            runs.append(["design", "search", f"m11:{degree}", "--q", str(q)])
+        for name in DESIGNS:
+            runs.append(["code", "from-design", _des(name), "--q", str(q),
+                         *BUDGET])
+        for des, grp in (("d11_1", "c11_11"), ("d22_2", "c11_22"),
+                         ("d55_12", "c11_55"), ("d66_1", "c11_66")):
+            runs.append(["code", "from-orbitmat", _des(des), _grp(grp),
+                         "--q", str(q), *BUDGET])
+    # a non-square border residue mod 61 moves to GF(61^2) = GF(3721)
+    for name in DESIGNS:
+        runs.append(["code", "from-design", _des(name), "--q", "61", *BUDGET])
     return runs
 
 
