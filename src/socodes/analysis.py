@@ -23,7 +23,9 @@ point, (q^k - 1)/(q - 1) in all, is visited; the budget still counts q^k:
   codewords as the pairs a + b; a - b is zero at t exactly when
   a[t] == b[t], so its weight is a count of unequal element codes, with no
   field arithmetic per pair. The words whose top part is zero are the
-  leading-coefficient-1 words of the bottom span.
+  leading-coefficient-1 words of the bottom span. A span grows by one
+  row r per step: one call each of the field's ``mul`` and ``add`` forms
+  c*r + S for all q scalars c at once.
 """
 
 from __future__ import annotations
@@ -133,15 +135,17 @@ def _gf2_halves(basis: GFMatrix):
     return _subset_xor_table(packed[:k1]), _subset_xor_table(packed[k1:])
 
 
-def _leading_one(rows: np.ndarray, add: np.ndarray, mul: np.ndarray):
+def _leading_one(F, rows: np.ndarray):
     """(P, S): S = span(rows), and P holds the words of S whose first
     nonzero coefficient is 1, one per projective point of S."""
-    q = add.shape[0]
-    S = np.zeros((1, rows.shape[1]), dtype=add.dtype)
+    dtype = np.min_scalar_type(F.q - 1)
+    scalars = np.arange(F.q)[:, None, None]
+    S = np.zeros((1, rows.shape[1]), dtype=dtype)
     points = [S[:0]]
     for r in rows[::-1]:
-        points.append(add[r, S])
-        S = np.concatenate([add[mul[c, r], S] for c in range(q)])
+        sums = F.add(F.mul(scalars, r), S).astype(dtype)  # sums[c] = c*r + S
+        points.append(sums[1])
+        S = sums.reshape(-1, rows.shape[1])
     return np.concatenate(points), S
 
 
@@ -155,13 +159,9 @@ def _point_weights(C: LinearCode):
             w = np.bitwise_count(A[i] ^ B).sum(axis=1, dtype=np.int64)
             yield w[1:] if i == 0 else w  # A[0] ^ B[0] is the zero word
         return
-    dtype = np.min_scalar_type(C.field.q - 1)
-    add = C.field.add_table.astype(dtype)
-    mul = C.field.mul_table.astype(dtype)
-    rows = basis.a.astype(dtype)
     top = (basis.rows + 1) // 2
-    A, _ = _leading_one(rows[:top], add, mul)
-    bottom_points, B = _leading_one(rows[top:], add, mul)
+    A, _ = _leading_one(C.field, basis.a[:top])
+    bottom_points, B = _leading_one(C.field, basis.a[top:])
     yield np.count_nonzero(bottom_points, axis=1)
     step = max(1, _CHUNK // B.size)
     for i in range(0, A.shape[0], step):

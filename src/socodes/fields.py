@@ -6,14 +6,16 @@ coefficients (c_0, ..., c_{l-1}) (ascending degree) has code sum c_i * p^i.
 All Field operations accept plain ints or numpy arrays of codes and
 broadcast; scalar in, scalar out.
 
-Only ``Field`` knows this encoding, and within it only ``Field.dot`` (the
-product of code matrices by convolution of base-p digit vectors), the q x q
-addition, negation and multiplication tables a Field builds on first use,
-and the lexicographic order of canonical square roots read digits. The
-multiplication table is ``dot`` of a column of codes with a row of codes;
-element operations, inverses and square roots are table lookups.
-``matrices`` and ``analysis`` use ``dot`` and the tables and never see a
-digit.
+Only ``Field`` knows this encoding. Within it, ``Field.dot`` (the product
+of code matrices by convolution of base-p digit vectors) is the only
+matrix-product kernel, ``add`` adds base-p digits (integers mod p when
+l = 1), and the lexicographic order of canonical square roots reads
+digits. Products, inverses and powers are index arithmetic on the standard
+logarithm tables (Lidl and Niederreiter, *Finite Fields*, 1997): exp[i] =
+g^i for a primitive element g and its inverse log, read-only and of length
+O(q), built once per field. No operation allocates anything of size q^2.
+``matrices`` and ``analysis`` call ``dot`` and the element operations and
+never see a digit or a table.
 
 The canonical square root and the default modulus are both defined by
 lexicographic order on ascending-degree coefficient tuples, which keeps every
@@ -22,7 +24,7 @@ downstream generator matrix byte-reproducible.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
@@ -129,13 +131,9 @@ class Field:
         self.modulus = modulus
 
         # digits[x] = coefficient vector of code x; powers = (1, p, p^2, ...)
-        codes = np.arange(self.q)
-        digs = np.empty((self.q, l), dtype=np.int64)
-        for i in range(l):
-            digs[:, i] = codes % p
-            codes = codes // p
-        self._digits = digs
+        codes = np.arange(self.q, dtype=np.int64)
         self._powers = p ** np.arange(l, dtype=np.int64)
+        self._digits = (codes[:, None] // self._powers) % p
 
         # reduction rows: digits of x^(l+t) mod modulus, t = 0..l-2
         red = np.zeros((max(l - 1, 0), l), dtype=np.int64)
@@ -143,6 +141,28 @@ class Field:
             xt = _pmod((0,) * (l + t) + (1,), modulus, p)
             red[t, :len(xt)] = xt
         self._red = red
+
+        # exp[i] = g^i for a primitive element g, doubled so that
+        # log[x] + log[y] needs no reduction mod q - 1; log[0] = 2(q - 1)
+        # points every product with 0 into the zero padding. The codes
+        # below p are GF(p), whose orders divide p - 1, so for l > 1 the
+        # search starts at p.
+        for g in range(p if l > 1 else 1, self.q):
+            times_g = self.dot(codes[:, None], np.array([[g]])).ravel().tolist()
+            walk = [1]
+            x = times_g[1]
+            while x != 1:     # a walk that closes early is not primitive
+                walk.append(x)
+                x = times_g[x]
+            if len(walk) == self.q - 1:
+                break
+        exp = np.zeros(4 * self.q - 3, dtype=np.int64)
+        exp[:2 * (self.q - 1)] = walk * 2
+        log = np.full(self.q, 2 * (self.q - 1), dtype=np.int64)
+        log[walk] = np.arange(self.q - 1)
+        exp.setflags(write=False)
+        log.setflags(write=False)
+        self._exp, self._log = exp, log
 
     # -- representation & identity ------------------------------------------
 
@@ -163,7 +183,7 @@ class Field:
 
     def _codes(self, x):
         a = np.asarray(x, dtype=np.int64)
-        if np.any((a < 0) | (a >= self.q)):
+        if a.size and (a.min() < 0 or a.max() >= self.q):
             raise ValueError(f"element code out of range [0,{self.q})")
         return a
 
@@ -175,7 +195,7 @@ class Field:
         """Reduce an ordinary integer (array) into the prime subfield."""
         return self._out(np.asarray(n, dtype=np.int64) % self.p)
 
-    # -- the encoding: dot and the tables -----------------------------------
+    # -- the encoding: dot --------------------------------------------------
 
     def dot(self, a, b) -> np.ndarray:
         """Matrix product of code arrays of shapes (m, K) and (K, n).
@@ -199,69 +219,35 @@ class Field:
             low += conv[:, :, l + t:l + t + 1] * self._red[t]
         return (low % self.p) @ self._powers
 
-    @staticmethod
-    def _frozen(table):
-        # a cached table is shared by every caller of this field
-        table.setflags(write=False)
-        return table
-
-    @cached_property
-    def add_table(self) -> np.ndarray:
-        """Read-only int64 q x q table: add_table[x, y] = x + y."""
-        d = self._digits
-        return self._frozen(((d[:, None] + d[None, :]) % self.p) @ self._powers)
-
-    @cached_property
-    def neg_table(self) -> np.ndarray:
-        """Read-only int64 table of length q: neg_table[x] = -x."""
-        return self._frozen(((-self._digits) % self.p) @ self._powers)
-
-    @cached_property
-    def mul_table(self) -> np.ndarray:
-        """Read-only int64 q x q table: mul_table[x, y] = x * y."""
-        xs = np.arange(self.q, dtype=np.int64)
-        return self._frozen(self.dot(xs[:, None], xs[None, :]))
-
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, x, y):
-        return self._out(self.add_table[self._codes(x), self._codes(y)])
+        a, b = self._codes(x), self._codes(y)
+        if self.l == 1:
+            return self._out((a + b) % self.p)
+        return self._out(((self._digits[a] + self._digits[b]) % self.p) @ self._powers)
 
     def neg(self, x):
-        return self._out(self.neg_table[self._codes(x)])
+        return self.mul(self.p - 1, x)
 
     def sub(self, x, y):
-        return self._out(self.add_table[self._codes(x), self.neg_table[self._codes(y)]])
+        return self.add(x, self.neg(y))
 
     def mul(self, x, y):
-        return self._out(self.mul_table[self._codes(x), self._codes(y)])
-
-    @cached_property
-    def _inv_table(self):
-        table = np.zeros(self.q, dtype=np.int64)
-        ii, jj = np.nonzero(self.mul_table == 1)
-        table[ii] = jj
-        return table
+        return self._out(self._exp[self._log[self._codes(x)] + self._log[self._codes(y)]])
 
     def inv(self, x):
         a = self._codes(x)
         if np.any(a == 0):
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self._out(self._inv_table[a])
+        return self._out(self._exp[self.q - 1 - self._log[a]])
 
     def pow(self, x, e: int):
         a = self._codes(x)
-        if e < 0:
-            a = self._codes(self.inv(a))
-            e = -e
-        result = np.ones_like(a)
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul_table[result, base]
-            base = self.mul_table[base, base]
-            e >>= 1
-        return self._out(result)
+        if e < 0 and np.any(a == 0):
+            raise ZeroDivisionError("zero has no multiplicative inverse")
+        r = self._exp[(e % (self.q - 1)) * self._log[a] % (self.q - 1)]
+        return self._out(np.where(a == 0, int(e == 0), r))
 
     # -- squares ------------------------------------------------------------
 
@@ -270,7 +256,7 @@ class Field:
         # exhaustive: for each square keep the root with lexicographically
         # least coefficient tuple (primary key = coefficient of degree 0)
         order = np.lexsort(tuple(self._digits[:, i] for i in range(self.l - 1, -1, -1)))
-        squares = self.mul_table[order, order]
+        squares = self.mul(order, order)
         vals, first = np.unique(squares, return_index=True)
         table = np.full(self.q, -1, dtype=np.int64)
         table[vals] = order[first]
@@ -292,11 +278,12 @@ class Field:
 
     def extend_quadratic(self) -> "Field":
         """GF(q^2) as the degree-2l field with its default modulus."""
-        return Field(self.p, 2 * self.l)
+        return field_for_order(self.q ** 2)
 
 
+@cache
 def field_for_order(q: int) -> Field:
-    """The default field of a given prime-power order."""
+    """The default field of a given prime-power order, built once per order."""
     p = 2
     while p <= q:
         if q % p == 0:

@@ -154,8 +154,11 @@ class Perm:
 def _closure(start, gens, act, cap=None) -> set:
     """Everything reached from start by repeated x -> act(x, g), g in gens.
 
-    Breadth-first; raises OrderExceedsCap once more than cap are found.
+    Breadth-first; raises OrderExceedsCap once more than cap are found,
+    start included.
     """
+    if cap is not None and cap < 1:
+        raise OrderExceedsCap(f"group order exceeds cap {cap}")
     seen = {start}
     frontier = [start]
     while frontier:

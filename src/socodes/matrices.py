@@ -105,8 +105,9 @@ class GFMatrix:
             col[r] = 0
             rows_to_clear = np.nonzero(col)[0]
             if rows_to_clear.size:
-                R[rows_to_clear] = F.sub(R[rows_to_clear],
-                                         F.mul(col[rows_to_clear, None], R[r][None, :]))
+                # x - c*r as x + (-c)*r: negate the column, not the product
+                R[rows_to_clear] = F.add(R[rows_to_clear],
+                                         F.mul(F.neg(col[rows_to_clear, None]), R[r]))
             pivots.append(c)
             r += 1
         return GFMatrix(F, R[:r]), tuple(pivots)

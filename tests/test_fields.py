@@ -5,6 +5,10 @@ oracles.py (and double-checked against sympy's irreducibility test) before
 the field module was written.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -72,13 +76,37 @@ def test_gf7_inverse():
         F.inv(0)
 
 
+# every (p, l) with p^l <= 81: 22 prime fields and 10 proper extensions
+SMALL_FIELDS = [(p, l) for p in range(2, 82) if all(p % d for d in range(2, p))
+                for l in range(1, 7) if p ** l <= 81]
+
+
 def test_mul_matches_naive_oracle_exhaustive():
-    for (p, l) in [(2, 2), (3, 2), (2, 3), (5, 2), (2, 4)]:
+    assert len(SMALL_FIELDS) == 32
+    for (p, l) in SMALL_FIELDS:
         F = Field(p, l)
-        for a in range(F.q):
-            for b in range(F.q):
-                assert F.mul(a, b) == oracles.field_mul_naive(a, b, p, l, F.modulus), (p, l, a, b)
-                assert F.add(a, b) == oracles.field_add_naive(a, b, p, l)
+        q = F.q
+        xs = np.arange(q)
+        mul = np.array([[oracles.field_mul_naive(a, b, p, l, F.modulus)
+                         for b in range(q)] for a in range(q)])
+        add = np.array([[oracles.field_add_naive(a, b, p, l)
+                         for b in range(q)] for a in range(q)])
+        assert np.array_equal(F.mul(xs[:, None], xs), mul), (p, l)
+        assert np.array_equal(F.add(xs[:, None], xs), add), (p, l)
+        assert np.array_equal(F.neg(xs), [oracles.field_neg_naive(a, p, l) for a in xs])
+        inv = np.argmax(mul[1:] == 1, axis=1)
+        assert np.array_equal(F.inv(xs[1:]), inv), (p, l)
+        acc = np.ones(q, dtype=np.int64)
+        for e in range(q + 2):
+            assert np.array_equal(F.pow(xs, e), acc), (p, l, e)
+            assert np.array_equal(F.pow(xs[1:], -e), F.pow(inv, e)), (p, l, e)
+            acc = mul[acc, xs]
+        assert F.pow(0, 0) == 1 and F.pow(0, 1) == 0 and F.pow(0, q - 1) == 0
+        for x in (0, xs):
+            with pytest.raises(ZeroDivisionError):
+                F.pow(x, -1)
+        with pytest.raises(ZeroDivisionError):
+            F.inv(xs)
 
 
 def test_field_axioms_exhaustive():
@@ -214,7 +242,7 @@ def test_vectorized_ops_match_scalar():
 
 
 def test_out_of_range_codes_raise():
-    # a negative code would wrap silently in a table lookup
+    # a negative code would wrap silently in a log or digit lookup
     for F in (Field(2), Field(3, 2)):
         for bad in (-1, F.q, -F.q, F.q + 5):
             arr = np.array([1, bad, 1])
@@ -222,9 +250,39 @@ def test_out_of_range_codes_raise():
                 for call in (lambda: F.add(x, 1), lambda: F.add(1, x),
                              lambda: F.sub(x, 1), lambda: F.sub(1, x),
                              lambda: F.mul(x, 1), lambda: F.mul(1, x),
-                             lambda: F.neg(x), lambda: F.inv(x)):
+                             lambda: F.neg(x), lambda: F.inv(x),
+                             lambda: F.pow(x, 2), lambda: F.pow(x, -1),
+                             lambda: F.sqrt(x), lambda: F.is_square(x)):
                     with pytest.raises(ValueError, match="out of range"):
                         call()
+
+
+_RSS_PROBE = """
+import resource
+import numpy as np
+from socodes.fields import Field
+from socodes.matrices import GFMatrix
+
+def exercise(F):
+    F.inv(5)
+    GFMatrix(F, np.random.default_rng(1).integers(0, F.q, (20, 40))).rref()
+    F.sqrt(F.mul(7, 7))
+
+exercise(Field(7, 2))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+exercise(Field(61, 2))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_field_memory_is_linear_in_q():
+    # one q x q int64 table over GF(61^2) alone would take 110 MB; a fresh
+    # process keeps the peak RSS of other tests out of the measurement
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", _RSS_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 5 * 1024
 
 
 PROPERTY_FIELDS = [Field(2), Field(2, 2), Field(2, 3), Field(3, 2), Field(5, 2),

@@ -92,6 +92,10 @@ def test_enumeration_cap():
     G = PermGroup(11, M11_GENS)
     with pytest.raises(OrderExceedsCap):
         G.enumerate(cap=100)
+    # the identity alone already exceeds a cap of 0
+    with pytest.raises(OrderExceedsCap):
+        PermGroup(3, []).enumerate(cap=0)
+    assert PermGroup(3, []).enumerate(cap=1) == (Perm.identity(3),)
 
 
 def test_point_orbits():
@@ -180,9 +184,8 @@ def test_group_layer_matches_naive(case):
     order = len(closure)
     G = PermGroup(n, gens)
     assert [g.images for g in G.enumerate(cap=order)] == sorted(closure)
-    if order > 1:
-        with pytest.raises(OrderExceedsCap):
-            PermGroup(n, gens).enumerate(cap=order - 1)
+    with pytest.raises(OrderExceedsCap):
+        PermGroup(n, gens).enumerate(cap=order - 1)
 
     orbits = sorted({tuple(sorted({g[x] for g in closure})) for x in range(n)})
     assert G.point_orbits() == orbits
