@@ -180,9 +180,10 @@ def stabilizer_orbits(G: PermGroup, alpha: int) -> list:
 
 
 def _delta_from_choice(orbits, orbit_choice) -> tuple:
-    pts = []
+    """Sorted distinct points of the chosen orbits."""
+    pts = set()
     for i in orbit_choice:
-        pts.extend(orbits[int(i)])
+        pts.update(orbits[int(i)])
     return tuple(sorted(pts))
 
 
@@ -208,16 +209,15 @@ class SearchHit:
     profile: WSOProfile
 
 
-def wso_search(G: PermGroup, alpha: int, p: int = 2,
-               limit: int = MAX_ORBIT_COMBINATIONS) -> list:
+def wso_search(G: PermGroup, alpha: int, p: int = 2) -> list:
     """All proper nonempty orbit unions whose development has a constant
     intersection residue mod p, in ascending bitmask order."""
     if not G.is_transitive():
         raise NotTransitive("search needs a transitive action")
     orbits = stabilizer_orbits(G, alpha)
-    if 2 ** len(orbits) > limit:
+    if 2 ** len(orbits) > MAX_ORBIT_COMBINATIONS:
         raise TooManyOrbitCombinations(
-            f"2^{len(orbits)} orbit unions exceed the cap {limit}")
+            f"2^{len(orbits)} orbit unions exceed the cap {MAX_ORBIT_COMBINATIONS}")
     hits = []
     for mask in range(1, 2 ** len(orbits) - 1):
         choice = tuple(i for i in range(len(orbits)) if mask >> i & 1)

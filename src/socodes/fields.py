@@ -1,21 +1,26 @@
 """Exact arithmetic in GF(p^l), quadratic residues, canonical square roots,
 and quadratic field extensions.
 
+A field is fixed by its order: ``Field(p, l)`` always reduces modulo
+``default_modulus(p, l)``, so GF(q) has exactly one representation and the
+order q alone names it (as in the ``rows cols q`` header of a matrix file).
 Elements are stored as integer codes in [0, q): the element with polynomial
 coefficients (c_0, ..., c_{l-1}) (ascending degree) has code sum c_i * p^i.
 All Field operations accept plain ints or numpy arrays of codes and
 broadcast; scalar in, scalar out.
 
-Only ``Field`` knows this encoding. Within it, ``Field.dot`` (the product
-of code matrices by convolution of base-p digit vectors) is the only
-matrix-product kernel, ``add`` adds base-p digits (integers mod p when
-l = 1), and the lexicographic order of canonical square roots reads
-digits. Products, inverses and powers are index arithmetic on the standard
-logarithm tables (Lidl and Niederreiter, *Finite Fields*, 1997): exp[i] =
-g^i for a primitive element g and its inverse log, read-only and of length
-O(q), built once per field. No operation allocates anything of size q^2.
-``matrices`` and ``analysis`` call ``dot`` and the element operations and
-never see a digit or a table.
+Only ``Field`` knows this encoding. Within it, ``Field.dot`` is the only
+matrix-product kernel: one integer matmul over GF(p) of base-p digit rows
+against the l x l multiplication matrices of the regular representation,
+each a combination of the l powers of the modulus's companion matrix.
+``add`` adds base-p digits (integers mod p when l = 1), and the
+lexicographic order of canonical square roots reads digits. Products,
+inverses and powers are index arithmetic on the standard logarithm tables
+(Lidl and Niederreiter, *Finite Fields*, 1997): exp[i] = g^i for a
+primitive element g and its inverse log, read-only and of length O(q),
+built once per field. No operation allocates anything of size q^2, nor
+an l x l matrix for each of the q elements. ``matrices`` and ``analysis``
+call ``dot`` and the element operations and never see a digit or a table.
 
 The canonical square root and the default modulus are both defined by
 lexicographic order on ascending-degree coefficient tuples, which keeps every
@@ -31,10 +36,6 @@ import numpy as np
 
 
 class NotPrime(ValueError):
-    pass
-
-
-class ReducibleModulus(ValueError):
     pass
 
 
@@ -59,7 +60,7 @@ def _is_prime(p: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # dense polynomial helpers over GF(p), coefficients ascending, used only at
-# field-construction time (modulus scan, reduction table, irreducibility)
+# field-construction time (modulus scan and irreducibility)
 # ---------------------------------------------------------------------------
 
 def _ptrim(c):
@@ -107,13 +108,13 @@ def default_modulus(p: int, l: int) -> tuple:
 
 
 class Field:
-    """GF(p^l) with an explicit monic irreducible modulus polynomial.
+    """GF(p^l), reduced modulo ``default_modulus(p, l)``.
 
     Operations are vectorized: ints or integer ndarrays of element codes in,
     same shape out.
     """
 
-    def __init__(self, p: int, l: int = 1, modulus=None):
+    def __init__(self, p: int, l: int = 1):
         if not _is_prime(p):
             raise NotPrime(f"p={p} is not prime")
         if l < 1:
@@ -121,26 +122,23 @@ class Field:
         self.p = p
         self.l = l
         self.q = p ** l
-        if modulus is None:
-            modulus = default_modulus(p, l)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != l + 1 or modulus[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {l}")
-        if not _is_irreducible(modulus, p):
-            raise ReducibleModulus(f"{modulus} is reducible over GF({p})")
-        self.modulus = modulus
+        self.modulus = default_modulus(p, l)
 
         # digits[x] = coefficient vector of code x; powers = (1, p, p^2, ...)
         codes = np.arange(self.q, dtype=np.int64)
         self._powers = p ** np.arange(l, dtype=np.int64)
         self._digits = (codes[:, None] // self._powers) % p
 
-        # reduction rows: digits of x^(l+t) mod modulus, t = 0..l-2
-        red = np.zeros((max(l - 1, 0), l), dtype=np.int64)
-        for t in range(l - 1):
-            xt = _pmod((0,) * (l + t) + (1,), modulus, p)
-            red[t, :len(xt)] = xt
-        self._red = red
+        # xpow[j] = C^j for the companion matrix C of the modulus, acting on
+        # digit rows: digits(a * x^j) = digits(a) @ xpow[j]. dot needs them,
+        # and the primitive-element search below calls dot.
+        companion = np.zeros((l, l), dtype=np.int64)
+        companion[:-1, 1:] = np.eye(l - 1, dtype=np.int64)
+        companion[-1] = np.negative(self.modulus[:l]) % p
+        xpow = [np.eye(l, dtype=np.int64)]
+        for _ in range(l - 1):
+            xpow.append(xpow[-1] @ companion % p)
+        self._xpow = np.stack(xpow)
 
         # exp[i] = g^i for a primitive element g, doubled so that
         # log[x] + log[y] needs no reduction mod q - 1; log[0] = 2(q - 1)
@@ -167,17 +165,13 @@ class Field:
     # -- representation & identity ------------------------------------------
 
     def __repr__(self):
-        return f"GF({self.q})" if self.l == 1 else f"GF({self.q})[{self.spec_string()}]"
+        return f"GF({self.q})"
 
     def __eq__(self, other):
-        return (isinstance(other, Field)
-                and (self.p, self.l, self.modulus) == (other.p, other.l, other.modulus))
+        return isinstance(other, Field) and (self.p, self.l) == (other.p, other.l)
 
     def __hash__(self):
-        return hash((self.p, self.l, self.modulus))
-
-    def spec_string(self) -> str:
-        return f"{self.p}^{self.l}:" + ",".join(str(c) for c in self.modulus)
+        return hash((self.p, self.l))
 
     # -- scalar/array plumbing ----------------------------------------------
 
@@ -206,18 +200,13 @@ class Field:
         b = np.asarray(b, dtype=np.int64)
         if self.l == 1:
             return (a @ b) % self.p
-        # additive digit convolution: l^2 integer matmuls, then reduce
-        l = self.l
-        da = self._digits[a]            # (m, K, l)
-        db = self._digits[b]            # (K, n, l)
-        conv = np.zeros((a.shape[0], b.shape[1], 2 * l - 1), dtype=np.int64)
-        for s in range(l):
-            for t in range(l):
-                conv[:, :, s + t] += da[:, :, s] @ db[:, :, t]
-        low = conv[:, :, :l]
-        for t in range(l - 1):
-            low += conv[:, :, l + t:l + t + 1] * self._red[t]
-        return (low % self.p) @ self._powers
+        # one matmul over GF(p): a's entries as digit rows, b's entries as
+        # their multiplication matrices sum_j b_j C^j (regular representation)
+        (m, K), n, l = a.shape, b.shape[1], self.l
+        mats = np.tensordot(self._digits[b], self._xpow, axes=1)     # (K, n, l, l)
+        rhs = mats.transpose(0, 2, 1, 3).reshape(K * l, n * l)
+        prod = self._digits[a].reshape(m, K * l) @ rhs
+        return (prod.reshape(m, n, l) % self.p) @ self._powers
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -277,13 +266,13 @@ class Field:
     # -- extension ----------------------------------------------------------
 
     def extend_quadratic(self) -> "Field":
-        """GF(q^2) as the degree-2l field with its default modulus."""
+        """GF(q^2), the degree-2l field."""
         return field_for_order(self.q ** 2)
 
 
 @cache
 def field_for_order(q: int) -> Field:
-    """The default field of a given prime-power order, built once per order."""
+    """GF(q) for a prime power q, built once per order."""
     p = 2
     while p <= q:
         if q % p == 0:

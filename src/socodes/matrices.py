@@ -2,7 +2,10 @@
 the bordered builders [c*I | M | e*1] every construction theorem uses.
 
 A GFMatrix wraps a read-only int64 ndarray of element codes plus its field.
-Everything is pure: operations return new matrices.
+Products go through ``Field.dot``; element codes and integer lifts are the
+field's business. A field is fixed by its order, so the ``rows cols q``
+header of the text format names the field exactly. Everything is pure:
+operations return new matrices.
 """
 
 from __future__ import annotations
@@ -39,9 +42,8 @@ class GFMatrix:
 
     @classmethod
     def from_int(cls, field: Field, entries) -> "GFMatrix":
-        """Lift an ordinary integer matrix into the prime subfield (mod p)."""
-        a = np.array(entries, dtype=np.int64) % field.p
-        return cls(field, a)
+        """Lift an ordinary integer matrix into the prime subfield."""
+        return cls(field, field.from_int(entries))
 
     # -- basics -------------------------------------------------------------
 
@@ -135,8 +137,8 @@ class GFMatrix:
     def to_text(self) -> str:
         """Header "rows cols q", then one line of integer codes per row.
 
-        Readers reconstruct the field as the default field of order q, which
-        matches every field this package constructs by default.
+        q names the field: every GF(q) here is the one ``field_for_order(q)``
+        returns, so ``from_text`` reads the matrix back unchanged.
         """
         lines = [f"{self.rows} {self.cols} {self.field.q}"]
         for row in self.a:
@@ -144,15 +146,12 @@ class GFMatrix:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str, field: Field | None = None) -> "GFMatrix":
+    def from_text(cls, text: str) -> "GFMatrix":
         lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
         if not lines:
             raise ValueError("empty matrix text")
         rows, cols, q = (int(t) for t in lines[0].split())
-        if field is None:
-            field = field_for_order(q)
-        elif field.q != q:
-            raise ValueError(f"matrix is over GF({q}), not {field}")
+        field = field_for_order(q)
         data = [[int(t) for t in ln.split()] for ln in lines[1:]]
         if len(data) != rows or any(len(row) != cols for row in data):
             raise ValueError(f"expected {rows} rows of {cols} entries")

@@ -77,6 +77,13 @@ def test_bad_orbit_choice(capsys):
     assert "orbit indices" in err
 
 
+def test_repeated_orbit_index_whole_point_set(capsys):
+    code, out, err = run(capsys, "design", "build", "m11:11", "0,1,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: DeltaIsOmega")
+
+
 def test_subsets_needs_int(capsys, c6_files):
     grp, _ = c6_files
     code, _, err = run(capsys, "group", "subsets", grp, "two")

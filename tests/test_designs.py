@@ -141,6 +141,15 @@ def test_from_group_action_delta_is_omega():
         from_group_action(G, 0, (0, 1, 2))
 
 
+def test_from_group_action_repeated_index_is_omega():
+    # m11:11 has stabilizer orbits of sizes 1 and 10; repeating index 1
+    # must not push the point count past the whole-point-set check
+    G = m11_degree(11)
+    with pytest.raises(DeltaIsOmega):
+        from_group_action(G, 0, (0, 1, 1))
+    assert from_group_action(G, 0, (1, 1)) == from_group_action(G, 0, (1,))
+
+
 def test_from_group_action_delta_empty():
     G = cyclic(3)
     with pytest.raises(DeltaEmpty):

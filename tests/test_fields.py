@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from socodes.fields import (
-    Field, NotPrime, ReducibleModulus, NotASquare, default_modulus,
+    Field, NotPrime, NotASquare, default_modulus,
 )
 import oracles
 
@@ -51,17 +51,13 @@ def test_not_prime():
         Field(1, 1)
 
 
-def test_reducible_modulus_rejected():
-    with pytest.raises(ReducibleModulus):
-        Field(2, 2, modulus=(0, 0, 1))      # x^2 = x*x
-    with pytest.raises(ReducibleModulus):
-        Field(3, 2, modulus=(2, 0, 1))      # x^2+2 has root 1
-
-
 def test_same_spec_same_field():
+    # a field is fixed by its order: equal, equally hashed, named GF(q)
     assert Field(3, 2).modulus == Field(3, 2).modulus
     assert Field(3, 2) == Field(3, 2)
-    assert Field(3, 2) != Field(3, 2, modulus=(2, 1, 1))
+    assert hash(Field(3, 2)) == hash(Field(3, 2))
+    assert Field(3, 2) != Field(3, 1) and Field(2, 3) != Field(3, 2)
+    assert repr(Field(3, 2)) == "GF(9)" and repr(Field(7)) == "GF(7)"
 
 
 def test_gf2_add():
@@ -216,14 +212,6 @@ def test_prime_subfield_residues_are_squares_in_extension():
     assert not Field(3).is_square(2)    # GF(3) -> GF(9): 2 becomes a square
 
 
-def test_field_spec_serialization():
-    F = Field(3, 2)
-    s = F.spec_string()
-    assert s == "3^2:1,0,1"
-    assert Field(7).spec_string() == "7^1:0,1"
-    assert Field(2, 2).spec_string() == "2^2:1,1,1"
-
-
 def test_default_modulus_function():
     assert default_modulus(3, 2) == (1, 0, 1)
     assert default_modulus(2, 1) == (0, 1)
@@ -265,7 +253,9 @@ from socodes.matrices import GFMatrix
 
 def exercise(F):
     F.inv(5)
-    GFMatrix(F, np.random.default_rng(1).integers(0, F.q, (20, 40))).rref()
+    M = GFMatrix(F, np.random.default_rng(1).integers(0, F.q, (20, 40)))
+    M.rref()
+    M.gram()
     F.sqrt(F.mul(7, 7))
 
 exercise(Field(7, 2))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from socodes.fields import Field
+from socodes.fields import Field, field_for_order
 from socodes.matrices import GFMatrix, bordered
 import oracles
 
@@ -68,11 +68,15 @@ def test_gram_symmetric():
         assert np.array_equal(G.a, G.a.T)
 
 
+# every proper extension field with q <= 81, degrees 2 through 6
+EXTENSION_FIELDS = [Field(p, l) for p in (2, 3, 5, 7) for l in range(2, 7) if p ** l <= 81]
+
+
 def test_matmul_matches_naive():
     # accumulate with the plain polynomial oracles, not with field.add and
-    # field.mul, which read the same tables as @; GF(8) and GF(27) are the
-    # first degree with two reduction rows, K = 1 is a bare outer product
-    for field in (GF2, GF3, GF4, GF9, Field(2, 3), Field(3, 3)):
+    # field.mul, which read the same digits as @; K = 1 is a bare outer product
+    assert len(EXTENSION_FIELDS) == 10
+    for field in [GF2, GF3] + EXTENSION_FIELDS:
         p, l, m = field.p, field.l, field.modulus
         for rows, inner, cols in [(4, 5, 3), (3, 1, 4)]:
             A = rand_matrix(field, rows, inner, 1)
@@ -85,6 +89,15 @@ def test_matmul_matches_naive():
                         prod = oracles.field_mul_naive(int(A.a[i, k]), int(B.a[k, j]), p, l, m)
                         acc = oracles.field_add_naive(acc, prod, p, l)
                     assert C[i, j] == acc, (field, rows, inner, cols, i, j)
+
+
+def test_matmul_outer_product_is_mul_table():
+    # K = 1 over every pair of elements: column of all codes @ row of all codes
+    for field in EXTENSION_FIELDS:
+        xs = np.arange(field.q)
+        col = GFMatrix(field, xs[:, None])
+        row = GFMatrix(field, xs[None, :])
+        assert np.array_equal((col @ row).a, field.mul(xs[:, None], xs)), field
 
 
 def test_bordered_shapes_and_content():
@@ -150,6 +163,23 @@ def test_rref_canonical_for_row_space():
     shuffled = GFMatrix(GF3, M.a[perm])
     assert M.rref()[0] == shuffled.rref()[0]
     assert M.row_space_equals(shuffled)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 4, 9, 25]), st.integers(1, 6), st.integers(1, 8),
+       st.integers(0, 10 ** 6))
+def test_rref_invariant_under_invertible_row_operations(q, rows, cols, seed):
+    # U = P L R with P a permutation, L unit lower and R upper triangular
+    # with a nonzero diagonal reaches every invertible matrix
+    field = field_for_order(q)
+    rng = np.random.default_rng(seed)
+    M = GFMatrix(field, rng.integers(0, q, (rows, cols)))
+    L = np.tril(rng.integers(0, q, (rows, rows)), -1) + np.eye(rows, dtype=np.int64)
+    R = np.triu(rng.integers(0, q, (rows, rows)), 1) + np.diag(rng.integers(1, q, rows))
+    P = np.eye(rows, dtype=np.int64)[rng.permutation(rows)]
+    U = GFMatrix(field, P) @ GFMatrix(field, L) @ GFMatrix(field, R)
+    assert U.rank() == rows
+    assert (U @ M).rref() == M.rref()
 
 
 def test_rref_pivots_are_unit_columns():
