@@ -269,7 +269,7 @@ def cmd_reproduce(args) -> int:
     if args.table not in TABLES:
         raise UsageError(f"unknown table id {args.table!r}; "
                          f"known: {', '.join(sorted(TABLES))}")
-    matches, missing, _ = check_table(args.table)
+    matches, missing = check_table(args.table)
     for row in TABLES[args.table].rows:
         n, k, d = row
         if row in matches:

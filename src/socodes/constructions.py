@@ -8,13 +8,17 @@ the right. Which borders appear, and with which scalars, is dispatched from
 the residues (a, d) of the intersection profile -- and, for orbit matrices,
 from the common orbit length w.
 
-One border table, ``_borders``, maps (a, d) mod p to the incidence
-theorems' sub-case and their labelled border residues; it serves both the
-incidence codes and OM1 of the fixed split. The binary entry points are
+One border rule, ``_borders``, serves every entry point. When each row
+of the base matrix has weight a + (w-1)d and any two rows meet in w*d
+(mod p) -- the incidence matrix and OM1 with w = 1, an orbit matrix with
+its common orbit length w, OM2 with w = p^alpha -- the generator
+[c I | M | e 1] is self-orthogonal exactly when c = sqrt(d - a) and
+e = sqrt(-w*d); a zero residue drops its border. The theorem tags only
+name the case of (a, d) the profile falls in. The binary entry points are
 the GF(2) instances of the GF(q) ones (every residue is then 1 and the
-field never extends): ``binary`` chooses only the theorem tags and the
-rejection class (NotWSO rather than NonConstantProfile). The binary
-orbit-matrix theorems keep their own 2-adic orbit-length rule.
+field never extends); the binary orbit-matrix theorems also accept block
+orbits of smaller 2-adic valuation o < u than the point orbits, and those
+take no border at all.
 
 Over GF(q) the border scalars are square roots of prime-subfield residues;
 when a needed residue is not a square the construction settles in GF(q^2)
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import LinearCode, display, is_self_dual
+from .analysis import LinearCode, display
 from .designs import Design, intersection_profile, validate
 from .fields import Field, field_for_order
 from .groups import PermGroup
@@ -99,14 +103,15 @@ def _settle_field(F: Field, needed) -> tuple[Field, str | None]:
 
 
 def _finish(source: str, tag: str, F: Field, left, right, base,
-            sd_claim: bool, forced) -> ConstructionReport:
+            forced) -> ConstructionReport:
     """Border, check, and wrap one generator matrix.
 
     left / right are (label, residue) pairs of prime-subfield residues, or
     None for no border; their square roots become the placed scalars, in F
     or in its quadratic extension when one is not a square in F. The gram,
     rank, and self-duality checks are theorem consequences, so failing them
-    means a bug, not bad input.
+    means a bug, not bad input. A left border with no right border on a
+    square base claims self-duality.
     """
     if forced is not None and forced != tag:
         raise CaseMismatch(f"profile dispatches to {tag}, not {forced}")
@@ -119,8 +124,9 @@ def _finish(source: str, tag: str, F: Field, left, right, base,
     code = LinearCode(gen)
     if c_left is not None and code.k != gen.rows:
         raise ArithmeticError(f"{tag}: identity-bordered generator lost rank")
-    sd = is_self_dual(code)
-    if sd_claim and not sd:
+    sd = 2 * code.k == gen.cols
+    claim = left is not None and right is None and base.shape[0] == base.shape[1]
+    if claim and not sd:
         raise ArithmeticError(f"{tag}: claimed self-duality does not hold")
     return ConstructionReport(source, tag, F, c_left, c_right, code, sd, reason)
 
@@ -136,18 +142,13 @@ def _constant_profile(D: Design, p: int, binary: bool):
     return prof
 
 
-def _borders(a: int, d: int, p: int):
-    """Sub-case and labelled (left, right) border residues of the incidence
-    theorems for the residues (a, d) mod p; None means no border."""
-    if a == 0 and d == 0:
-        return "1", None, None
-    if a == 0:
-        return "2", ("d", d), ("-d", -d % p)
-    if d == 0:
-        return "3", ("-a", -a % p), None
-    if a == d:
-        return "4a", None, ("-a", -a % p)
-    return "4b", ("d-a", (d - a) % p), ("-d", -d % p)
+def _borders(a: int, d: int, w: int, p: int):
+    """Labelled (left, right) border residues (d - a, -w*d) mod p for a base
+    whose rows have weight a + (w-1)d and meet in w*d mod p; a zero residue
+    gives None, no border. The labels name the scalars in extension_reason."""
+    left = ("d" if a == 0 else "-a" if d == 0 else "d-a", (d - a) % p)
+    right = ("-d" if w == 1 else "-wd", (-w * d) % p)
+    return tuple(None if b[1] == 0 else b for b in (left, right))
 
 
 def _design_name(D: Design) -> str:
@@ -160,10 +161,12 @@ def _design_name(D: Design) -> str:
 def _incidence(D: Design, q: int, theorem, binary: bool) -> ConstructionReport:
     F = field_for_order(q)
     prof = _constant_profile(D, F.p, binary)
-    sub, left, right = _borders(prof.a, prof.d, F.p)
-    tag = f"T2.1.{sub[0]}" if binary else f"T2.2.{sub}"
+    case = prof.dispatch_case()
+    sub = "" if binary or case < 4 else "a" if prof.a == prof.d else "b"
+    tag = f"T2.{1 if binary else 2}.{case}{sub}"
+    left, right = _borders(prof.a, prof.d, 1, F.p)
     return _finish(f"{_design_name(D)}, {D.b} blocks", tag, F, left, right,
-                   D.incidence_array(), sub == "3" and D.b == D.v, theorem)
+                   D.incidence_array(), theorem)
 
 
 def from_incidence_binary(D: Design,
@@ -205,39 +208,36 @@ def _om_profile_binary(point_sizes, block_sizes) -> tuple[int, int, int]:
     return w, o, u
 
 
-def _branch_binary_om(case: int, o: int, u: int):
-    """Tag, border flags (1 = unit scalar), and self-dual claim template for
-    the binary orbit-matrix theorems. The claim applies only when m = n."""
+def _om_tag_binary(case: int, o: int, u: int) -> str:
+    """Binary orbit-matrix theorem; cases 2-4 split on the valuations."""
     if case == 1:
-        return "T3.1.bin", None, None, False
+        return "T3.1.bin"
     if case == 2:
-        if o == u == 0:
-            return "T3.2.bina", 1, 1, False
-        if o == u:
-            return "T3.2.binb", 1, None, True
-        return "T3.2.binc", None, None, False
+        return "T3.2.bin" + ("a" if o == u == 0 else "b" if o == u else "c")
     if case == 3:
-        if o == u:
-            return "T3.3.bina", 1, None, True
-        return "T3.3.binb", None, None, False
-    if o == u == 0:
-        return "T3.4.bina", None, 1, False
-    return "T3.4.binb", None, None, False
+        return "T3.3.bin" + ("a" if o == u else "b")
+    return "T3.4.bin" + ("a" if o == u == 0 else "b")
+
+
+def _om_tag_q(case: int, w: int, p: int) -> str:
+    """GF(q) orbit-matrix theorem; case 2 splits on w = 0, 1, other mod p."""
+    return f"T3.{case}.q" + ("abc"[min(w % p, 2)] if case == 2 else "")
 
 
 def from_orbitmatrix_binary(D: Design, H: PermGroup,
                             theorem: str | None = None) -> ConstructionReport:
     """Code of the orbit matrix over GF(2). Point orbits must share one
     length w = 2^u w'; block orbit lengths must share one 2-adic valuation
-    o <= u. The (case, o, u) combination picks the border."""
+    o <= u. When o = u the borders follow the rule for w; when o < u the
+    orbit matrix stands unbordered."""
     prof = _constant_profile(D, 2, binary=True)
     OM = build(D, H)
     w, o, u = _om_profile_binary(OM.point_orbit_sizes, OM.block_orbit_sizes)
-    tag, left, right, claim = _branch_binary_om(prof.dispatch_case(), o, u)
-    left, right = (None if f is None else ("1", f) for f in (left, right))
+    tag = _om_tag_binary(prof.dispatch_case(), o, u)
+    left, right = _borders(prof.a, prof.d, w, 2) if o == u else (None, None)
     src = f"{_design_name(D)}, orbit matrix {OM.m}x{OM.n}, w={w}"
     return _finish(src, tag, field_for_order(2), left, right, OM.entries,
-                   claim and OM.m == OM.n, theorem)
+                   theorem)
 
 
 def _om_profile_q(point_sizes, block_sizes) -> int:
@@ -248,48 +248,18 @@ def _om_profile_q(point_sizes, block_sizes) -> int:
     return sizes.pop()
 
 
-def _branch_q_om(a: int, d: int, w: int, p: int):
-    """Tag, labelled (left, right) border residues, and self-dual claim
-    template for the GF(q) orbit-matrix theorems. Residues are mod-p
-    integers; the caller takes square roots. The claim applies only when
-    m = n."""
-    a %= p
-    d %= p
-    wr = w % p
-    wd = ("wd", (w * d) % p)
-    mwd = ("-wd", (-w * d) % p)
-    if a == 0 and d == 0:
-        return "T3.1.q", None, None, False
-    if a == 0:
-        if wr == 0:
-            return "T3.2.qa", ("d", d), None, True
-        if wr == 1:
-            return "T3.2.qb", wd, mwd, False
-        return "T3.2.qc", ("d", d), mwd, False
-    if d == 0:
-        return "T3.3.q", ("-a", -a % p), None, True
-    if a == d:
-        return "T3.4.q", None, None if wr == 0 else mwd, False
-    if wr == 0:
-        return "T3.4.q", ("d-a", (d - a) % p), None, True
-    if wr == 1:
-        return "T3.4.q", ("wd-a", (w * d - a) % p), mwd, False
-    return "T3.4.q", ("d-a", (d - a) % p), mwd, False
-
-
 def from_orbitmatrix_q(D: Design, H: PermGroup, q: int,
                        theorem: str | None = None) -> ConstructionReport:
     """Bordered orbit-matrix code over GF(q)/GF(q^2); every point and block
-    orbit must share one length w, and the branch depends on (a, d) and
-    w mod p."""
+    orbit must share one length w, which enters the right border -w*d."""
     F = field_for_order(q)
     prof = _constant_profile(D, F.p, binary=False)
     OM = build(D, H)
     w = _om_profile_q(OM.point_orbit_sizes, OM.block_orbit_sizes)
-    tag, left, right, claim = _branch_q_om(prof.a, prof.d, w, F.p)
+    tag = _om_tag_q(prof.dispatch_case(), w, F.p)
+    left, right = _borders(prof.a, prof.d, w, F.p)
     src = f"{_design_name(D)}, orbit matrix {OM.m}x{OM.n}, w={w}"
-    return _finish(src, tag, F, left, right, OM.entries,
-                   claim and OM.m == OM.n, theorem)
+    return _finish(src, tag, F, left, right, OM.entries, theorem)
 
 
 # -------------------------------------------------------------- fixed splits
@@ -303,15 +273,12 @@ def _fixed(D: Design, H: PermGroup, q: int, alpha: int, theorem,
         raise ValueError(f"alpha must lie in 1..{F.l} for GF({q})")
     prof = _constant_profile(D, p, binary)
     fs = fixed_split(D, H, p, alpha)
-    a, d = prof.a, prof.d
-    sub, left1, right1 = _borders(a, d, p)
-    left2 = None if a == d else ("d" if a == 0 else "d-a", (d - a) % p)
-    tag = f"T3.{sub[0]}.fix" + ("" if binary else ".q")
+    tag = f"T3.{prof.dispatch_case()}.fix" + ("" if binary else ".q")
     base = f"{_design_name(D)}, fixed split"
-    rep1 = _finish(f"{base}, OM1 {fs.f2}x{fs.f1}", tag, F, left1, right1,
-                   fs.om1, False, theorem)
-    rep2 = _finish(f"{base}, OM2 {fs.m}x{fs.n}", tag, F, left2, None, fs.om2,
-                   left2 is not None and fs.m == fs.n, theorem)
+    rep1 = _finish(f"{base}, OM1 {fs.f2}x{fs.f1}", tag, F,
+                   *_borders(prof.a, prof.d, 1, p), fs.om1, theorem)
+    rep2 = _finish(f"{base}, OM2 {fs.m}x{fs.n}", tag, F,
+                   *_borders(prof.a, prof.d, fs.plength, p), fs.om2, theorem)
     return rep1, rep2
 
 
@@ -327,8 +294,9 @@ def from_fixed_split_q(D: Design, H: PermGroup, q: int, alpha: int,
                        theorem: str | None = None):
     """Fixed/moving split over GF(q) for orbit lengths {1, p^alpha}.
 
-    OM1 takes the incidence-style borders of its case; OM2 is plain when
-    a = d and [sqrt(d-a) I_m, OM2] otherwise. The two reports settle their
-    fields independently: each extends to GF(q^2) only for its own scalars.
+    OM1 is bordered as an incidence matrix (w = 1) and OM2 as an orbit
+    matrix with w = p^alpha, whose all-ones border always drops out. The two
+    reports settle their fields independently: each extends to GF(q^2) only
+    for its own scalars.
     """
     return _fixed(D, H, q, alpha, theorem, binary=False)

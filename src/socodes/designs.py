@@ -180,10 +180,14 @@ def stabilizer_orbits(G: PermGroup, alpha: int) -> list:
 
 
 def _delta_from_choice(orbits, orbit_choice) -> tuple:
-    """Sorted distinct points of the chosen orbits."""
+    """Sorted distinct points of the chosen orbits; an index outside
+    0..len(orbits)-1 is a ValueError."""
     pts = set()
-    for i in orbit_choice:
-        pts.update(orbits[int(i)])
+    for i in map(int, orbit_choice):
+        if not 0 <= i < len(orbits):
+            raise ValueError(
+                f"orbit indices must lie in 0..{len(orbits) - 1}, got {i}")
+        pts.update(orbits[i])
     return tuple(sorted(pts))
 
 

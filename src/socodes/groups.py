@@ -85,9 +85,6 @@ class Perm:
         h.images = tuple([other.images[x] for x in self.images])
         return h
 
-    def apply(self, point: int) -> int:
-        return self.images[point]
-
     def apply_set(self, points) -> tuple:
         return tuple(sorted(self.images[p] for p in points))
 

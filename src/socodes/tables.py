@@ -105,9 +105,8 @@ TABLES = {
 def check_table(table_id: str):
     """Run one table's pipeline and match its expected rows.
 
-    Returns (matches, missing, entries): matches maps each found expected
-    row to a report, missing lists rows no produced code realized, and
-    entries is [(n, k, d-or-None, report), ...] for everything produced.
+    Returns (matches, missing): matches maps each found expected row to a
+    report, and missing lists rows no produced code realized.
     """
     tab = TABLES[table_id]
     wanted_nk = {(n, k) for n, k, _ in tab.rows}
@@ -129,4 +128,4 @@ def check_table(table_id: str):
                 break
         else:
             missing.append(row)
-    return matches, missing, entries
+    return matches, missing

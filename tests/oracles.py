@@ -146,6 +146,24 @@ def rank_naive(rows, p, l, modulus):
     return rank
 
 
+def gram_naive(rows, p, l, modulus):
+    """Pairwise inner products sum_i x_i y_i of rows of element codes, from
+    q x q product and sum tables filled by the naive helpers above."""
+    q = p ** l
+    mul = [[field_mul_naive(a, b, p, l, modulus) for b in range(q)]
+           for a in range(q)]
+    add = [[field_add_naive(a, b, p, l) for b in range(q)] for a in range(q)]
+    out = []
+    for x in rows:
+        out.append([])
+        for y in rows:
+            s = 0
+            for a, b in zip(x, y):
+                s = add[s][mul[a][b]]
+            out[-1].append(s)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # exhaustive minimum distance / weight spectrum by message enumeration
 # ---------------------------------------------------------------------------

@@ -10,21 +10,23 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from socodes.analysis import Exact, is_self_orthogonal, min_distance
 from socodes.constructions import (
     CaseMismatch, ConstructionReport, NonConstantProfile, NotWSO,
-    _branch_binary_om, _branch_q_om, _om_profile_binary, _om_profile_q,
+    _borders, _om_profile_binary, _om_profile_q, _om_tag_binary, _om_tag_q,
     from_fixed_split_binary, from_fixed_split_q, from_incidence_binary,
     from_incidence_q, from_orbitmatrix_binary, from_orbitmatrix_q)
-from socodes.designs import Design, wso_search
+from socodes.designs import (Design, WSOProfile, from_group_action,
+                             stabilizer_orbits, wso_search)
 from socodes.fields import field_for_order
 from socodes.groups import Perm, PermGroup
 from socodes.m11 import m11_degree
 from socodes.matrices import GFMatrix
 from socodes.orbitmat import BadOrbitProfile
 
-from oracles import min_distance_naive
+from oracles import gram_naive, min_distance_naive, rank_naive
 
 
 def chunks(v, w, nfix=0):
@@ -335,22 +337,33 @@ def test_om_profile_binary_selector():
         _om_profile_binary([3, 3], [2, 2])     # o > u
 
 
+def branch_binary_om(case, o, u):
+    """(tag, left residue, right residue, SD claim if m=n) of the binary
+    orbit-matrix theorems: the border rule with w = 2^u when o = u, no
+    borders when o < u."""
+    a, d = {1: (0, 0), 2: (0, 1), 3: (1, 0), 4: (1, 1)}[case]
+    left, right = _borders(a, d, 2 ** u, 2) if o == u else (None, None)
+    return (_om_tag_binary(case, o, u),
+            None if left is None else left[1],
+            None if right is None else right[1],
+            left is not None and right is None)
+
+
 def test_branch_binary_om_table():
-    # (case, o, u) -> (tag, identity scalar, ones scalar, SD claim if m=n);
-    # the o,u sub-branches of cases 2-4 have no small instances (any central
+    # The o,u sub-branches of cases 2-4 have no small instances (any central
     # free involution forces even intersections), so they are pinned here.
-    assert _branch_binary_om(1, 0, 0) == ("T3.1.bin", None, None, False)
-    assert _branch_binary_om(1, 1, 1) == ("T3.1.bin", None, None, False)
-    assert _branch_binary_om(2, 0, 0) == ("T3.2.bina", 1, 1, False)
-    assert _branch_binary_om(2, 1, 1) == ("T3.2.binb", 1, None, True)
-    assert _branch_binary_om(2, 2, 2) == ("T3.2.binb", 1, None, True)
-    assert _branch_binary_om(2, 0, 1) == ("T3.2.binc", None, None, False)
-    assert _branch_binary_om(3, 0, 0) == ("T3.3.bina", 1, None, True)
-    assert _branch_binary_om(3, 1, 1) == ("T3.3.bina", 1, None, True)
-    assert _branch_binary_om(3, 0, 2) == ("T3.3.binb", None, None, False)
-    assert _branch_binary_om(4, 0, 0) == ("T3.4.bina", None, 1, False)
-    assert _branch_binary_om(4, 1, 1) == ("T3.4.binb", None, None, False)
-    assert _branch_binary_om(4, 0, 1) == ("T3.4.binb", None, None, False)
+    assert branch_binary_om(1, 0, 0) == ("T3.1.bin", None, None, False)
+    assert branch_binary_om(1, 1, 1) == ("T3.1.bin", None, None, False)
+    assert branch_binary_om(2, 0, 0) == ("T3.2.bina", 1, 1, False)
+    assert branch_binary_om(2, 1, 1) == ("T3.2.binb", 1, None, True)
+    assert branch_binary_om(2, 2, 2) == ("T3.2.binb", 1, None, True)
+    assert branch_binary_om(2, 0, 1) == ("T3.2.binc", None, None, False)
+    assert branch_binary_om(3, 0, 0) == ("T3.3.bina", 1, None, True)
+    assert branch_binary_om(3, 1, 1) == ("T3.3.bina", 1, None, True)
+    assert branch_binary_om(3, 0, 2) == ("T3.3.binb", None, None, False)
+    assert branch_binary_om(4, 0, 0) == ("T3.4.bina", None, 1, False)
+    assert branch_binary_om(4, 1, 1) == ("T3.4.binb", None, None, False)
+    assert branch_binary_om(4, 0, 1) == ("T3.4.binb", None, None, False)
 
 
 # ------------------------------------------------------ q orbit matrices
@@ -479,25 +492,47 @@ def test_om_profile_q_selector():
         _om_profile_q([2, 2], [4, 4])  # block length != point length
 
 
+def branch_q_om(a, d, w, p):
+    """(tag, labelled left residue, labelled right residue, SD claim if
+    m=n) of the GF(q) orbit-matrix theorems."""
+    left, right = _borders(a, d, w, p)
+    return (_om_tag_q(WSOProfile(p, a, d).dispatch_case(), w, p), left, right,
+            left is not None and right is None)
+
+
 def test_branch_q_om_table():
-    # (a, d, w, p) -> (tag, labelled left residue, labelled right residue,
-    # SD claim if m=n); the labels name the scalars in extension_reason.
+    # The labels name the scalars in extension_reason.
     # The (a=0, d!=0, p|w) row cannot occur in any 1-design: k(r-1) = 0 and
     # (b-1)d = 0 mod p force b = 1 mod p, while p | w | b. Pinned here.
-    assert _branch_q_om(0, 0, 5, 5) == ("T3.1.q", None, None, False)
-    assert _branch_q_om(0, 2, 3, 3) == ("T3.2.qa", ("d", 2), None, True)
-    assert _branch_q_om(0, 1, 4, 3) == ("T3.2.qb", ("wd", 1), ("-wd", 2),
-                                        False)
-    assert _branch_q_om(0, 1, 2, 3) == ("T3.2.qc", ("d", 1), ("-wd", 1),
-                                        False)
-    assert _branch_q_om(2, 0, 2, 3) == ("T3.3.q", ("-a", 1), None, True)
-    assert _branch_q_om(1, 1, 3, 3) == ("T3.4.q", None, None, False)
-    assert _branch_q_om(1, 1, 5, 3) == ("T3.4.q", None, ("-wd", 1), False)
-    assert _branch_q_om(2, 1, 3, 3) == ("T3.4.q", ("d-a", 2), None, True)
-    assert _branch_q_om(2, 1, 4, 3) == ("T3.4.q", ("wd-a", 2), ("-wd", 2),
-                                        False)
-    assert _branch_q_om(2, 1, 2, 3) == ("T3.4.q", ("d-a", 2), ("-wd", 1),
-                                        False)
+    assert branch_q_om(0, 0, 5, 5) == ("T3.1.q", None, None, False)
+    assert branch_q_om(0, 2, 3, 3) == ("T3.2.qa", ("d", 2), None, True)
+    assert branch_q_om(0, 1, 4, 3) == ("T3.2.qb", ("d", 1), ("-wd", 2), False)
+    assert branch_q_om(0, 1, 2, 3) == ("T3.2.qc", ("d", 1), ("-wd", 1), False)
+    assert branch_q_om(2, 0, 2, 3) == ("T3.3.q", ("-a", 1), None, True)
+    assert branch_q_om(1, 1, 3, 3) == ("T3.4.q", None, None, False)
+    assert branch_q_om(1, 1, 5, 3) == ("T3.4.q", None, ("-wd", 1), False)
+    assert branch_q_om(2, 1, 3, 3) == ("T3.4.q", ("d-a", 2), None, True)
+    assert branch_q_om(2, 1, 4, 3) == ("T3.4.q", ("d-a", 2), ("-wd", 2), False)
+    assert branch_q_om(2, 1, 2, 3) == ("T3.4.q", ("d-a", 2), ("-wd", 1), False)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_borders_make_every_row_self_orthogonal(p):
+    # rows of weight a + (w-1)d meeting in w*d: with c^2 and e^2 the border
+    # residues (0 when absent), every row is isotropic and any two are
+    # orthogonal; a zero residue is never returned as a border.
+    for a, d, w in product(range(p), range(p), range(1, 2 * p + 1)):
+        left, right = _borders(a, d, w, p)
+        c2 = 0 if left is None else left[1]
+        e2 = 0 if right is None else right[1]
+        assert (c2 + a + (w - 1) * d + e2) % p == 0
+        assert (w * d + e2) % p == 0
+        assert left is None or left[1] != 0
+        assert right is None or right[1] != 0
+        if left is not None:
+            assert left[0] == ("d" if a == 0 else "-a" if d == 0 else "d-a")
+        if right is not None:
+            assert right[0] == ("-d" if w == 1 else "-wd")
 
 
 # ---------------------------------------------- binary fixed-point splits
@@ -848,3 +883,79 @@ def test_master_gram_property_random_sweep():
                 assert rep.code.generator.gram().is_zero()
                 checked += 1
     assert checked >= 60
+
+
+@st.composite
+def small_transitive_groups(draw):
+    """Transitive groups on <= 12 points whose order is at most 24 by
+    construction (cyclic, dihedral, C_k wr C_m, regular C_a x C_b), with
+    the points relabelled at random."""
+    kind = draw(st.sampled_from(["cyclic", "dihedral", "wreath", "product"]))
+    if kind == "cyclic":
+        n = draw(st.integers(2, 12))
+        gens = [[tuple(range(n))]]
+    elif kind == "dihedral":
+        n = draw(st.integers(3, 12))
+        gens = [[tuple(range(n))], [(i, n - 1 - i) for i in range(n // 2)]]
+    elif kind == "wreath":
+        # rotate m blocks of size k and cycle the first block: order k^m m
+        k, m = draw(st.sampled_from([(2, 2), (3, 2), (2, 3)]))
+        n = k * m
+        gens = [[tuple(range(j, n, k)) for j in range(k)], [tuple(range(k))]]
+    else:
+        # C_a x C_b on the points i*b + j, each factor cycling one index
+        a, b = draw(st.sampled_from([(2, 2), (2, 4), (3, 3), (2, 6), (3, 4)]))
+        n = a * b
+        gens = [[tuple(i * b + j for i in range(a)) for j in range(b)],
+                [tuple(i * b + j for j in range(b)) for i in range(a)]]
+    lab = draw(st.permutations(range(n)))
+    return PermGroup(n, [Perm.from_cycles(n, [tuple(lab[x] for x in c)
+                                              for c in cycles])
+                         for cycles in gens])
+
+
+@st.composite
+def random_group_cases(draw):
+    """A random orbit-union design of a small transitive group G, a cyclic
+    H = <g> for a random g in G, a field order q in {p, p^2} and the alpha
+    read off H's orbit lengths (1 when they are not {1, p^alpha})."""
+    G = draw(small_transitive_groups())
+    orbits = stabilizer_orbits(G, 0)
+    choice = draw(st.sets(st.integers(0, len(orbits) - 1), min_size=1,
+                          max_size=len(orbits) - 1))
+    D = from_group_action(G, 0, sorted(choice))
+    H = PermGroup(G.degree, [draw(st.sampled_from(G.elements))])
+    q = draw(st.sampled_from([2, 4, 3, 9, 5, 25]))
+    F = field_for_order(q)
+    moving = {len(o) for o in H.point_orbits()} - {1}
+    alpha = 1
+    for e in range(1, F.l + 1):
+        if moving == {F.p ** e}:
+            alpha = e
+    return G, D, H, q, alpha
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_group_cases())
+def test_random_groups_every_entry_point_reports_or_rejects(case):
+    # each entry point returns checked reports or raises a documented
+    # rejection; an ArithmeticError (a failed internal check) fails the test
+    G, D, H, q, alpha = case
+    assert G.order <= 24
+    calls = [lambda: from_incidence_binary(D),
+             lambda: from_incidence_q(D, q),
+             lambda: from_orbitmatrix_binary(D, H),
+             lambda: from_orbitmatrix_q(D, H, q),
+             lambda: from_fixed_split_binary(D, H),
+             lambda: from_fixed_split_q(D, H, q, alpha)]
+    for call in calls:
+        try:
+            out = call()
+        except (NotWSO, NonConstantProfile, BadOrbitProfile):
+            continue
+        for rep in out if isinstance(out, tuple) else (out,):
+            F, rows = rep.field, rep.code.generator.a.tolist()
+            gram = gram_naive(rows, F.p, F.l, F.modulus)
+            assert all(x == 0 for row in gram for x in row)
+            assert rank_naive(rows, F.p, F.l, F.modulus) == rep.code.k
+            assert rep.self_dual == (2 * rep.code.k == rep.code.n)

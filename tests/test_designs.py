@@ -164,8 +164,18 @@ def test_from_group_action_not_transitive():
 
 def test_from_group_action_bad_choice_index():
     G = cyclic(3)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="0..2"):
         from_group_action(G, 0, (5,))
+
+
+def test_from_group_action_negative_index_rejected():
+    # a negative index must not count orbits from the end: on m11:11 the
+    # orbit -1 would be orbit 1 and develop the 1-(11,10,10) design
+    G = m11_degree(11)
+    with pytest.raises(ValueError, match="0..1"):
+        from_group_action(G, 0, (-1,))
+    with pytest.raises(ValueError):
+        from_group_action(G, 0, (0, 2))
 
 
 def test_m11_degree22_developments():

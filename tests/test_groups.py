@@ -69,7 +69,7 @@ def test_mul_rejects_degree_mismatch():
 
 def test_cycle_roundtrip():
     g = Perm.from_cycles(11, [(2, 6, 10, 7), (3, 9, 4, 5)])
-    assert g.apply(2) == 6 and g.apply(7) == 2 and g.apply(0) == 0
+    assert g.images[2] == 6 and g.images[7] == 2 and g.images[0] == 0
     assert Perm.from_cycles(11, g.cycles()) == g
 
 
