@@ -75,6 +75,9 @@ def write_fixtures(tmp) -> None:
         g = m11_degree(degree).element_of_order(t)
         (tmp / f"{name}.grp").write_text(
             format_group_text(PermGroup(degree, [g])))
+    # the A6 whose cosets give the degree-22 action of m11:11
+    a6 = m11_degree(11).stabilizer(0).squares_subgroup()
+    (tmp / "a6_11.grp").write_text(format_group_text(a6))
     # a transposition of two points of m11:22: not an automorphism
     swap = Perm.from_cycles(22, [(1, 2)])
     (tmp / "swap_22.grp").write_text(format_group_text(PermGroup(22, [swap])))
@@ -96,6 +99,11 @@ def corpus() -> list:
     for degree in (11, 12, 22, 55):
         runs.append(["group", "orbits", f"m11:{degree}"])
     runs.append(["group", "info", "m11:7"])
+    # derived actions: k-subsets, and cosets of the A6 and of a C11
+    for degree, k in ((11, 2), (11, 3), (12, 2)):
+        runs.append(["group", "subsets", f"m11:{degree}", str(k)])
+    for grp in ("a6_11", "c11_11"):
+        runs.append(["group", "coset-action", "m11:11", _grp(grp)])
     for degree in (11, 12, 22, 55, 66):
         for q in (2, 3, 4, 5, 9):
             runs.append(["design", "search", f"m11:{degree}", "--q", str(q)])
