@@ -18,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from socodes.groups import PermGroup, OrderExceedsCap, format_group_text
+from socodes.groups import PermGroup, format_group_text
 from socodes.m11 import m11_natural
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "socodes" / "data" / "m11_12.grp"
@@ -30,17 +30,9 @@ def derive() -> str:
     assert G.order == 7920
 
     x = next(g for g in G.elements if g.order() == 11)
-    H = None
-    for y in (g for g in G.elements if g.order() == 2):
-        cand = PermGroup(11, [x, y])
-        try:
-            cand.enumerate(cap=660)
-        except OrderExceedsCap:
-            continue
-        if cand.order == 660:
-            H = cand
-            break
-    assert H is not None
+    # <x, y> is either that subgroup or all of M11
+    candidates = (PermGroup(11, [x, y]) for y in G.elements if y.order() == 2)
+    H = next(c for c in candidates if c.order == 660)
 
     A = G.coset_action(H)
     assert A.degree == 12

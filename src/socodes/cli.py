@@ -26,17 +26,16 @@ from .constructions import (
     from_orbitmatrix_q,
 )
 from .designs import (
-    Design,
     from_group_action,
     intersection_profile,
-    load_design,
     format_design_text,
+    parse_design_text,
     validate,
     wso_search,
     stabilizer_orbits,
 )
 from .fields import field_for_order
-from .groups import PermGroup, format_group_text, load_group
+from .groups import PermGroup, format_group_text, parse_group_text
 from .m11 import DEGREES, m11_degree
 from .matrices import GFMatrix
 from .orbitmat import build, fixed_split, format_orbit_matrix_text
@@ -66,37 +65,25 @@ def _load_group_arg(spec: str) -> PermGroup:
             raise UsageError(f"no built-in M11 action of degree {degree}; "
                              f"available: {DEGREES}")
         return m11_degree(degree)
+    return _read(spec, parse_group_text, "group")
+
+
+def _read(path: str, parse, kind: str):
+    """parse() of the UTF-8 text of a file; an unreadable or malformed file
+    is a usage error naming its kind."""
     try:
-        return load_group(spec)
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
     except OSError as e:
-        raise UsageError(f"cannot read group file {spec!r}: {e}") from None
+        raise UsageError(f"cannot read {kind} file {path!r}: {e}") from None
     except ValueError as e:
-        raise UsageError(f"bad group file {spec!r}: {e}") from None
-
-
-def _load_design_arg(path: str) -> Design:
-    try:
-        return load_design(path)
-    except OSError as e:
-        raise UsageError(f"cannot read design file {path!r}: {e}") from None
-    except ValueError as e:
-        raise UsageError(f"bad design file {path!r}: {e}") from None
-
-
-def _read_matrix(path: str) -> GFMatrix:
-    try:
-        with open(path) as fh:
-            return GFMatrix.from_text(fh.read())
-    except OSError as e:
-        raise UsageError(f"cannot read matrix file {path!r}: {e}") from None
-    except ValueError as e:
-        raise UsageError(f"bad matrix file {path!r}: {e}") from None
+        raise UsageError(f"bad {kind} file {path!r}: {e}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
     """Artifact body to --out when given, stdout otherwise."""
     if out:
-        with open(out, "w") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"wrote {out}")
     else:
@@ -169,7 +156,7 @@ def cmd_design(args) -> int:
         _emit(format_design_text(D), args.out)
         return 0
     # classify
-    D = _load_design_arg(args.group)
+    D = _read(args.group, parse_design_text, "design")
     validate(D)
     prof = intersection_profile(D, p)
     if not prof.constant:
@@ -195,7 +182,7 @@ def _alpha_for(H: PermGroup, p: int) -> int:
 
 
 def cmd_orbitmat(args) -> int:
-    D = _load_design_arg(args.design)
+    D = _read(args.design, parse_design_text, "design")
     H = _load_group_arg(args.group)
     if args.action == "build":
         OM = build(D, H)
@@ -227,7 +214,7 @@ def _summarize(prefix: str, rep, budget: int) -> str:
 
 
 def cmd_code(args) -> int:
-    D = _load_design_arg(args.design)
+    D = _read(args.design, parse_design_text, "design")
     q = args.q
     if args.action == "from-design":
         if q == 2:
@@ -256,7 +243,7 @@ def cmd_code(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    M = _read_matrix(args.matrix)
+    M = _read(args.matrix, GFMatrix.from_text, "matrix")
     C = LinearCode(M)
     if C.k > 0:
         min_distance(C, args.budget)

@@ -260,8 +260,3 @@ def parse_design_text(text: str) -> Design:
         raise ValueError(f"expected {b} block rows, found {len(lines) - 1}")
     blocks = [tuple(int(x) for x in ln.split()) for ln in lines[1:]]
     return Design(v, blocks)
-
-
-def load_design(path) -> Design:
-    with open(path) as fh:
-        return parse_design_text(fh.read())

@@ -14,8 +14,8 @@ matrix-product kernel: one integer matmul over GF(p) of base-p digit rows
 against the l x l multiplication matrices of the regular representation,
 each a combination of the l powers of the modulus's companion matrix.
 ``add`` adds base-p digits (integers mod p when l = 1), and the
-lexicographic order of canonical square roots reads digits. Products,
-inverses and powers are index arithmetic on the standard logarithm tables
+lexicographic order of canonical square roots reads digits. Products
+and inverses are index arithmetic on the standard logarithm tables
 (Lidl and Niederreiter, *Finite Fields*, 1997): exp[i] = g^i for a
 primitive element g and its inverse log, read-only and of length O(q),
 built once per field. No operation allocates anything of size q^2, nor
@@ -219,9 +219,6 @@ class Field:
     def neg(self, x):
         return self.mul(self.p - 1, x)
 
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
     def mul(self, x, y):
         return self._out(self._exp[self._log[self._codes(x)] + self._log[self._codes(y)]])
 
@@ -230,13 +227,6 @@ class Field:
         if np.any(a == 0):
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self._out(self._exp[self.q - 1 - self._log[a]])
-
-    def pow(self, x, e: int):
-        a = self._codes(x)
-        if e < 0 and np.any(a == 0):
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        r = self._exp[(e % (self.q - 1)) * self._log[a] % (self.q - 1)]
-        return self._out(np.where(a == 0, int(e == 0), r))
 
     # -- squares ------------------------------------------------------------
 

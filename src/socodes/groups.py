@@ -1,12 +1,19 @@
 """Finite permutation groups given by generators.
 
 Full element enumeration (no stabilizer chains: every group in scope has
-order <= 7920), point and set orbits, stabilizers, induced actions on
-k-subsets, coset actions, and elements of a given order. Every closure
-(the elements, a point orbit, a set orbit, the coset representatives) is
-one breadth-first search over the generators, ``_closure``. Point and set
-orbits need the generators alone; the enumerated elements are needed only
-for group orders, stabilizers and cosets.
+order <= 7920), point and set orbits, stabilizers, derived actions, and
+elements of a given order. Two routines carry everything:
+
+- ``_closure``, one breadth-first search over the generators, gives every
+  closure: the elements, a point orbit, a set orbit, the coset
+  representatives. Point and set orbits need the generators alone; the
+  enumerated elements are needed only for group orders, stabilizers and
+  cosets.
+- ``PermGroup.induced(objects, act)`` gives every derived action: the
+  generators acting on the positions of a list of objects they permute.
+  The action on k-subsets, the action on the cosets of a subgroup and the
+  action of an automorphism group on a design's blocks (``orbitmat``) are
+  its three uses.
 
 Points are 0-based everywhere internally; the group file format uses the
 1-based convention of the literature and is converted at the I/O boundary.
@@ -16,8 +23,9 @@ that every downstream matrix is byte-reproducible.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
-from math import comb, gcd
+from math import comb, lcm
 
 
 class OrderExceedsCap(RuntimeError):
@@ -38,6 +46,15 @@ class IndexTooLarge(ValueError):
 
 class NotTransitive(ValueError):
     pass
+
+
+class NotInvariant(ValueError):
+    """A generator maps one of the objects of an induced action to
+    something outside the list; ``generator`` is the first such one."""
+
+    def __init__(self, generator: "Perm"):
+        super().__init__(f"generator {generator!r} maps an object outside the list")
+        self.generator = generator
 
 
 DEFAULT_CAP = 10 ** 6
@@ -108,26 +125,14 @@ class Perm:
 
     def cycle_type(self):
         """Sorted (length, count) pairs including fixed points."""
-        counts = {}
-        seen = [False] * len(self.images)
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            length = 1
-            seen[start] = True
-            x = self.images[start]
-            while x != start:
-                seen[x] = True
-                length += 1
-                x = self.images[x]
-            counts[length] = counts.get(length, 0) + 1
+        counts = Counter(map(len, self.cycles()))
+        fixed = len(self.fixed_points())
+        if fixed:
+            counts[1] = fixed
         return tuple(sorted(counts.items()))
 
     def order(self) -> int:
-        o = 1
-        for length, _ in self.cycle_type():
-            o = o * length // gcd(o, length)
-        return o
+        return lcm(*map(len, self.cycles()))
 
     def fixed_points(self) -> tuple:
         return tuple(i for i, x in enumerate(self.images) if i == x)
@@ -185,11 +190,14 @@ class PermGroup:
 
     # -- enumeration --------------------------------------------------------
 
-    def enumerate(self, cap: int = DEFAULT_CAP) -> tuple:
-        """Breadth-first closure of the generators; sorted by image tuple."""
+    def enumerate(self) -> tuple:
+        """Breadth-first closure of the generators; sorted by image tuple.
+
+        Raises OrderExceedsCap above DEFAULT_CAP elements."""
         if self._elements is None:
             self._elements = tuple(sorted(_closure(
-                Perm.identity(self.degree), self.generators, Perm.__mul__, cap)))
+                Perm.identity(self.degree), self.generators, Perm.__mul__,
+                DEFAULT_CAP)))
         return self._elements
 
     @property
@@ -234,22 +242,39 @@ class PermGroup:
 
     # -- derived actions ----------------------------------------------------
 
-    def induced_on_ksubsets(self, k: int):
-        """Map Perm -> Perm on the sorted list of all k-subsets."""
-        n = self.degree
-        if comb(n, k) > KSUBSET_CAP:
-            raise DegreeTooLarge(f"C({n},{k}) exceeds {KSUBSET_CAP}")
-        subsets = list(combinations(range(n), k))
-        index = {s: i for i, s in enumerate(subsets)}
+    def induced(self, objects, act) -> "PermGroup":
+        """Action of the generators on the positions of objects, where
+        act(g, x) is the image of x under g.
 
-        def phi(g: Perm) -> Perm:
-            return Perm(tuple(index[tuple(sorted(g.images[p] for p in s))]
-                              for s in subsets))
-        return phi
+        The copies of a repeated object go to the copies of its image in
+        index order. Raises NotInvariant naming the first generator that
+        maps an object outside the list (or onto more copies than it has).
+        """
+        objects = list(objects)
+        slots: dict = {}
+        for i, x in enumerate(objects):
+            slots.setdefault(x, []).append(i)
+        gens = []
+        exhausted = iter(())
+        for g in self.generators:
+            # each object's queue hands out its copies in index order; None
+            # marks an image that is not in the list or has no copy left
+            queues = {x: iter(idxs) for x, idxs in slots.items()}
+            images = [next(queues.get(act(g, x), exhausted), None) for x in objects]
+            if None in images:
+                raise NotInvariant(g)
+            gens.append(Perm(images))
+        return PermGroup(len(objects), gens)
 
     def action_on_ksubsets(self, k: int) -> "PermGroup":
-        phi = self.induced_on_ksubsets(k)
-        return PermGroup(comb(self.degree, k), [phi(g) for g in self.generators])
+        """Action on the sorted list of all k-subsets of the points."""
+        n = self.degree
+        if not 0 <= k <= n:
+            # no k-subsets at all: the action would have degree 0
+            raise ValueError(f"subset size {k} outside 0..{n}")
+        if comb(n, k) > KSUBSET_CAP:
+            raise DegreeTooLarge(f"C({n},{k}) exceeds {KSUBSET_CAP}")
+        return self.induced(combinations(range(n), k), Perm.apply_set)
 
     def coset_action(self, H: "PermGroup") -> "PermGroup":
         """Action of this group on right cosets of H, degree [G:H].
@@ -269,10 +294,7 @@ class PermGroup:
         ordered = sorted(_closure(canon(Perm.identity(self.degree)),
                                   self.generators,
                                   lambda rep, s: canon(rep * s)))
-        index = {rep: i for i, rep in enumerate(ordered)}
-        gens = [Perm(tuple(index[canon(rep * s)] for rep in ordered))
-                for s in self.generators]
-        return PermGroup(len(ordered), gens)
+        return self.induced(ordered, lambda s, rep: canon(rep * s))
 
     def element_of_order(self, t: int):
         """First element of order t in sorted element order, or None."""
@@ -295,17 +317,24 @@ class PermGroup:
 
 
 # ---------------------------------------------------------------------------
-# group file format: "degree n", then one generator per non-comment line,
-# either 1-based cycle notation "(1,2,3)(4,5)" or "img: i1 i2 ... in"
+# group file format: "degree n" (n >= 1), then one generator per non-comment
+# line, either 1-based cycle notation "(1,2,3)(4,5)" ("()" is the identity)
+# or "img: i1 i2 ... in"
 # ---------------------------------------------------------------------------
 
 def _parse_cycles(line: str, degree: int) -> Perm:
-    cycles = []
     body = line.strip()
     if not (body.startswith("(") and body.endswith(")")):
         raise ValueError(f"bad cycle line: {line!r}")
+    if not body[1:-1].strip():
+        return Perm.identity(degree)
+    cycles = []
     for chunk in body[1:-1].split(")("):
         pts = [int(t) - 1 for t in chunk.replace(",", " ").split()]
+        if not pts:
+            raise ValueError(f"empty cycle in {line!r}")
+        if len(set(pts)) != len(pts):
+            raise ValueError(f"cycle repeats a point in {line!r}")
         if any(not 0 <= p < degree for p in pts):
             raise ValueError(f"point out of range in {line!r}")
         cycles.append(tuple(pts))
@@ -324,6 +353,8 @@ def parse_group_text(text: str) -> PermGroup:
             if head != "degree":
                 raise ValueError("group file must start with 'degree n'")
             degree = int(val)
+            if degree < 1:
+                raise ValueError(f"degree {degree} is below 1")
         elif line.startswith("img:"):
             images = [int(t) - 1 for t in line[4:].split()]
             gens.append(Perm(images))
@@ -342,8 +373,3 @@ def format_group_text(G: PermGroup, comment: str = "") -> str:
     for g in G.generators:
         lines.append("img: " + " ".join(str(i + 1) for i in g.images))
     return "\n".join(lines) + "\n"
-
-
-def load_group(path) -> PermGroup:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_group_text(fh.read())

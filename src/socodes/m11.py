@@ -14,8 +14,6 @@ from importlib import resources
 
 from .groups import PermGroup, parse_group_text
 
-M11_ORDER = 7920
-
 DEGREES = (11, 12, 22, 55, 66, 165)
 
 

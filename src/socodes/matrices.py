@@ -114,9 +114,6 @@ class GFMatrix:
             r += 1
         return GFMatrix(F, R[:r]), tuple(pivots)
 
-    def rank(self) -> int:
-        return self.rref()[0].rows
-
     def row_space_equals(self, other: "GFMatrix") -> bool:
         return self.rref()[0] == other.rref()[0]
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .designs import Design, validate
-from .groups import Perm, PermGroup
+from .groups import NotInvariant, Perm, PermGroup
 
 
 class NotAnAutomorphismGroup(ValueError):
@@ -115,26 +115,6 @@ class FixedSplit:
     full: OrbitMatrix
 
 
-def _induced_block_perm(blocks, g: Perm) -> Perm:
-    """Permutation of block indices induced by g, or None if some image is
-    not a block. Repeated blocks are matched to repeated images in index
-    order, which fixes one deterministic choice."""
-    slots: dict = {}
-    for i, blk in enumerate(blocks):
-        slots.setdefault(blk, []).append(i)
-    queues = {blk: iter(idxs) for blk, idxs in slots.items()}
-    images = [0] * len(blocks)
-    for i, blk in enumerate(blocks):
-        it = queues.get(g.apply_set(blk))
-        if it is None:
-            return None
-        target = next(it, None)
-        if target is None:
-            return None
-        images[i] = target
-    return Perm(images)
-
-
 def build(D: Design, H: PermGroup) -> OrbitMatrix:
     """Orbit matrix of D under H. H must act on D's points and map blocks
     to blocks (checked per generator); orbits are sorted fixed-first, then
@@ -143,16 +123,13 @@ def build(D: Design, H: PermGroup) -> OrbitMatrix:
     if H.degree != D.v:
         raise NotAnAutomorphismGroup(
             f"group degree {H.degree} != point count {D.v}")
-    induced = []
-    for g in H.generators:
-        pg = _induced_block_perm(D.blocks, g)
-        if pg is None:
-            raise NotAnAutomorphismGroup(
-                f"generator {g!r} does not map blocks to blocks")
-        induced.append(pg)
+    try:
+        block_group = H.induced(D.blocks, Perm.apply_set)
+    except NotInvariant as e:
+        raise NotAnAutomorphismGroup(
+            f"generator {e.generator!r} does not map blocks to blocks") from None
 
     point_orbits = sorted(H.point_orbits(), key=_orbit_sort_key)
-    block_group = PermGroup(D.b, induced)
     block_orbits = sorted(block_group.point_orbits(), key=_orbit_sort_key)
 
     M = D.incidence_array()

@@ -251,3 +251,51 @@ def coset_action_naive(gens, n, hgens):
     number = {rep: i for i, rep in enumerate(reps)}
     label = {g: number[min(c)] for c in cosets for g in c}
     return [tuple(label[mul(rep, s)] for rep in reps) for s in gens]
+
+
+# ---------------------------------------------------------------------------
+# single permutations (image tuples) and the actions they induce
+# ---------------------------------------------------------------------------
+
+def induced_naive(gens, objects):
+    """Action of each generator on the positions of a list of point sets.
+
+    Position i holds the c-th copy of its set x (c = copies of x before i)
+    and goes to the c-th position holding the image of x. A generator that
+    sends some copy nowhere gets None instead of an image tuple.
+    """
+    out = []
+    for g in gens:
+        images = []
+        for i, x in enumerate(objects):
+            y = tuple(sorted(g[p] for p in x))
+            where = [j for j, z in enumerate(objects) if z == y]
+            c = objects[:i].count(x)
+            if c >= len(where):
+                images = None
+                break
+            images.append(where[c])
+        out.append(None if images is None else tuple(images))
+    return out
+
+
+def perm_order_naive(g):
+    """Least m >= 1 with g^m the identity."""
+    ident = tuple(range(len(g)))
+    h, m = g, 1
+    while h != ident:
+        h = tuple(g[x] for x in h)
+        m += 1
+    return m
+
+
+def cycle_type_naive(g):
+    """Sorted (length, count) pairs, fixed points included: a point on a
+    cycle of length L first returns to itself after L steps."""
+    lengths = []
+    for x in range(len(g)):
+        y, steps = g[x], 1
+        while y != x:
+            y, steps = g[y], steps + 1
+        lengths.append(steps)
+    return tuple(sorted((L, lengths.count(L) // L) for L in set(lengths)))

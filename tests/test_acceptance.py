@@ -297,9 +297,13 @@ def test_criterion_10_field_layer():
         assert len(squares) == (q if q % 2 == 0 else (q + 1) // 2)
         roots = F.sqrt(squares)
         assert (F.mul(roots, roots) == squares).all()
-        frob = F.pow(x, F.p)
-        assert (F.pow(F.add(x[:, None], x[None, :]), F.p)
-                == F.add(frob[:, None], frob[None, :])).all()
+        def frob(y):
+            out = y
+            for _ in range(F.p - 1):
+                out = F.mul(out, y)
+            return out
+        assert (frob(F.add(x[:, None], x[None, :]))
+                == F.add(frob(x)[:, None], frob(x)[None, :])).all()
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     _pass(10, f"axioms, residue counts, sqrt, Frobenius in {elapsed:.1f}s")

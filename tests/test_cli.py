@@ -278,6 +278,40 @@ def test_analyze_rejects_malformed_matrix(capsys, tmp_path, text):
     assert "bad matrix file" in err
 
 
+@pytest.mark.parametrize("text", ["degree 3\n(1,2)()\n",     # an empty cycle
+                                  "degree 3\n(1,1)\n",        # a repeated point
+                                  "degree 0\n()\n",
+                                  "degree -2\n()\n",
+                                  "degree 0\n"])
+def test_group_info_rejects_malformed_group_file(capsys, tmp_path, text):
+    path = tmp_path / "g.grp"
+    path.write_text(text)
+    code, out, err = run(capsys, "group", "info", str(path))
+    assert code == 1 and out == ""
+    assert "bad group file" in err
+
+
+def test_group_info_identity_generator(capsys, tmp_path):
+    path = tmp_path / "g.grp"
+    path.write_text("degree 3\n()\n")
+    code, out, _ = run(capsys, "group", "info", str(path))
+    assert code == 0
+    assert out.splitlines()[:2] == ["degree 3", "order 1"]
+
+
+def test_files_are_read_as_utf8(capsys, tmp_path):
+    grp = tmp_path / "c3.grp"
+    grp.write_text("# C₃, the rotations of a triangle\ndegree 3\n(1,2,3)\n",
+                   encoding="utf-8")
+    des = tmp_path / "three.des"
+    des.write_text("# three points, one block each — a 1-(3,1,1) design\n"
+                   "3 3\n0\n1\n2\n", encoding="utf-8")
+    code, out, _ = run(capsys, "group", "info", str(grp))
+    assert code == 0 and "order 3" in out
+    code, out, _ = run(capsys, "orbitmat", "build", str(des), str(grp))
+    assert code == 0
+
+
 @pytest.mark.parametrize("argv", [("group", "info", "m11:11"),
                                   ("group", "orbits", "m11:11"),
                                   ("design", "search", "m11:11")])

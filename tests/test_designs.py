@@ -20,7 +20,7 @@ from socodes.designs import (
     format_design_text,
     from_group_action,
     intersection_profile,
-    load_design,
+    parse_design_text,
     stabilizer_orbits,
     validate,
     wso_search,
@@ -305,12 +305,10 @@ def test_so_design_has_zero_gram():
 # serialization
 
 
-def test_design_file_roundtrip(tmp_path):
+def test_design_file_roundtrip():
     D = Design(4, [(0, 1), (2, 3)])
-    path = tmp_path / "pairs.des"
-    path.write_text(format_design_text(D))
-    assert load_design(path) == D
-    text = path.read_text()
+    text = format_design_text(D)
+    assert parse_design_text(text) == D
     assert text.splitlines()[0] == "4 2"
 
 

@@ -92,15 +92,6 @@ def test_mul_matches_naive_oracle_exhaustive():
         assert np.array_equal(F.neg(xs), [oracles.field_neg_naive(a, p, l) for a in xs])
         inv = np.argmax(mul[1:] == 1, axis=1)
         assert np.array_equal(F.inv(xs[1:]), inv), (p, l)
-        acc = np.ones(q, dtype=np.int64)
-        for e in range(q + 2):
-            assert np.array_equal(F.pow(xs, e), acc), (p, l, e)
-            assert np.array_equal(F.pow(xs[1:], -e), F.pow(inv, e)), (p, l, e)
-            acc = mul[acc, xs]
-        assert F.pow(0, 0) == 1 and F.pow(0, 1) == 0 and F.pow(0, q - 1) == 0
-        for x in (0, xs):
-            with pytest.raises(ZeroDivisionError):
-                F.pow(x, -1)
         with pytest.raises(ZeroDivisionError):
             F.inv(xs)
 
@@ -122,13 +113,6 @@ def test_field_axioms_exhaustive():
         assert np.array_equal(F.add(xs, F.neg(xs)), np.zeros(F.q, dtype=xs.dtype))
         nz = xs[1:]
         assert np.array_equal(F.mul(nz, F.inv(nz)), np.ones(F.q - 1, dtype=xs.dtype))
-
-
-def test_frobenius():
-    for (p, l) in AXIOM_FIELDS:
-        F = Field(p, l)
-        xs = np.arange(F.q)
-        assert np.array_equal(F.pow(xs, F.q), xs)
 
 
 def test_square_counts():
@@ -184,15 +168,6 @@ def test_sqrt_gf9_prefers_lex_order_not_integer_order():
     assert oracles.code_to_poly(3, 3, 2) == (0, 1)
 
 
-def test_pow_matches_repeated_multiplication():
-    F = Field(5, 2)
-    for x in range(F.q):
-        acc = 1
-        for e in range(8):
-            assert F.pow(x, e) == acc
-            acc = F.mul(acc, x)
-
-
 def test_extend_quadratic_basics():
     F4 = Field(2).extend_quadratic()
     assert (F4.p, F4.l) == (2, 2)
@@ -236,10 +211,8 @@ def test_out_of_range_codes_raise():
             arr = np.array([1, bad, 1])
             for x in (bad, arr):
                 for call in (lambda: F.add(x, 1), lambda: F.add(1, x),
-                             lambda: F.sub(x, 1), lambda: F.sub(1, x),
                              lambda: F.mul(x, 1), lambda: F.mul(1, x),
                              lambda: F.neg(x), lambda: F.inv(x),
-                             lambda: F.pow(x, 2), lambda: F.pow(x, -1),
                              lambda: F.sqrt(x), lambda: F.is_square(x)):
                     with pytest.raises(ValueError, match="out of range"):
                         call()
@@ -298,7 +271,6 @@ def test_elementwise_ops_match_oracles(args):
     p, l = F.p, F.l
     naive = {
         F.add: lambda a, b: oracles.field_add_naive(a, b, p, l),
-        F.sub: lambda a, b: oracles.field_sub_naive(a, b, p, l),
         F.mul: lambda a, b: oracles.field_mul_naive(a, b, p, l, F.modulus),
     }
     for op, oracle in naive.items():

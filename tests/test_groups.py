@@ -2,6 +2,7 @@
 induced actions, coset actions, elements of given order, file I/O."""
 
 import importlib.util
+import itertools
 import math
 from importlib import resources
 from pathlib import Path
@@ -9,10 +10,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import coset_action_naive, group_closure_naive, set_orbit_naive
+from oracles import (coset_action_naive, cycle_type_naive, group_closure_naive,
+                     induced_naive, perm_order_naive, set_orbit_naive)
+from strategies import small_transitive_groups
+from socodes import groups
 from socodes.groups import (
     Perm, PermGroup, OrderExceedsCap, DegreeTooLarge, IndexTooLarge,
-    NotASubgroup, INDEX_CAP, parse_group_text, format_group_text,
+    NotASubgroup, NotInvariant, INDEX_CAP, parse_group_text, format_group_text,
 )
 from socodes.m11 import m11_degree
 
@@ -88,14 +92,16 @@ def test_m11_order():
     assert m11().order == 7920
 
 
-def test_enumeration_cap():
-    G = PermGroup(11, M11_GENS)
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_CAP", 100)
     with pytest.raises(OrderExceedsCap):
-        G.enumerate(cap=100)
+        PermGroup(11, M11_GENS).enumerate()
     # the identity alone already exceeds a cap of 0
+    monkeypatch.setattr(groups, "DEFAULT_CAP", 0)
     with pytest.raises(OrderExceedsCap):
-        PermGroup(3, []).enumerate(cap=0)
-    assert PermGroup(3, []).enumerate(cap=1) == (Perm.identity(3),)
+        PermGroup(3, []).enumerate()
+    monkeypatch.setattr(groups, "DEFAULT_CAP", 1)
+    assert PermGroup(3, []).enumerate() == (Perm.identity(3),)
 
 
 def test_point_orbits():
@@ -183,9 +189,12 @@ def test_group_layer_matches_naive(case):
     closure = group_closure_naive(gens, n)
     order = len(closure)
     G = PermGroup(n, gens)
-    assert [g.images for g in G.enumerate(cap=order)] == sorted(closure)
-    with pytest.raises(OrderExceedsCap):
-        PermGroup(n, gens).enumerate(cap=order - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "DEFAULT_CAP", order)
+        assert [g.images for g in G.enumerate()] == sorted(closure)
+        mp.setattr(groups, "DEFAULT_CAP", order - 1)
+        with pytest.raises(OrderExceedsCap):
+            PermGroup(n, gens).enumerate()
 
     orbits = sorted({tuple(sorted({g[x] for g in closure})) for x in range(n)})
     assert G.point_orbits() == orbits
@@ -200,6 +209,56 @@ def test_group_layer_matches_naive(case):
     A = G.coset_action(H)
     assert A.degree == order // H.order
     assert [g.images for g in A.generators] == coset_action_naive(gens, n, [h.images])
+
+
+@st.composite
+def induced_cases(draw):
+    """A small transitive group, a subset size k, and a list of point sets
+    made of whole set orbits, some of them repeated, in random order and
+    sometimes with its last set dropped."""
+    G = draw(small_transitive_groups())
+    k = draw(st.integers(0, min(3, G.degree)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        delta = draw(st.sets(st.integers(0, G.degree - 1), min_size=1))
+        blocks += G.set_orbit(delta) * draw(st.integers(1, 2))
+    blocks = draw(st.permutations(blocks))
+    if draw(st.booleans()):
+        blocks = blocks[:-1]
+    return G, k, blocks
+
+
+@settings(max_examples=100, deadline=None)
+@given(induced_cases())
+def test_induced_matches_naive(case):
+    G, k, blocks = case
+    gens = [g.images for g in G.generators]
+    subsets = list(itertools.combinations(range(G.degree), k))
+    A = G.action_on_ksubsets(k)
+    assert A.degree == len(subsets)
+    assert [g.images for g in A.generators] == induced_naive(gens, subsets)
+
+    want = induced_naive(gens, blocks)
+    if None in want:
+        with pytest.raises(NotInvariant) as info:
+            G.induced(blocks, Perm.apply_set)
+        assert info.value.generator == G.generators[want.index(None)]
+    else:
+        B = G.induced(blocks, Perm.apply_set)
+        assert [g.images for g in B.generators] == want
+
+    for g in G.elements:
+        assert g.order() == perm_order_naive(g.images)
+        assert g.cycle_type() == cycle_type_naive(g.images)
+
+
+def test_induced_repeated_objects_in_index_order():
+    # the copies of a repeated object go to the copies of its image in order
+    G = PermGroup(3, [Perm((1, 2, 0))])
+    blocks = [(0,), (1,), (0,), (2,), (1,), (2,)]
+    assert G.induced(blocks, Perm.apply_set).generators[0].images == (1, 3, 4, 0, 5, 2)
+    with pytest.raises(NotInvariant, match=r"generator Perm\(0 1 2\)"):
+        G.induced(blocks[:-1], Perm.apply_set)
 
 
 def test_ksubset_action_s3():
@@ -223,12 +282,23 @@ def test_ksubset_action_cap():
         PermGroup(30, []).action_on_ksubsets(15)
 
 
+def test_ksubset_action_needs_some_subsets():
+    # a degree-0 action would print a group file parse_group_text rejects
+    for k in (-1, 4):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            PermGroup(3, [Perm((1, 2, 0))]).action_on_ksubsets(k)
+    assert PermGroup(3, [Perm((1, 2, 0))]).action_on_ksubsets(3).degree == 1
+
+
 def test_homomorphism_on_generators():
+    # the induced action of a product is the product of the induced actions
     G = m11()
-    phi = G.induced_on_ksubsets(2)
-    for gi in G.generators:
-        for gj in G.generators:
-            assert phi(gi * gj) == phi(gi) * phi(gj)
+    gens = G.generators
+    products = [gi * gj for gi in gens for gj in gens]
+    A = G.action_on_ksubsets(2).generators
+    B = PermGroup(11, products).action_on_ksubsets(2).generators
+    assert list(B) == [A[i] * A[j] for i in range(len(gens))
+                       for j in range(len(gens))]
 
 
 def test_coset_action_trivial_cases():
@@ -298,6 +368,26 @@ degree 11
     assert G.generators[1] == M11_GENS[1]
 
 
+def test_group_file_identity_is_empty_cycle():
+    G = parse_group_text("degree 3\n()\n(1,2,3)\n")
+    assert G.generators[0] == Perm.identity(3)
+    assert G.order == 3
+
+
+@pytest.mark.parametrize("text, message", [
+    ("degree 0\n()\n", "below 1"),
+    ("degree -2\n()\n", "below 1"),
+    ("degree 0\n", "below 1"),
+    ("degree 3\n(1,2)()\n", "empty cycle"),
+    ("degree 3\n()(1,2)\n", "empty cycle"),
+    ("degree 3\n(1,1)\n", "repeats a point"),
+    ("degree 3\n(1,2,1)(3)\n", "repeats a point"),
+])
+def test_group_file_rejects_malformed_cycles(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_group_text(text)
+
+
 def test_group_file_img_notation():
     text = "degree 3\nimg: 2 3 1\n"
     G = parse_group_text(text)
@@ -305,8 +395,8 @@ def test_group_file_img_notation():
 
 
 def test_derive_script_reproduces_m11_12():
-    # enumerate(cap=660), order, coset_action and format_group_text on an
-    # action the shipped data does not otherwise rebuild
+    # order, coset_action and format_group_text on an action the shipped
+    # data does not otherwise rebuild
     path = Path(__file__).resolve().parent.parent / "scripts" / "derive_m11_degree12.py"
     spec = importlib.util.spec_from_file_location("derive_m11_degree12", path)
     script = importlib.util.module_from_spec(spec)

@@ -14,17 +14,21 @@ GF4 = Field(2, 2)
 GF9 = Field(3, 2)
 
 
+def rank(M) -> int:
+    return M.rref()[0].rows
+
+
 def rand_matrix(field, rows, cols, seed):
     rng = np.random.default_rng(seed)
     return GFMatrix(field, rng.integers(0, field.q, size=(rows, cols)))
 
 
 def test_identity_rank():
-    assert GFMatrix.identity(GF2, 5).rank() == 5
+    assert rank(GFMatrix.identity(GF2, 5)) == 5
 
 
 def test_zero_rank():
-    assert GFMatrix(GF3, np.zeros((3, 7), dtype=int)).rank() == 0
+    assert rank(GFMatrix(GF3, np.zeros((3, 7), dtype=int))) == 0
 
 
 def test_rank_matches_independent_oracle():
@@ -32,14 +36,14 @@ def test_rank_matches_independent_oracle():
         for seed in range(8):
             M = rand_matrix(field, 6, 6, seed)
             want = oracles.rank_naive(M.a.tolist(), field.p, field.l, field.modulus)
-            assert M.rank() == want, (field, seed)
+            assert rank(M) == want, (field, seed)
 
 
 def test_rank_of_transpose():
     for field in (GF2, GF3, GF4):
         for seed in range(10):
             M = rand_matrix(field, 7, 12, seed)
-            assert M.rank() == M.transpose().rank()
+            assert rank(M) == rank(M.transpose())
 
 
 @settings(max_examples=60, deadline=None)
@@ -48,7 +52,7 @@ def test_rank_of_transpose():
 def test_rank_nullity(q, rows, cols, seed):
     field = GF4 if q == 4 else Field(q)
     M = rand_matrix(field, rows, cols, seed)
-    assert M.rank() + M.null_space().rows == cols
+    assert rank(M) + M.null_space().rows == cols
 
 
 def test_gram_identity():
@@ -143,7 +147,7 @@ def test_null_space_identity():
 def test_null_space_zero():
     N = GFMatrix(GF2, np.zeros((2, 3), dtype=int)).null_space()
     assert N.rows == 3
-    assert N.rank() == 3
+    assert rank(N) == 3
 
 
 def test_null_space_is_kernel():
@@ -151,7 +155,7 @@ def test_null_space_is_kernel():
         for seed in range(6):
             M = rand_matrix(field, 5, 8, seed)
             N = M.null_space()
-            assert N.rows == 8 - M.rank()
+            assert N.rows == 8 - rank(M)
             if N.rows:
                 prod = M @ N.transpose()
                 assert prod == GFMatrix(field, np.zeros((5, N.rows), dtype=int))
@@ -178,7 +182,7 @@ def test_rref_invariant_under_invertible_row_operations(q, rows, cols, seed):
     R = np.triu(rng.integers(0, q, (rows, rows)), 1) + np.diag(rng.integers(1, q, rows))
     P = np.eye(rows, dtype=np.int64)[rng.permutation(rows)]
     U = GFMatrix(field, P) @ GFMatrix(field, L) @ GFMatrix(field, R)
-    assert U.rank() == rows
+    assert rank(U) == rows
     assert (U @ M).rref() == M.rref()
 
 
