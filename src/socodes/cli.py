@@ -39,6 +39,7 @@ from .groups import PermGroup, format_group_text, parse_group_text
 from .m11 import DEGREES, m11_degree
 from .matrices import GFMatrix
 from .orbitmat import build, fixed_split, format_orbit_matrix_text
+from .records import format_records
 from .tables import TABLES, check_table
 
 
@@ -194,13 +195,10 @@ def cmd_orbitmat(args) -> int:
     p = field_for_order(args.q).p
     alpha = _alpha_for(H, p)
     fs = fixed_split(D, H, p, alpha)
-    lines = [f"fixed-split p={p} alpha={alpha} f1={fs.f1} f2={fs.f2} "
-             f"n={fs.n} m={fs.m}",
-             f"OM1 {fs.f2} {fs.f1}"]
-    lines += [" ".join(str(x) for x in row) for row in fs.om1.tolist()]
-    lines.append(f"OM2 {fs.m} {fs.n}")
-    lines += [" ".join(str(x) for x in row) for row in fs.om2.tolist()]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(format_records([
+        (f"fixed-split p={p} alpha={alpha} f1={fs.f1} f2={fs.f2} n={fs.n} m={fs.m}",),
+        ("OM1", fs.f2, fs.f1), *fs.om1.tolist(),
+        ("OM2", fs.m, fs.n), *fs.om2.tolist()]), args.out)
     return 0
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import NotTransitive, PermGroup
+from .records import format_records, read_records
 
 
 class NonConstantBlockSize(ValueError):
@@ -237,26 +238,15 @@ def wso_search(G: PermGroup, alpha: int, p: int = 2) -> list:
 
 
 # ---------------------------------------------------------------------------
-# serialization: line 1 "v b", then b sorted index rows
+# serialization: header "v b", then b records of sorted point indices
 
 
 def format_design_text(D: Design) -> str:
-    lines = [f"{D.v} {D.b}"]
-    for blk in D.blocks:
-        lines.append(" ".join(str(x) for x in blk))
-    return "\n".join(lines) + "\n"
+    return format_records([(D.v, D.b), *D.blocks])
 
 
 def parse_design_text(text: str) -> Design:
-    lines = [ln for ln in text.splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise ValueError("empty design file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("header must be 'v b'")
-    v, b = int(head[0]), int(head[1])
-    if len(lines) - 1 != b:
-        raise ValueError(f"expected {b} block rows, found {len(lines) - 1}")
-    blocks = [tuple(int(x) for x in ln.split()) for ln in lines[1:]]
-    return Design(v, blocks)
+    (v, b), lines = read_records(text, "v b")
+    if len(lines) != b:
+        raise ValueError(f"expected {b} block rows, found {len(lines)}")
+    return Design(v, [map(int, line.split()) for line in lines])

@@ -27,6 +27,8 @@ from collections import Counter
 from itertools import combinations
 from math import comb, lcm
 
+from .records import format_records, read_records
+
 
 class OrderExceedsCap(RuntimeError):
     pass
@@ -317,9 +319,9 @@ class PermGroup:
 
 
 # ---------------------------------------------------------------------------
-# group file format: "degree n" (n >= 1), then one generator per non-comment
-# line, either 1-based cycle notation "(1,2,3)(4,5)" ("()" is the identity)
-# or "img: i1 i2 ... in"
+# group file format (record syntax in ``records``): header "degree n"
+# (n >= 1), then one generator per record, either 1-based cycle notation
+# "(1,2,3)(4,5)" ("()" is the identity) or "img: i1 i2 ... in"
 # ---------------------------------------------------------------------------
 
 def _parse_cycles(line: str, degree: int) -> Perm:
@@ -342,34 +344,15 @@ def _parse_cycles(line: str, degree: int) -> Perm:
 
 
 def parse_group_text(text: str) -> PermGroup:
-    degree = None
-    gens = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if degree is None:
-            head, val = line.split()
-            if head != "degree":
-                raise ValueError("group file must start with 'degree n'")
-            degree = int(val)
-            if degree < 1:
-                raise ValueError(f"degree {degree} is below 1")
-        elif line.startswith("img:"):
-            images = [int(t) - 1 for t in line[4:].split()]
-            gens.append(Perm(images))
-        else:
-            gens.append(_parse_cycles(line, degree))
-    if degree is None:
-        raise ValueError("empty group file")
-    return PermGroup(degree, gens)
+    (degree,), lines = read_records(text, "n", keyword="degree")
+    if degree < 1:
+        raise ValueError(f"degree {degree} is below 1")
+    return PermGroup(degree, [
+        Perm(int(t) - 1 for t in line[4:].split()) if line.startswith("img:")
+        else _parse_cycles(line, degree) for line in lines])
 
 
 def format_group_text(G: PermGroup, comment: str = "") -> str:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(f"degree {G.degree}")
-    for g in G.generators:
-        lines.append("img: " + " ".join(str(i + 1) for i in g.images))
-    return "\n".join(lines) + "\n"
+    head = [(f"# {comment}",)] if comment else []
+    return format_records(head + [("degree", G.degree)]
+                          + [("img:", *(i + 1 for i in g.images)) for g in G.generators])

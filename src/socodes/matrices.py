@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Field, SpecMismatch, field_for_order
+from .records import format_records, read_records
 
 
 def _scalar_code(field: Field, x) -> int:
@@ -137,23 +138,16 @@ class GFMatrix:
         q names the field: every GF(q) here is the one ``field_for_order(q)``
         returns, so ``from_text`` reads the matrix back unchanged.
         """
-        lines = [f"{self.rows} {self.cols} {self.field.q}"]
-        for row in self.a:
-            lines.append(" ".join(str(int(x)) for x in row))
-        return "\n".join(lines) + "\n"
+        return format_records([(self.rows, self.cols, self.field.q), *self.a.tolist()])
 
     @classmethod
     def from_text(cls, text: str) -> "GFMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-        if not lines:
-            raise ValueError("empty matrix text")
-        rows, cols, q = (int(t) for t in lines[0].split())
+        (rows, cols, q), lines = read_records(text, "rows cols q")
         field = field_for_order(q)
-        data = [[int(t) for t in ln.split()] for ln in lines[1:]]
+        data = [[int(t) for t in line.split()] for line in lines]
         if len(data) != rows or any(len(row) != cols for row in data):
             raise ValueError(f"expected {rows} rows of {cols} entries")
-        a = np.array(data, dtype=np.int64).reshape(rows, cols)
-        return cls(field, a)
+        return cls(field, np.array(data, dtype=np.int64).reshape(rows, cols))
 
 
 def bordered(M: GFMatrix, left=None, right=None) -> GFMatrix:

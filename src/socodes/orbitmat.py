@@ -21,6 +21,7 @@ import numpy as np
 
 from .designs import Design, validate
 from .groups import NotInvariant, Perm, PermGroup
+from .records import format_records
 
 
 class NotAnAutomorphismGroup(ValueError):
@@ -175,9 +176,6 @@ def fixed_split(D: Design, H: PermGroup, p: int, alpha: int) -> FixedSplit:
 def format_orbit_matrix_text(OM: OrbitMatrix) -> str:
     sizes = set(OM.point_orbit_sizes.tolist()) | set(OM.block_orbit_sizes.tolist())
     w = sizes.pop() if len(sizes) == 1 else 0
-    head = "{} {} {} | {} | {}".format(
-        OM.m, OM.n, w,
-        " ".join(map(str, OM.block_orbit_sizes.tolist())),
-        " ".join(map(str, OM.point_orbit_sizes.tolist())))
-    rows = [" ".join(map(str, row)) for row in OM.entries.tolist()]
-    return "\n".join([head] + rows) + "\n"
+    return format_records([(OM.m, OM.n, w, "|", *OM.block_orbit_sizes.tolist(),
+                             "|", *OM.point_orbit_sizes.tolist()),
+                           *OM.entries.tolist()])
