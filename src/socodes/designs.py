@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import NotTransitive, PermGroup
+from .groups import DEGREE_CAP, NotTransitive, PermGroup
 from .records import format_records, read_records
 
 
@@ -247,6 +247,8 @@ def format_design_text(D: Design) -> str:
 
 def parse_design_text(text: str) -> Design:
     (v, b), lines = read_records(text, "v b")
+    if v > DEGREE_CAP:
+        raise ValueError(f"{v} points exceed {DEGREE_CAP}")
     if len(lines) != b:
         raise ValueError(f"expected {b} block rows, found {len(lines)}")
     return Design(v, [map(int, line.split()) for line in lines])

@@ -62,6 +62,9 @@ class NotInvariant(ValueError):
 DEFAULT_CAP = 10 ** 6
 KSUBSET_CAP = 10 ** 5
 INDEX_CAP = 10 ** 4
+# the largest degree a group file may declare, and the most points a design
+# file may: every k-subset or coset action the caps above allow reads back
+DEGREE_CAP = KSUBSET_CAP
 
 
 class Perm:
@@ -308,10 +311,19 @@ class PermGroup:
     def squares_subgroup(self) -> "PermGroup":
         """Subgroup generated by the squares of all elements.
 
+        A square joins the generators only if those kept so far do not
+        already generate it.
+
         For a group with a unique subgroup of index 2 this is that subgroup
         (squares die in any C2 quotient, and what they generate is normal).
         """
-        return PermGroup(self.degree, sorted({g * g for g in self.elements}))
+        identity = Perm.identity(self.degree)
+        gens, generated = [], {identity}
+        for s in sorted({g * g for g in self.elements}):
+            if s not in generated:
+                gens.append(s)
+                generated = _closure(identity, gens, Perm.__mul__)
+        return PermGroup(self.degree, gens, _elements=tuple(sorted(generated)))
 
     def __repr__(self):
         n = len(self._elements) if self._elements is not None else "?"
@@ -347,6 +359,8 @@ def parse_group_text(text: str) -> PermGroup:
     (degree,), lines = read_records(text, "n", keyword="degree")
     if degree < 1:
         raise ValueError(f"degree {degree} is below 1")
+    if degree > DEGREE_CAP:
+        raise DegreeTooLarge(f"degree {degree} exceeds {DEGREE_CAP}")
     return PermGroup(degree, [
         Perm(int(t) - 1 for t in line[4:].split()) if line.startswith("img:")
         else _parse_cycles(line, degree) for line in lines])

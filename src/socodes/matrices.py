@@ -15,6 +15,11 @@ import numpy as np
 from .fields import Field, SpecMismatch, field_for_order
 from .records import format_records, read_records
 
+# the most columns a matrix file may declare, which matters when it has no
+# rows: above the b + v + 1 columns of any bordered incidence matrix the
+# group caps allow (b <= 10^6 blocks, v <= 10^5 points)
+COLS_CAP = 2 ** 21
+
 
 def _scalar_code(field: Field, x) -> int:
     x = int(x)
@@ -143,11 +148,15 @@ class GFMatrix:
     @classmethod
     def from_text(cls, text: str) -> "GFMatrix":
         (rows, cols, q), lines = read_records(text, "rows cols q")
-        field = field_for_order(q)
+        if not 0 <= cols <= COLS_CAP:
+            raise ValueError(f"{cols} columns outside 0..{COLS_CAP}")
         data = [[int(t) for t in line.split()] for line in lines]
         if len(data) != rows or any(len(row) != cols for row in data):
             raise ValueError(f"expected {rows} rows of {cols} entries")
-        return cls(field, np.array(data, dtype=np.int64).reshape(rows, cols))
+        # before numpy sees them: an int64 array cannot hold an entry past 2^63
+        if any(not 0 <= x < q for row in data for x in row):
+            raise ValueError(f"entries outside [0,{q})")
+        return cls(field_for_order(q), np.array(data, dtype=np.int64).reshape(rows, cols))
 
 
 def bordered(M: GFMatrix, left=None, right=None) -> GFMatrix:

@@ -267,28 +267,39 @@ def test_analyze_roundtrip(capsys, tmp_path, d2210):
     assert out.strip() == "[22,10,4]_2 SO=true SD=false"
 
 
+# headers with too few or too many tokens: the error names the header form
+BAD_MATRIX_HEADERS = ["1 1\n0\n", "1 1 2 7\n0\n"]
+BAD_GROUP_HEADERS = ["degree 3 4\n()\n", "(1,2)\n"]
+
+
 @pytest.mark.parametrize("text", ["2 3 2\n1 0 1 1 0 1\n",       # one wide row
                                   "1 3 2\n1 0 1\n1 1 1\n",      # an extra row
-                                  ""])
+                                  "",
+                                  *BAD_MATRIX_HEADERS])
 def test_analyze_rejects_malformed_matrix(capsys, tmp_path, text):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 1 and out == ""
     assert "bad matrix file" in err
+    if text in BAD_MATRIX_HEADERS:
+        assert "header must be 'rows cols q'" in err
 
 
 @pytest.mark.parametrize("text", ["degree 3\n(1,2)()\n",     # an empty cycle
                                   "degree 3\n(1,1)\n",        # a repeated point
                                   "degree 0\n()\n",
                                   "degree -2\n()\n",
-                                  "degree 0\n"])
+                                  "degree 0\n",
+                                  *BAD_GROUP_HEADERS])
 def test_group_info_rejects_malformed_group_file(capsys, tmp_path, text):
     path = tmp_path / "g.grp"
     path.write_text(text)
     code, out, err = run(capsys, "group", "info", str(path))
     assert code == 1 and out == ""
     assert "bad group file" in err
+    if text in BAD_GROUP_HEADERS:
+        assert "header must be 'degree n'" in err
 
 
 def test_group_info_identity_generator(capsys, tmp_path):

@@ -317,6 +317,14 @@ def test_coset_action_not_subgroup():
         G.coset_action(PermGroup(4, []))
 
 
+def test_squares_subgroup_keeps_few_generators():
+    # the A6 in M11's point stabilizer: each kept square is new to the
+    # closure of those before it, and the elements come with the group
+    H = m11().stabilizer(0).squares_subgroup()
+    assert H.order == 360 and len(H.generators) <= 4
+    assert H.elements == PermGroup(11, H.generators).elements
+
+
 def test_m11_degree22_action():
     G = m11()
     H = G.stabilizer(0).squares_subgroup()
@@ -382,6 +390,11 @@ def test_group_file_identity_is_empty_cycle():
     ("degree 3\n()(1,2)\n", "empty cycle"),
     ("degree 3\n(1,1)\n", "repeats a point"),
     ("degree 3\n(1,2,1)(3)\n", "repeats a point"),
+    ("degree 3 4\n()\n", "header must be 'degree n'"),
+    ("(1,2)\n", "header must be 'degree n'"),
+    ("", "header must be 'degree n'"),
+    ("Degree 3\n", "header must be 'degree n'"),
+    ("degree three\n", "header must be 'degree n'"),
 ])
 def test_group_file_rejects_malformed_cycles(text, message):
     with pytest.raises(ValueError, match=message):

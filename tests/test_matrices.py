@@ -211,6 +211,8 @@ def test_serialization_roundtrip():
     "1 3 2\n1 0 1\n1 1 1\n",        # a row past the header's count
     "2 3 2\n1 0 1\n",               # a missing row
     "# only a comment\n",
+    "1 1\n0\n",                    # a header with two tokens
+    "1 1 2 7\n0\n",                # a header with four tokens
 ])
 def test_from_text_rejects_shape_mismatch(text):
     with pytest.raises(ValueError):

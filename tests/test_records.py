@@ -1,0 +1,240 @@
+"""The record syntax shared by the group, design and matrix file formats,
+the size caps at that boundary, and the numeric CLI arguments.
+
+The properties draw numbers up to 2^64: every draw either parses (or runs)
+or raises ValueError / UsageError, never anything else, and writing then
+reading a valid object gives it back.
+"""
+
+import contextlib
+import io
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from strategies import small_transitive_groups
+from socodes import cli
+from socodes.designs import Design, format_design_text, parse_design_text
+from socodes.fields import ORDER_CAP, Field, field_for_order
+from socodes.groups import (DEGREE_CAP, INDEX_CAP, KSUBSET_CAP, DegreeTooLarge,
+                            format_group_text, parse_group_text)
+from socodes.matrices import COLS_CAP, GFMatrix
+from socodes.records import format_records, read_records
+
+BIG = 2 ** 64
+
+
+# ------------------------------------------------------------------ records
+
+def test_comment_starts_anywhere_and_blank_lines_are_skipped():
+    text = "# head\n\n 3 2 # v b\n   \n0 1 # a block\n#\n1 2\n"
+    assert read_records(text, "v b") == ([3, 2], ["0 1", "1 2"])
+
+
+@pytest.mark.parametrize("text", ["", "# nothing\n\n", "3\n", "3 2 1\n",
+                                  "3 x\n", "degree 3\n"])
+def test_header_of_another_shape_names_the_form(text):
+    with pytest.raises(ValueError, match="^header must be 'v b'$"):
+        read_records(text, "v b")
+
+
+def test_format_records_joins_values_by_spaces():
+    assert format_records([("degree", 3), ("img:", 2, 3, 1), ()]) == \
+        "degree 3\nimg: 2 3 1\n\n"
+
+
+def test_inline_comments_in_every_format():
+    assert parse_design_text("3 1 # v b\n0 1 # block\n") == Design(3, [(0, 1)])
+    M = GFMatrix.from_text("1 2 4 # rows cols q\n3 1 # row\n")
+    assert M.field == Field(2, 2) and M.a.tolist() == [[3, 1]]
+    G = parse_group_text("degree 3 # n\nimg:2 3 1 # no space after the colon\n"
+                         "(1 2 3) # spaces\n")
+    assert [g.images for g in G.generators] == [(1, 2, 0), (1, 2, 0)]
+
+
+# --------------------------------------------------------------------- caps
+
+def _rejected_fast(parse, text, match):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=match):
+        parse(text)
+    assert time.perf_counter() - start < 1
+
+
+def test_caps_reject_before_allocating():
+    _rejected_fast(GFMatrix.from_text, "1 1 4611686018427387847\n0\n", "exceeds")
+    _rejected_fast(GFMatrix.from_text, f"0 {COLS_CAP + 1} 2\n", "columns")
+    _rejected_fast(parse_group_text, "degree 100000000000\n()\n", "exceeds")
+    _rejected_fast(parse_design_text, "10000000000 1\n0\n", "points exceed")
+    _rejected_fast(field_for_order, 999983, "exceeds")
+    _rejected_fast(field_for_order, 2 ** 62 - 57, "exceeds")
+    with pytest.raises(DegreeTooLarge):
+        parse_group_text(f"degree {DEGREE_CAP + 1}\n")
+
+
+def test_caps_admit_what_the_cli_writes():
+    # k-subset and coset actions read back, up to their own caps
+    assert DEGREE_CAP >= max(KSUBSET_CAP, INDEX_CAP)
+    assert parse_group_text(f"degree {DEGREE_CAP}\n()\n").degree == DEGREE_CAP
+    assert parse_design_text(f"{DEGREE_CAP} 1\n0\n").v == DEGREE_CAP
+    # every shipped field, and the generator of the [331,165] code
+    assert field_for_order(61 ** 2).q == 3721 <= ORDER_CAP
+    rng = np.random.default_rng(0)
+    M = GFMatrix(Field(2), rng.integers(0, 2, (165, 331)))
+    assert GFMatrix.from_text(M.to_text()) == M
+    assert GFMatrix.from_text(f"0 {COLS_CAP} 2\n").cols == COLS_CAP
+
+
+def test_field_for_order_factors_by_least_prime():
+    assert [field_for_order(q).q for q in (2, 4, 9, 49, 121, 3721, 16381)] == \
+        [2, 4, 9, 49, 121, 3721, 16381]
+    for q in (-7, 0, 1, 6, 12, 3 * 3721):
+        with pytest.raises(ValueError, match="not a prime power"):
+            field_for_order(q)
+
+
+# --------------------------------------------------------------- properties
+
+NUMBERS = st.integers(-BIG, BIG)
+INTS = st.one_of(st.integers(-3, 12), NUMBERS)
+WORDS = st.one_of(INTS.map(str),
+                  st.sampled_from(["degree", "img:", "img:2", "()", "(1,2)", "(1,1)",
+                                   "#", "x", "|", "1.5", "-", "1_0"]))
+JUNK = st.lists(WORDS, max_size=5).map(" ".join)
+ORDERS = st.one_of(NUMBERS, st.sampled_from([2, 3, 4, 9, 49, 3721, ORDER_CAP]))
+
+
+def _mostly(draw, value, other):
+    """value three times in four, else a draw of other."""
+    return draw(other) if draw(st.integers(0, 3)) == 3 else value
+
+
+def _numbers(count):
+    return st.lists(INTS, min_size=count, max_size=count).map(
+        lambda xs: " ".join(map(str, xs)))
+
+
+@st.composite
+def _group_records(draw):
+    cycle = st.lists(INTS.map(str), max_size=3).map(",".join)
+    body = st.one_of(
+        st.just("()"),
+        st.integers(0, 5).flatmap(_numbers).map("img: ".__add__),
+        st.lists(cycle, min_size=1, max_size=3).map(
+            lambda cs: "".join(f"({c})" for c in cs)),
+        JUNK)
+    return f"degree {draw(INTS)}", draw(st.lists(body, max_size=4))
+
+
+@st.composite
+def _design_records(draw):
+    body = draw(st.lists(st.integers(0, 4).flatmap(_numbers), max_size=4))
+    b = _mostly(draw, len(body), INTS)
+    return f"{draw(INTS)} {b}", body
+
+
+@st.composite
+def _matrix_records(draw):
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    body = [draw(_numbers(cols)) for _ in range(rows)]
+    shape = [_mostly(draw, n, INTS) for n in (rows, cols)]
+    return f"{shape[0]} {shape[1]} {draw(ORDERS)}", body
+
+
+@st.composite
+def _texts(draw, records):
+    """Mostly well-formed files with numbers up to 2^64, some with a junk
+    header, all with comments and blank lines strewn in."""
+    head, body = draw(records)
+    lines = [_mostly(draw, head, JUNK), *body]
+    tails = st.sampled_from(["", "", " # c", "#", "\n", "\n# c\n"])
+    return "".join(line + draw(tails) + "\n" for line in lines)
+
+
+FORMATS = st.one_of(
+    st.tuples(st.just(parse_group_text), _texts(_group_records())),
+    st.tuples(st.just(parse_design_text), _texts(_design_records())),
+    st.tuples(st.just(GFMatrix.from_text), _texts(_matrix_records())),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(FORMATS)
+def test_every_text_parses_or_raises_value_error(case):
+    parse, text = case
+    try:
+        parse(text)
+    except ValueError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("numeric")
+    des = d / "two.des"
+    des.write_text("2 2\n0\n1\n")      # dimension-2 codes: cheap at any q
+    mat = d / "m.mat"
+    mat.write_text("2 4 3\n1 0 1 1\n0 1 1 2\n")
+    return str(des), str(mat)
+
+
+def _numeric_argvs(des, mat):
+    n = INTS.map(str)
+    return st.one_of(
+        st.tuples(st.just("group"), st.just("subsets"), st.just("m11:11"), n),
+        st.tuples(st.just("design"), st.just("build"), st.just("m11:11"),
+                  st.lists(n, max_size=3).map(",".join)),
+        st.tuples(st.just("design"), st.just("search"), st.just("m11:11"),
+                  st.just("--q"), n),
+        st.tuples(st.just("code"), st.just("from-design"), st.just(des),
+                  st.just("--q"), n, st.just("--budget"), n),
+        st.tuples(st.just("analyze"), st.just(mat), st.just("--budget"), n),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_numeric_arguments_run_or_raise_value_or_usage_error(small_files, data):
+    argv = list(data.draw(_numeric_argvs(*small_files)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            args = cli._build_parser().parse_args(argv)
+            args.func(args)
+        except (ValueError, cli.UsageError):
+            pass
+
+
+# ---------------------------------------------------------------- round trip
+
+COMMENTS = st.text(alphabet="abc #-:()0123456789", max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_transitive_groups(), COMMENTS)
+def test_group_text_round_trip(G, comment):
+    H = parse_group_text(format_group_text(G, comment))
+    assert (H.degree, H.generators) == (G.degree, G.generators)
+
+
+@st.composite
+def _designs(draw):
+    v = draw(st.integers(1, 8))
+    blocks = draw(st.lists(st.sets(st.integers(0, v - 1), min_size=1), max_size=6))
+    return Design(v, blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_designs())
+def test_design_text_round_trip(D):
+    assert parse_design_text(format_design_text(D)) == D
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4, 9, 25, 49]), st.integers(0, 4), st.integers(1, 5),
+       st.integers(0, 2 ** 32 - 1))
+def test_matrix_text_round_trip(q, rows, cols, seed):
+    F = field_for_order(q)
+    M = GFMatrix(F, np.random.default_rng(seed).integers(0, q, (rows, cols)))
+    assert GFMatrix.from_text(M.to_text()) == M
