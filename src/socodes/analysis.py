@@ -1,48 +1,55 @@
 """Linear-code analytics at desk scale.
 
 A LinearCode is the row space of a generator matrix over a finite field.
-Minimum distance and weight spectra are computed by exhaustive enumeration
-under a codeword-count budget: if q^k fits the budget the answer is Exact,
-beyond it Unknown. No probabilistic shortcuts, so every reported distance
-is a certificate.
+``min_distance`` certifies its minimum weight by Brouwer-Zimmermann
+enumeration (Zimmermann, 1996; Grassl, "Searching for linear codes with
+large minimum distance", 2006). The budget still counts q^k: if q^k fits
+it, the answer is Exact, else Unknown. No probabilistic shortcuts, so every
+reported distance is a certificate.
 
-Both enumerations meet in the middle: the RREF basis is split into a top
-and a bottom half, each half gives a table of codewords, and each pair of
-rows, one from either table, is one codeword. Scalar multiples of a
-codeword have the same weight, so only one nonzero codeword per projective
-point, (q^k - 1)/(q - 1) in all, is visited; the budget still counts q^k:
-
-* Over GF(2) every nonzero codeword is its own point. Codewords are packed
-  into 64-bit words, the two halves are subset-XOR tables, and weights are
-  vectorized popcounts of their pairwise XORs, which keeps k=28 under a few
-  seconds.
-* Over GF(q), q > 2, the top table holds, for each top row r_j,
-  r_j + span(top rows after j): the top combinations whose leading
-  coefficient is 1. The bottom table is span(bottom rows). A span holds
-  the negative of each of its words, so the pairs a - b cover the same
-  codewords as the pairs a + b; a - b is zero at t exactly when
-  a[t] == b[t], so its weight is a count of unequal element codes, with no
-  field arithmetic per pair. The words whose top part is zero are the
-  leading-coefficient-1 words of the bottom span. A span grows by one
-  row r per step: one call each of the field's ``mul`` and ``add`` forms
-  c*r + S for all q scalars c at once.
+* Information sets. Row-reducing the basis on the columns not yet used as
+  pivots, ``[G_rest | G]`` in one call, gives generator matrices G_1, G_2,
+  ... of the same code, G_j the identity on its own pivot columns I_j and
+  of rank r_j = |I_j| there. The I_j are disjoint and r_1 = k; the sets
+  stop when no remaining column adds rank.
+* Enumeration. For w = 1, 2, ... every message of weight w is encoded
+  against each G_j with ``Field.dot``, in chunks of at most ``_CHUNK``
+  codeword entries. Over GF(q), q > 2, only messages whose first nonzero
+  coefficient is 1 are encoded: a scalar multiple has the same weight, so
+  there is one message per projective point. The lightest word seen is
+  kept; U is its weight.
+* Lower bound. A word not yet seen has a message of weight above w on
+  every G_j enumerated through weight w. On I_j it then has weight at
+  least w + 1 - (k - r_j), because only the k - r_j rows off I_j can
+  cancel there, and the I_j are disjoint, so its weight is at least
+  L = sum_j max(0, w + 1 - (k - r_j)). The bound is re-read after each
+  G_j, where a G_j not yet through weight w counts w in place of w + 1.
+  A G_j adds nothing before w = k - r_j, so it joins the enumeration only
+  then and catches up on the lighter weights; each set is formed only when
+  the one before it joins. Enumeration stops when L >= U, or when G_1 has
+  encoded every message at w = k.
+* Parity. Over GF(2), L rounds up to an even number if every basis row
+  has even weight, and up to a multiple of 4 if every row weight is 0 mod
+  4 and the Gram matrix is zero (then the code is doubly even). Both are
+  checked on the code, not assumed.
+* Witness. Before Exact(d) is returned, the kept word is re-checked: its
+  weight is d, and stacking it under the basis leaves the row space
+  unchanged. It stays on the code as ``LinearCode.witness``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 from .matrices import GFMatrix
 
 DEFAULT_BUDGET = 2 ** 26
-# element-code comparisons per chunk of the GF(q) pair loop (bytes of scratch)
-_CHUNK = 1 << 20
-
-
-class BudgetExceeded(RuntimeError):
-    pass
+# codeword entries per chunk of encoded messages
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -69,15 +76,17 @@ class Unknown:
 
 class LinearCode:
     """Row space of a generator matrix; d starts Unknown and is promoted to
-    Exact by min_distance."""
+    Exact by min_distance, which keeps a 1 x n codeword of weight d as the
+    witness."""
 
-    __slots__ = ("field", "generator", "d", "_basis")
+    __slots__ = ("field", "generator", "d", "witness", "_echelon")
 
     def __init__(self, generator: GFMatrix):
         self.field = generator.field
         self.generator = generator
         self.d = Unknown()
-        self._basis = None
+        self.witness = None
+        self._echelon = None
 
     @property
     def n(self) -> int:
@@ -85,9 +94,13 @@ class LinearCode:
 
     def basis(self) -> GFMatrix:
         """Canonical (RREF) basis of the row space."""
-        if self._basis is None:
-            self._basis = self.generator.rref()[0]
-        return self._basis
+        return self._rref()[0]
+
+    def _rref(self):
+        """The RREF basis and its pivot columns, computed once."""
+        if self._echelon is None:
+            self._echelon = self.generator.rref()
+        return self._echelon
 
     @property
     def k(self) -> int:
@@ -110,86 +123,107 @@ def is_self_dual(C: LinearCode) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration
+# Brouwer-Zimmermann enumeration
 
 
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack 0/1 rows into uint64 words (bit order irrelevant to popcounts)."""
-    k, n = bits.shape
-    words = max(1, (n + 63) // 64)
-    padded = np.zeros((k, words * 64), dtype=np.uint8)
-    padded[:, :n] = bits.astype(np.uint8)
-    return np.packbits(padded, axis=1).view(np.uint64)
+def _information_sets(C: LinearCode):
+    """Yield (G_j, r_j) for disjoint information sets, ranks never rising;
+    G_1 is the RREF basis."""
+    B, pivots = C._rref()
+    yield B.a, len(pivots)
+    rest = sorted(set(range(C.n)) - set(pivots))
+    while rest:
+        R, piv = GFMatrix(C.field, np.hstack([B.a[:, rest], B.a])).rref()
+        r = bisect_left(piv, len(rest))
+        if r == 0:
+            return
+        yield R.a[:, len(rest):], r
+        used = {rest[c] for c in piv[:r]}
+        rest = [c for c in rest if c not in used]
 
 
-def _subset_xor_table(rows: np.ndarray) -> np.ndarray:
-    table = np.zeros((1, rows.shape[1]), dtype=np.uint64)
-    for r in rows:
-        table = np.vstack([table, table ^ r])
-    return table
+def _messages(k: int, w: int, q: int, rows: int):
+    """The messages of weight w whose first nonzero coefficient is 1, as
+    (m, k) code arrays of at most ``rows`` messages each."""
+    patterns = (q - 1) ** (w - 1)   # coefficients after the leading 1
+    place = (q - 1) ** np.arange(w - 1)
+    per = max(1, rows // patterns)   # supports per chunk
+    supports = combinations(range(k), w)
+    while True:
+        sup = np.fromiter(chain.from_iterable(islice(supports, per)), np.int64)
+        if not sup.size:
+            return
+        sup = sup.reshape(-1, 1, w)
+        for start in range(0, patterns, rows):
+            t = np.arange(start, min(patterns, start + rows))
+            coef = np.ones((t.size, w), dtype=np.int64)
+            coef[:, 1:] = t[:, None] // place % (q - 1) + 1
+            m = np.zeros((sup.shape[0], t.size, k), dtype=np.int64)
+            np.put_along_axis(m, np.broadcast_to(sup, m.shape[:2] + (w,)),
+                              np.broadcast_to(coef, m.shape[:2] + (w,)), axis=2)
+            yield m.reshape(-1, k)
 
 
-def _gf2_halves(basis: GFMatrix):
-    packed = _pack_rows(basis.a)
-    k1 = basis.rows // 2
-    return _subset_xor_table(packed[:k1]), _subset_xor_table(packed[k1:])
+def _divisor(B: GFMatrix) -> int:
+    """4, 2 or 1: a number that the code shows divides every weight."""
+    if B.field.q != 2:
+        return 1
+    weights = np.count_nonzero(B.a, axis=1)
+    if (weights % 2).any():
+        return 1
+    if (weights % 4).any() or not B.gram().is_zero():
+        return 2
+    return 4
 
 
-def _leading_one(F, rows: np.ndarray):
-    """(P, S): S = span(rows), and P holds the words of S whose first
-    nonzero coefficient is 1, one per projective point of S."""
-    dtype = np.min_scalar_type(F.q - 1)
-    scalars = np.arange(F.q)[:, None, None]
-    S = np.zeros((1, rows.shape[1]), dtype=dtype)
-    points = [S[:0]]
-    for r in rows[::-1]:
-        sums = F.add(F.mul(scalars, r), S).astype(dtype)  # sums[c] = c*r + S
-        points.append(sums[1])
-        S = sums.reshape(-1, rows.shape[1])
-    return np.concatenate(points), S
+def _lightest_word(C: LinearCode):
+    """(d, a nonzero codeword of weight d), d the minimum weight."""
+    F, k = C.field, C.k
+    divisor = _divisor(C.basis())
+    rows = max(1, _CHUNK // C.n)
+    best, lightest = C.n + 1, None
 
+    def encode(G, w):
+        nonlocal best, lightest
+        for msgs in _messages(k, w, F.q, rows):
+            words = F.dot(msgs, G)
+            weights = np.count_nonzero(words, axis=1)
+            i = int(weights.argmin())
+            if weights[i] < best:
+                best, lightest = int(weights[i]), words[i]
 
-def _point_weights(C: LinearCode):
-    """Yield weight vectors that together cover one nonzero codeword of
-    each projective point of C exactly once."""
-    basis = C.basis()
-    if C.field.q == 2:
-        A, B = _gf2_halves(basis)
-        for i in range(A.shape[0]):
-            w = np.bitwise_count(A[i] ^ B).sum(axis=1, dtype=np.int64)
-            yield w[1:] if i == 0 else w  # A[0] ^ B[0] is the zero word
-        return
-    top = (basis.rows + 1) // 2
-    A, _ = _leading_one(C.field, basis.a[:top])
-    bottom_points, B = _leading_one(C.field, basis.a[top:])
-    yield np.count_nonzero(bottom_points, axis=1)
-    step = max(1, _CHUNK // B.size)
-    for i in range(0, A.shape[0], step):
-        yield np.count_nonzero(A[i:i + step, None, :] != B, axis=2).ravel()
+    # G_j adds nothing to the bound before w = k - r_j, so it joins then and
+    # catches up on the lighter weights; ranks never rise, so only the next
+    # set can be due
+    sets, active = _information_sets(C), []
+    waiting = next(sets)
+    for w in range(1, k + 1):
+        while waiting is not None and k - waiting[1] <= w:
+            for v in range(1, w):
+                encode(waiting[0], v)
+            active.append(waiting)
+            waiting = next(sets, None)
+        for j, (G, _) in enumerate(active):
+            encode(G, w)
+            bound = sum(max(0, w + (i <= j) - (k - r)) for i, (_, r) in enumerate(active))
+            if -(-bound // divisor) * divisor >= best or w == k:
+                return best, lightest
+    raise AssertionError("unreachable: w = k visits every message")
 
 
 def min_distance(C: LinearCode, budget: int = DEFAULT_BUDGET):
-    """Exact minimum weight if q^k fits the budget, else Unknown."""
+    """Exact minimum weight if q^k fits the budget, else Unknown. An Exact
+    result keeps a re-checked codeword of that weight in C.witness."""
     if C.k == 0:
         raise ValueError("minimum distance of the zero code is undefined")
     if isinstance(C.d, Exact):
         return C.d
     if C.field.q ** C.k > budget:
         return Unknown()
-    C.d = Exact(min(int(w.min()) for w in _point_weights(C) if w.size))
+    d, word = _lightest_word(C)
+    B = C.basis()
+    if (np.count_nonzero(word) != d
+            or not B.row_space_equals(GFMatrix(C.field, np.vstack([B.a, word])))):
+        raise AssertionError(f"witness of weight {d} fails its re-check")
+    C.witness, C.d = GFMatrix(C.field, word[None, :]), Exact(d)
     return C.d
-
-
-def weight_distribution(C: LinearCode, budget: int = DEFAULT_BUDGET) -> dict:
-    """Full weight spectrum {weight: count}; counts sum to q^k."""
-    if C.field.q ** C.k > budget:
-        raise BudgetExceeded(
-            f"q^k = {C.field.q}^{C.k} exceeds budget {budget}")
-    if C.k == 0:
-        return {0: 1}
-    hist = np.zeros(C.n + 1, dtype=np.int64)
-    for w in _point_weights(C):
-        hist += np.bincount(w, minlength=C.n + 1)
-    hist *= C.field.q - 1  # the nonzero multiples of each point
-    hist[0] = 1
-    return {int(i): int(c) for i, c in enumerate(hist) if c}

@@ -34,7 +34,7 @@ from .designs import (
     wso_search,
     stabilizer_orbits,
 )
-from .fields import field_for_order
+from .fields import prime_power
 from .groups import PermGroup, format_group_text, parse_group_text
 from .m11 import DEGREES, m11_degree
 from .matrices import GFMatrix
@@ -135,7 +135,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_design(args) -> int:
-    p = field_for_order(args.q).p
+    p = prime_power(args.q)[0]
     if args.action == "search":
         G = _load_group_arg(args.group)
         for hit in wso_search(G, 0, p):
@@ -192,13 +192,14 @@ def cmd_orbitmat(args) -> int:
         _emit(format_orbit_matrix_text(OM), args.out)
         return 0
     # split
-    p = field_for_order(args.q).p
+    p = prime_power(args.q)[0]
     alpha = _alpha_for(H, p)
     fs = fixed_split(D, H, p, alpha)
+    # a part with no columns is its header alone: its rows would be blank
     _emit(format_records([
         (f"fixed-split p={p} alpha={alpha} f1={fs.f1} f2={fs.f2} n={fs.n} m={fs.m}",),
-        ("OM1", fs.f2, fs.f1), *fs.om1.tolist(),
-        ("OM2", fs.m, fs.n), *fs.om2.tolist()]), args.out)
+        ("OM1", fs.f2, fs.f1), *(fs.om1.tolist() if fs.f1 else ()),
+        ("OM2", fs.m, fs.n), *(fs.om2.tolist() if fs.n else ())]), args.out)
     return 0
 
 
@@ -229,7 +230,7 @@ def cmd_code(args) -> int:
         elif q == 2:
             reps = list(from_fixed_split_binary(D, H, theorem=args.theorem))
         else:
-            alpha = _alpha_for(H, field_for_order(q).p)
+            alpha = _alpha_for(H, prime_power(q)[0])
             reps = list(from_fixed_split_q(D, H, q, alpha,
                                            theorem=args.theorem))
     prefixes = [""] if len(reps) == 1 else ["OM1 ", "OM2 "]

@@ -180,8 +180,13 @@ class Field:
     # -- scalar/array plumbing ----------------------------------------------
 
     def _codes(self, x):
+        if isinstance(x, int):     # a plain scalar needs no array round trip
+            if not 0 <= x < self.q:
+                raise ValueError(f"element code out of range [0,{self.q})")
+            return x
         a = np.asarray(x, dtype=np.int64)
-        if a.size and (a.min() < 0 or a.max() >= self.q):
+        # read unsigned, a negative code is at least 2^63: one max checks both ends
+        if a.size and a.view(np.uint64).max() >= self.q:
             raise ValueError(f"element code out of range [0,{self.q})")
         return a
 
@@ -264,9 +269,8 @@ class Field:
         return field_for_order(self.q ** 2)
 
 
-@cache
-def field_for_order(q: int) -> Field:
-    """GF(q) for a prime power q up to ORDER_CAP, built once per order."""
+def prime_power(q: int) -> tuple:
+    """(p, l) with q = p^l, for a prime power q up to ORDER_CAP."""
     if q > ORDER_CAP:
         raise ValueError(f"field order {q} exceeds {ORDER_CAP}")
     if q >= 2:
@@ -274,5 +278,11 @@ def field_for_order(q: int) -> Field:
         while p ** l < q:
             l += 1
         if p ** l == q:
-            return Field(p, l)
+            return p, l
     raise ValueError(f"{q} is not a prime power")
+
+
+@cache
+def field_for_order(q: int) -> Field:
+    """GF(q) for a prime power q up to ORDER_CAP, built once per order."""
+    return Field(*prime_power(q))

@@ -367,6 +367,6 @@ def parse_group_text(text: str) -> PermGroup:
 
 
 def format_group_text(G: PermGroup, comment: str = "") -> str:
-    head = [(f"# {comment}",)] if comment else []
+    head = [(f"# {line}",) for line in comment.splitlines()]
     return format_records(head + [("degree", G.degree)]
                           + [("img:", *(i + 1 for i in g.images)) for g in G.generators])

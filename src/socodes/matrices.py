@@ -102,20 +102,21 @@ class GFMatrix:
         for c in range(self.cols):
             if r == self.rows:
                 break
-            nzrows = np.nonzero(R[r:, c])[0]
+            nzrows = np.flatnonzero(R[r:, c])
             if nzrows.size == 0:
                 continue
-            pr = r + int(nzrows[0])
-            if pr != r:
+            if nzrows[0]:
+                pr = r + int(nzrows[0])
                 R[[r, pr]] = R[[pr, r]]
-            R[r] = F.mul(R[r], np.int64(F.inv(int(R[r, c]))))
-            col = R[:, c].copy()
-            col[r] = 0
-            rows_to_clear = np.nonzero(col)[0]
+            lead = int(R[r, c])
+            if lead != 1:
+                R[r] = F.mul(R[r], F.inv(lead))
+            rows_to_clear = np.flatnonzero(R[:, c])
+            rows_to_clear = rows_to_clear[rows_to_clear != r]
             if rows_to_clear.size:
                 # x - c*r as x + (-c)*r: negate the column, not the product
                 R[rows_to_clear] = F.add(R[rows_to_clear],
-                                         F.mul(F.neg(col[rows_to_clear, None]), R[r]))
+                                         F.mul(F.neg(R[rows_to_clear, c, None]), R[r]))
             pivots.append(c)
             r += 1
         return GFMatrix(F, R[:r]), tuple(pivots)

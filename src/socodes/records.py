@@ -28,5 +28,13 @@ def read_records(text: str, form: str, keyword: str = "") -> tuple:
 
 
 def format_records(records) -> str:
-    """One line per record, its values joined by single spaces."""
-    return "".join(" ".join(map(str, r)) + "\n" for r in records)
+    """One line per record, its values joined by single spaces.
+
+    An empty record is a ValueError: its blank line would read back as no
+    record at all.
+    """
+    lines = [" ".join(map(str, r)) for r in records]
+    for i, line in enumerate(lines):
+        if not line.strip():
+            raise ValueError(f"record {i} is empty and would be skipped on reading")
+    return "".join(line + "\n" for line in lines)

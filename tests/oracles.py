@@ -165,7 +165,7 @@ def gram_naive(rows, p, l, modulus):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive minimum distance / weight spectrum by message enumeration
+# exhaustive minimum distance by message enumeration
 # ---------------------------------------------------------------------------
 
 def min_distance_naive(gen_rows, p, l, modulus):
@@ -188,24 +188,6 @@ def min_distance_naive(gen_rows, p, l, modulus):
         if best is None or w < best:
             best = w
     return best
-
-
-def weight_spectrum_naive(gen_rows, p, l, modulus):
-    q = p ** l
-    k = len(gen_rows)
-    n = len(gen_rows[0]) if k else 0
-    hist = {}
-    for msg in product(range(q), repeat=k):
-        word = [0] * n
-        for m, row in zip(msg, gen_rows):
-            if m == 0:
-                continue
-            for j in range(n):
-                if row[j]:
-                    word[j] = field_add_naive(word[j], field_mul_naive(m, row[j], p, l, modulus), p, l)
-        w = sum(1 for x in word if x)
-        hist[w] = hist.get(w, 0) + 1
-    return hist
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,14 @@
-"""Linear-code analytics: parameters, minimum distance, weight spectra,
-self-orthogonality and self-duality."""
+"""Linear-code analytics: parameters, certified minimum distance with its
+witness, self-orthogonality and self-duality."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from socodes import analysis, constructions
 from socodes.analysis import (
-    BudgetExceeded,
     Exact,
     LinearCode,
     LowerBound,
@@ -18,7 +17,6 @@ from socodes.analysis import (
     is_self_dual,
     is_self_orthogonal,
     min_distance,
-    weight_distribution,
 )
 from socodes.designs import from_group_action, wso_search
 from socodes.fields import Field
@@ -26,13 +24,13 @@ from socodes.groups import PermGroup
 from socodes.m11 import m11_degree
 from socodes.matrices import GFMatrix
 
-from oracles import min_distance_naive, weight_spectrum_naive
+from oracles import min_distance_naive, rank_naive
 
 GF2 = Field(2)
 GF3 = Field(3)
 GF4 = Field(2, 2)
 GF9 = Field(3, 2)
-GF25 = Field(5, 2)
+GF5 = Field(5)
 
 # extended Hamming [8,4,4], self-dual
 H8 = GFMatrix(GF2, [
@@ -114,63 +112,121 @@ def test_min_distance_matches_naive_gf3_gf4_gf9():
             assert min_distance(C) == Exact(expect)
 
 
-def test_weight_distribution_zero_code():
-    C = code(GFMatrix(GF2, np.zeros((2, 5), dtype=int)))
-    assert weight_distribution(C) == {0: 1}
-
-
-def test_weight_distribution_frozen_small():
+def test_min_distance_frozen_small():
     C = code(GFMatrix(GF2, [[1, 1, 1, 1, 0, 0], [0, 0, 1, 1, 1, 1]]))
-    assert weight_distribution(C) == {0: 1, 4: 3}
+    assert min_distance(C) == Exact(4)
+    assert np.count_nonzero(C.witness.a) == 4
 
 
-def test_weight_distribution_matches_naive():
-    rng = np.random.default_rng(3)
-    for F in (GF2, GF3, GF4):
-        M = GFMatrix(F, rng.integers(0, F.q, size=(3, 6)))
-        C = code(M)
-        rows = C.basis().a.tolist()
-        expect = weight_spectrum_naive(rows, F.p, F.l, F.modulus)
-        got = weight_distribution(C)
-        assert got == expect
-        assert sum(got.values()) == F.q ** C.k
+def test_min_distance_keeps_a_witness():
+    C = code(H8)
+    assert C.witness is None
+    assert min_distance(C) == Exact(4)
+    assert C.witness.field == GF2 and C.witness.rows == 1
+    assert np.count_nonzero(C.witness.a) == 4
+    assert C.basis().row_space_equals(GFMatrix(GF2, np.vstack([H8.a, C.witness.a])))
+    witness = C.witness
+    assert min_distance(C) == Exact(4) and C.witness is witness
+    assert repr(Exact(4)) == "Exact(value=4)" and str(Exact(4)) == "4"
+
+
+def test_min_distance_stops_once_the_bound_reaches_the_lightest_word():
+    """[I | I | I] over GF(2), k = 4, has d = 3 and three information sets
+    of rank 4. After the weight-1 messages on G_1 alone the bound is
+    (1 + 1) + 1 + 1 = 4 >= 3, so exactly k = 4 messages are encoded."""
+    C = code(GFMatrix(GF2, np.hstack([np.eye(4, dtype=int)] * 3)))
+    encoded = []
+    messages = analysis._messages
+
+    def counted(*args):
+        for chunk in messages(*args):
+            encoded.append(len(chunk))
+            yield chunk
+
+    with mock.patch.object(analysis, "_messages", counted):
+        assert min_distance(C) == Exact(3)
+    assert sum(encoded) == 4
+
+
+def test_min_distance_over_budget_keeps_no_witness():
+    C = code(GFMatrix.identity(GF3, 5))
+    assert min_distance(C, budget=3 ** 5 - 1) == Unknown()
+    assert C.witness is None and C.d == Unknown()
+
+
+def _weight4_rows(draw, k, n):
+    """k binary rows, each of weight 0 or 4 (no orthogonality implied)."""
+    rows = []
+    for _ in range(k):
+        row = [0] * n
+        if n >= 4 and draw(st.booleans()):
+            for c in draw(st.permutations(range(n)))[:4]:
+                row[c] = 1
+        rows.append(row)
+    return rows
 
 
 @st.composite
-def small_generators(draw):
-    """Generators over GF(2), GF(3), GF(4), GF(5), GF(9) or GF(25) with at
-    most 8 columns and at most 4 drawn rows (fewer where q^4 would make the
-    pure-Python oracles slow), sometimes followed by a combination of the
-    drawn rows."""
-    F = draw(st.sampled_from((GF2, GF3, GF4, Field(5), GF9, GF25)))
-    k = draw(st.integers(1, max(j for j in range(1, 5) if F.q ** j <= 729)))
-    n = draw(st.integers(1, 8))
+def distance_cases(draw):
+    """Generators over GF(2), GF(3), GF(4), GF(5) or GF(9) with q^k small
+    enough for the pure-Python oracle, drawn to reach every branch of the
+    enumeration: rank-deficient generators (a dependent or zero row), zero
+    and repeated columns (rank-deficient information sets), and odd, even,
+    doubly-even and weight-4-but-not-orthogonal binary codes."""
+    F = draw(st.sampled_from((GF2, GF3, GF4, GF5, GF9)))
+    kmax = max(j for j in range(1, 8) if F.q ** j <= 729)
+    k = draw(st.integers(1, kmax))
+    n = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(("random", "even", "doubly-even", "weight-4"))
+                if F.q == 2 else st.just("random"))
     cell = st.integers(0, F.q - 1)
-    M = GFMatrix(F, draw(st.lists(st.lists(cell, min_size=n, max_size=n),
-                                  min_size=k, max_size=k)))
+    if kind == "doubly-even":
+        # combinations of the self-dual doubly-even [8,4,4], columns shuffled
+        combos = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4),
+                                        min_size=k, max_size=k)))
+        rows = (combos @ H8.a % 2)[:, draw(st.permutations(range(8)))]
+    elif kind == "weight-4":
+        rows = np.array(_weight4_rows(draw, k, max(n, 4)))
+    else:
+        rows = np.array(draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                      min_size=k, max_size=k)))
+    if kind == "even":
+        rows = np.hstack([rows, rows.sum(axis=1, keepdims=True) % 2])
+    # repeated columns, then zero columns, in random positions
+    repeats = draw(st.lists(st.integers(0, rows.shape[1] - 1), max_size=4))
+    rows = np.hstack([rows, rows[:, repeats], np.zeros((k, draw(st.integers(0, 2))), int)])
+    rows = rows[:, draw(st.permutations(range(rows.shape[1])))]
     if draw(st.booleans()):
-        c = GFMatrix(F, [draw(st.lists(cell, min_size=k, max_size=k))])
-        M = GFMatrix(F, np.vstack([M.a, (c @ M).a]))
-    return M
+        extra = np.array([draw(st.lists(cell, min_size=k, max_size=k))])
+        rows = np.vstack([rows, F.dot(extra, rows)])
+    return GFMatrix(F, rows)
 
 
-@settings(max_examples=80, deadline=None)
-@given(small_generators(), st.integers(1, 1000))
-def test_projective_enumeration_matches_naive(M, chunk):
-    """Each projective point is visited exactly once, for any chunking of
-    the GF(q) pair loop."""
+@settings(max_examples=200, deadline=None)
+@given(distance_cases(), st.integers(1, 1000))
+# d = 2, found on G_2 of rank 1: the bound may neither run a weight ahead
+# nor count G_2 as rank 2
+@example(GFMatrix(GF2, [[1, 1, 0, 0], [0, 1, 1, 1]]), 1000)
+# d = 3 in a code with a weight-3 row: no rounding up to even
+@example(GFMatrix(GF2, [[1, 1, 0, 1, 0, 0], [0, 1, 1, 0, 1, 1]]), 1000)
+# d = 2, basis rows of weight 4 that are not orthogonal: no rounding to 4
+@example(GFMatrix(GF2, [[0, 1, 1, 1, 1], [1, 1, 0, 0, 0]]), 1000)
+def test_min_distance_matches_naive_any_chunk(M, chunk):
+    """The certified distance equals the oracle's for any chunking, and its
+    witness has that weight and lies in the row space."""
     C = code(M)
     F = C.field
     if C.k == 0:
-        assert weight_distribution(C) == {0: 1}
+        with pytest.raises(ValueError):
+            min_distance(C)
         return
     with mock.patch.object(analysis, "_CHUNK", chunk):
-        spectrum = weight_distribution(C)
         d = min_distance(C)
     rows = C.basis().a.tolist()
-    assert spectrum == weight_spectrum_naive(rows, F.p, F.l, F.modulus)
-    assert all(count % (F.q - 1) == 0 for w, count in spectrum.items() if w)
     assert d == Exact(min_distance_naive(rows, F.p, F.l, F.modulus))
+    word = C.witness.a.tolist()[0]
+    assert sum(1 for x in word if x) == d.value
+    assert rank_naive(rows + [word], F.p, F.l, F.modulus) == C.k
 
 
 # display(rep.code) of the incidence, orbit-matrix (<11-cycle>) and fixed-split
@@ -224,16 +280,16 @@ def test_m11_22_odd_q_displays_pinned():
     assert got == M11_22_ODD_DISPLAYS
 
 
-def test_weight_distribution_budget():
-    C = code(GFMatrix.identity(GF2, 10))
-    with pytest.raises(BudgetExceeded):
-        weight_distribution(C, budget=2 ** 9)
+def test_min_distance_budget_counts_q_to_the_k():
+    C = code(GFMatrix.identity(GF3, 6))
+    assert min_distance(C, budget=3 ** 6 - 1) == Unknown()
+    assert min_distance(C, budget=3 ** 6) == Exact(1)
 
 
-def test_weight_distribution_row_space_invariant():
+def test_min_distance_row_space_invariant():
     M = GFMatrix(GF3, [[1, 2, 0, 1], [2, 1, 0, 2], [0, 1, 1, 1]])
     R = M.rref()[0]
-    assert weight_distribution(code(M)) == weight_distribution(code(R))
+    assert min_distance(code(M)) == min_distance(code(R)) == Exact(3)
 
 
 def test_self_orthogonal_and_dual_flags():

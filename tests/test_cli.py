@@ -4,8 +4,11 @@ Commands run in-process through main(argv) so exit codes and stdout are
 asserted directly; the M11 action cache makes repeated pipeline runs cheap.
 """
 
+from unittest import mock
+
 import pytest
 
+from socodes import fields
 from socodes.cli import main
 from socodes.matrices import GFMatrix
 
@@ -144,6 +147,19 @@ def test_design_search_degree_22(capsys):
     assert "Case3 1-(22,21,21) b=22" in out
 
 
+def test_design_and_orbitmat_read_p_without_building_a_field(capsys, c6_files,
+                                                             d2210, inv22):
+    """Only the characteristic is needed, so GF(2^14) is never built."""
+    _, des = c6_files
+    before = fields.field_for_order.cache_info()
+    with mock.patch.object(fields, "Field", side_effect=AssertionError("built")):
+        assert run(capsys, "design", "search", "m11:11", "--q", "16384")[0] == 0
+        assert run(capsys, "design", "classify", des, "--q", "16384")[0] == 0
+        assert run(capsys, "orbitmat", "split", d2210, inv22, "--q", "16384")[0] == 0
+    after = fields.field_for_order.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 def test_design_classify_constant_and_not(capsys, tmp_path, c6_files):
     _, des = c6_files
     code, out, _ = run(capsys, "design", "classify", des)
@@ -244,6 +260,18 @@ def test_orbitmat_build_and_split(capsys, tmp_path, d2210, inv22):
     assert lines[0] == "fixed-split p=2 alpha=1 f1=6 f2=3 n=8 m=4"
     assert lines[1] == "OM1 3 6"
     assert lines[5] == "OM2 4 8"
+
+
+def test_orbitmat_split_without_fixed_points_writes_no_blank_rows(capsys, tmp_path,
+                                                                   c6_files):
+    # <(1 3 5)(2 4 6)> fixes both blocks of six.des and no point: OM1 is 2x0
+    _, des = c6_files
+    grp = tmp_path / "c3.grp"
+    grp.write_text("degree 6\n(1 3 5)(2 4 6)\n")
+    code, out, _ = run(capsys, "orbitmat", "split", des, str(grp), "--q", "3")
+    assert code == 0
+    assert out.splitlines() == ["fixed-split p=3 alpha=1 f1=0 f2=2 n=2 m=0",
+                                "OM1 2 0", "OM2 0 2"]
 
 
 def test_orbitmat_split_bad_profile_exits_2(capsys, c6_files):
@@ -352,6 +380,29 @@ def test_reproduce_t12_passes(capsys):
     assert any(line.startswith("ok [6,2,4]_2") for line in lines)
     assert any(line.startswith("ok [8,4,2]_2") for line in lines)
     assert any(line.startswith("ok [6,3,2]_2") for line in lines)
+
+
+def _assert_reproduces(capsys, table_id, rows):
+    code, out, _ = run(capsys, "reproduce", table_id)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == f"PASS {table_id}"
+    for n, k, d in rows:
+        assert any(line.startswith(f"ok [{n},{k},{d}]_2 ") for line in lines)
+
+
+def test_reproduce_t16_passes(capsys):
+    # certifies d = 4 of the [56,28] code, 2^28 codewords
+    _assert_reproduces(capsys, "t16", [(20, 10, 2), (56, 28, 4), (20, 10, 4)])
+
+
+def test_reproduce_t13_passes(capsys):
+    _assert_reproduces(capsys, "t13", [(10, 2, 4), (28, 4, 10), (10, 3, 4)])
+
+
+def test_reproduce_t1_small_passes(capsys):
+    _assert_reproduces(capsys, "t1-small",
+                       [(22, 10, 4), (22, 11, 2), (66, 10, 20), (66, 11, 20)])
 
 
 def test_reproduce_t8_passes(capsys):

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from strategies import small_transitive_groups
 from socodes import cli
 from socodes.designs import Design, format_design_text, parse_design_text
-from socodes.fields import ORDER_CAP, Field, field_for_order
+from socodes.fields import ORDER_CAP, Field, field_for_order, prime_power
 from socodes.groups import (DEGREE_CAP, INDEX_CAP, KSUBSET_CAP, DegreeTooLarge,
                             format_group_text, parse_group_text)
 from socodes.matrices import COLS_CAP, GFMatrix
@@ -41,8 +41,14 @@ def test_header_of_another_shape_names_the_form(text):
 
 
 def test_format_records_joins_values_by_spaces():
-    assert format_records([("degree", 3), ("img:", 2, 3, 1), ()]) == \
-        "degree 3\nimg: 2 3 1\n\n"
+    assert format_records([("degree", 3), ("img:", 2, 3, 1)]) == \
+        "degree 3\nimg: 2 3 1\n"
+
+
+@pytest.mark.parametrize("records", [[(3, 2), ()], [(2, 0, 2), []], [("",)]])
+def test_format_records_rejects_an_empty_record(records):
+    with pytest.raises(ValueError, match="empty"):
+        format_records(records)
 
 
 def test_inline_comments_in_every_format():
@@ -93,6 +99,15 @@ def test_field_for_order_factors_by_least_prime():
     for q in (-7, 0, 1, 6, 12, 3 * 3721):
         with pytest.raises(ValueError, match="not a prime power"):
             field_for_order(q)
+
+
+def test_prime_power_factors_and_rejects_like_field_for_order():
+    assert [prime_power(q) for q in (2, 4, 9, 49, 3721, ORDER_CAP)] == \
+        [(2, 1), (2, 2), (3, 2), (7, 2), (61, 2), (2, 14)]
+    for q, match in ((6, "not a prime power"), (1, "not a prime power"),
+                     (ORDER_CAP + 1, "exceeds")):
+        with pytest.raises(ValueError, match=match):
+            prime_power(q)
 
 
 # --------------------------------------------------------------- properties
@@ -208,7 +223,8 @@ def test_numeric_arguments_run_or_raise_value_or_usage_error(small_files, data):
 
 # ---------------------------------------------------------------- round trip
 
-COMMENTS = st.text(alphabet="abc #-:()0123456789", max_size=12)
+# line breaks that str.splitlines knows, so multi-line comments are drawn
+COMMENTS = st.text(alphabet="abc #-:()0123456789\n\r\x0b\x0c\x1c\x85\u2028", max_size=12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,23 +234,37 @@ def test_group_text_round_trip(G, comment):
     assert (H.degree, H.generators) == (G.degree, G.generators)
 
 
+def _round_trips_or_writer_refuses(value, write, read):
+    """write(value) reads back as value, or write raises the empty-record
+    ValueError."""
+    try:
+        text = write(value)
+    except ValueError as err:
+        assert "empty" in str(err)
+        return False
+    assert read(text) == value
+    return True
+
+
 @st.composite
 def _designs(draw):
     v = draw(st.integers(1, 8))
-    blocks = draw(st.lists(st.sets(st.integers(0, v - 1), min_size=1), max_size=6))
+    blocks = draw(st.lists(st.sets(st.integers(0, v - 1)), max_size=6))
     return Design(v, blocks)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_designs())
 def test_design_text_round_trip(D):
-    assert parse_design_text(format_design_text(D)) == D
+    written = _round_trips_or_writer_refuses(D, format_design_text, parse_design_text)
+    assert written == all(D.blocks)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 3, 4, 9, 25, 49]), st.integers(0, 4), st.integers(1, 5),
+@given(st.sampled_from([2, 3, 4, 9, 25, 49]), st.integers(0, 4), st.integers(0, 5),
        st.integers(0, 2 ** 32 - 1))
 def test_matrix_text_round_trip(q, rows, cols, seed):
     F = field_for_order(q)
     M = GFMatrix(F, np.random.default_rng(seed).integers(0, q, (rows, cols)))
-    assert GFMatrix.from_text(M.to_text()) == M
+    written = _round_trips_or_writer_refuses(M, GFMatrix.to_text, GFMatrix.from_text)
+    assert written == (rows == 0 or cols > 0)
