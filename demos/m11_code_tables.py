@@ -27,7 +27,7 @@ from socodes.orbitmat import BadOrbitProfile
 
 
 def finish(rep, budget=1 << 26):
-    if 0 < rep.code.k and rep.code.field.q ** rep.code.k <= budget:
+    if rep.code.k > 0:
         min_distance(rep.code, budget)
     tag = " self-dual" if rep.self_dual else ""
     return f"{display(rep.code)}{tag}  ({rep.theorem})"

@@ -47,6 +47,10 @@ class UsageError(Exception):
     """Bad flags, unreadable files, unknown ids: exit code 1."""
 
 
+class CaseMismatch(ValueError):
+    """The profile selects another theorem than --theorem names: exit code 2."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -217,22 +221,24 @@ def cmd_code(args) -> int:
     q = args.q
     if args.action == "from-design":
         if q == 2:
-            reps = [from_incidence_binary(D, theorem=args.theorem)]
+            reps = [from_incidence_binary(D)]
         else:
-            reps = [from_incidence_q(D, q, theorem=args.theorem)]
+            reps = [from_incidence_q(D, q)]
     else:
         H = _load_group_arg(args.group)
         if args.action == "from-orbitmat":
             if q == 2:
-                reps = [from_orbitmatrix_binary(D, H, theorem=args.theorem)]
+                reps = [from_orbitmatrix_binary(D, H)]
             else:
-                reps = [from_orbitmatrix_q(D, H, q, theorem=args.theorem)]
+                reps = [from_orbitmatrix_q(D, H, q)]
         elif q == 2:
-            reps = list(from_fixed_split_binary(D, H, theorem=args.theorem))
+            reps = list(from_fixed_split_binary(D, H))
         else:
             alpha = _alpha_for(H, prime_power(q)[0])
-            reps = list(from_fixed_split_q(D, H, q, alpha,
-                                           theorem=args.theorem))
+            reps = list(from_fixed_split_q(D, H, q, alpha))
+    tag = reps[0].theorem  # both reports of a fixed split carry the same tag
+    if args.theorem is not None and args.theorem != tag:
+        raise CaseMismatch(f"profile dispatches to {tag}, not {args.theorem}")
     prefixes = [""] if len(reps) == 1 else ["OM1 ", "OM2 "]
     for prefix, rep in zip(prefixes, reps):
         print(_summarize(prefix, rep, args.budget))

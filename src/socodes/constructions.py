@@ -14,7 +14,10 @@ of the base matrix has weight a + (w-1)d and any two rows meet in w*d
 its common orbit length w, OM2 with w = p^alpha -- the generator
 [c I | M | e 1] is self-orthogonal exactly when c = sqrt(d - a) and
 e = sqrt(-w*d); a zero residue drops its border. The theorem tags only
-name the case of (a, d) the profile falls in. The binary entry points are
+name the case of (a, d) the profile falls in. Each report carries the tag
+its profile selected as ``theorem``; no entry point takes one, and
+requiring a particular tag is the caller's check (the CLI's
+``--theorem``). The binary entry points are
 the GF(2) instances of the GF(q) ones (every residue is then 1 and the
 field never extends); the binary orbit-matrix theorems also accept block
 orbits of smaller 2-adic valuation o < u than the point orbits, and those
@@ -22,7 +25,7 @@ take no border at all.
 
 Over GF(q) the border scalars are square roots of prime-subfield residues;
 when a needed residue is not a square the construction settles in GF(q^2)
-instead, and the report says which scalar forced the move. Characteristic 2
+instead, and the report says which scalar needed the move. Characteristic 2
 never extends, since squaring is a bijection there.
 
 Reports are hard-checked on the way out: the generator's gram matrix must
@@ -49,10 +52,6 @@ class NotWSO(ValueError):
 
 class NonConstantProfile(ValueError):
     """GF(q) construction on a design whose intersections vary mod p."""
-
-
-class CaseMismatch(ValueError):
-    """The theorem named by the caller is not the one the profile selects."""
 
 
 @dataclass(frozen=True)
@@ -102,8 +101,8 @@ def _settle_field(F: Field, needed) -> tuple[Field, str | None]:
     return F, None
 
 
-def _finish(source: str, tag: str, F: Field, left, right, base,
-            forced) -> ConstructionReport:
+def _finish(source: str, tag: str, F: Field, left, right,
+            base) -> ConstructionReport:
     """Border, check, and wrap one generator matrix.
 
     left / right are (label, residue) pairs of prime-subfield residues, or
@@ -113,8 +112,6 @@ def _finish(source: str, tag: str, F: Field, left, right, base,
     means a bug, not bad input. A left border with no right border on a
     square base claims self-duality.
     """
-    if forced is not None and forced != tag:
-        raise CaseMismatch(f"profile dispatches to {tag}, not {forced}")
     F, reason = _settle_field(F, [b for b in (left, right) if b is not None])
     c_left = None if left is None else int(F.sqrt(F.from_int(left[1])))
     c_right = None if right is None else int(F.sqrt(F.from_int(right[1])))
@@ -158,7 +155,7 @@ def _design_name(D: Design) -> str:
 # ---------------------------------------------------------------- incidence
 
 
-def _incidence(D: Design, q: int, theorem, binary: bool) -> ConstructionReport:
+def _incidence(D: Design, q: int, binary: bool) -> ConstructionReport:
     F = field_for_order(q)
     prof = _constant_profile(D, F.p, binary)
     case = prof.dispatch_case()
@@ -166,22 +163,20 @@ def _incidence(D: Design, q: int, theorem, binary: bool) -> ConstructionReport:
     tag = f"T2.{1 if binary else 2}.{case}{sub}"
     left, right = _borders(prof.a, prof.d, 1, F.p)
     return _finish(f"{_design_name(D)}, {D.b} blocks", tag, F, left, right,
-                   D.incidence_array(), theorem)
+                   D.incidence_array())
 
 
-def from_incidence_binary(D: Design,
-                          theorem: str | None = None) -> ConstructionReport:
+def from_incidence_binary(D: Design) -> ConstructionReport:
     """Code of the incidence matrix over GF(2), bordered by parity case:
     (a,d) = (0,0) -> M; (0,1) -> [I_b, M, 1]; (1,0) -> [I_b, M];
     (1,1) -> [M, 1]."""
-    return _incidence(D, 2, theorem, binary=True)
+    return _incidence(D, 2, binary=True)
 
 
-def from_incidence_q(D: Design, q: int,
-                     theorem: str | None = None) -> ConstructionReport:
+def from_incidence_q(D: Design, q: int) -> ConstructionReport:
     """Bordered incidence code over GF(q), or GF(q^2) when a needed square
     root is missing, dispatched on the residues (a, d) mod p."""
-    return _incidence(D, q, theorem, binary=False)
+    return _incidence(D, q, binary=False)
 
 
 # ------------------------------------------------------------ orbit matrices
@@ -224,8 +219,7 @@ def _om_tag_q(case: int, w: int, p: int) -> str:
     return f"T3.{case}.q" + ("abc"[min(w % p, 2)] if case == 2 else "")
 
 
-def from_orbitmatrix_binary(D: Design, H: PermGroup,
-                            theorem: str | None = None) -> ConstructionReport:
+def from_orbitmatrix_binary(D: Design, H: PermGroup) -> ConstructionReport:
     """Code of the orbit matrix over GF(2). Point orbits must share one
     length w = 2^u w'; block orbit lengths must share one 2-adic valuation
     o <= u. When o = u the borders follow the rule for w; when o < u the
@@ -236,8 +230,7 @@ def from_orbitmatrix_binary(D: Design, H: PermGroup,
     tag = _om_tag_binary(prof.dispatch_case(), o, u)
     left, right = _borders(prof.a, prof.d, w, 2) if o == u else (None, None)
     src = f"{_design_name(D)}, orbit matrix {OM.m}x{OM.n}, w={w}"
-    return _finish(src, tag, field_for_order(2), left, right, OM.entries,
-                   theorem)
+    return _finish(src, tag, field_for_order(2), left, right, OM.entries)
 
 
 def _om_profile_q(point_sizes, block_sizes) -> int:
@@ -248,8 +241,7 @@ def _om_profile_q(point_sizes, block_sizes) -> int:
     return sizes.pop()
 
 
-def from_orbitmatrix_q(D: Design, H: PermGroup, q: int,
-                       theorem: str | None = None) -> ConstructionReport:
+def from_orbitmatrix_q(D: Design, H: PermGroup, q: int) -> ConstructionReport:
     """Bordered orbit-matrix code over GF(q)/GF(q^2); every point and block
     orbit must share one length w, which enters the right border -w*d."""
     F = field_for_order(q)
@@ -259,14 +251,13 @@ def from_orbitmatrix_q(D: Design, H: PermGroup, q: int,
     tag = _om_tag_q(prof.dispatch_case(), w, F.p)
     left, right = _borders(prof.a, prof.d, w, F.p)
     src = f"{_design_name(D)}, orbit matrix {OM.m}x{OM.n}, w={w}"
-    return _finish(src, tag, F, left, right, OM.entries, theorem)
+    return _finish(src, tag, F, left, right, OM.entries)
 
 
 # -------------------------------------------------------------- fixed splits
 
 
-def _fixed(D: Design, H: PermGroup, q: int, alpha: int, theorem,
-           binary: bool):
+def _fixed(D: Design, H: PermGroup, q: int, alpha: int, binary: bool):
     F = field_for_order(q)
     p = F.p
     if not 1 <= alpha <= F.l:
@@ -276,22 +267,20 @@ def _fixed(D: Design, H: PermGroup, q: int, alpha: int, theorem,
     tag = f"T3.{prof.dispatch_case()}.fix" + ("" if binary else ".q")
     base = f"{_design_name(D)}, fixed split"
     rep1 = _finish(f"{base}, OM1 {fs.f2}x{fs.f1}", tag, F,
-                   *_borders(prof.a, prof.d, 1, p), fs.om1, theorem)
+                   *_borders(prof.a, prof.d, 1, p), fs.om1)
     rep2 = _finish(f"{base}, OM2 {fs.m}x{fs.n}", tag, F,
-                   *_borders(prof.a, prof.d, fs.plength, p), fs.om2, theorem)
+                   *_borders(prof.a, prof.d, fs.plength, p), fs.om2)
     return rep1, rep2
 
 
-def from_fixed_split_binary(D: Design, H: PermGroup,
-                            theorem: str | None = None):
+def from_fixed_split_binary(D: Design, H: PermGroup):
     """Two codes from the fixed/moving split of an orbit matrix under a
     subgroup with orbit lengths {1, 2}: one on the f1 fixed points from OM1,
     one on the n moving point orbits from OM2."""
-    return _fixed(D, H, 2, 1, theorem, binary=True)
+    return _fixed(D, H, 2, 1, binary=True)
 
 
-def from_fixed_split_q(D: Design, H: PermGroup, q: int, alpha: int,
-                       theorem: str | None = None):
+def from_fixed_split_q(D: Design, H: PermGroup, q: int, alpha: int):
     """Fixed/moving split over GF(q) for orbit lengths {1, p^alpha}.
 
     OM1 is bordered as an incidence matrix (w = 1) and OM2 as an orbit
@@ -299,4 +288,4 @@ def from_fixed_split_q(D: Design, H: PermGroup, q: int, alpha: int,
     reports settle their fields independently: each extends to GF(q^2) only
     for its own scalars.
     """
-    return _fixed(D, H, q, alpha, theorem, binary=False)
+    return _fixed(D, H, q, alpha, binary=False)

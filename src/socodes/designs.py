@@ -226,10 +226,7 @@ def wso_search(G: PermGroup, alpha: int, p: int = 2) -> list:
     hits = []
     for mask in range(1, 2 ** len(orbits) - 1):
         choice = tuple(i for i in range(len(orbits)) if mask >> i & 1)
-        delta = _delta_from_choice(orbits, choice)
-        if len(delta) == G.degree:
-            continue
-        D = Design(G.degree, G.set_orbit(delta))
+        D = Design(G.degree, G.set_orbit(_delta_from_choice(orbits, choice)))
         validate(D)
         prof = intersection_profile(D, p)
         if prof.constant:

@@ -1,5 +1,5 @@
-"""Dense matrices over a Field: exact rank, Gram products, null space, and
-the bordered builders [c*I | M | e*1] every construction theorem uses.
+"""Dense matrices over a Field: exact rank, Gram products, and the
+bordered builders [c*I | M | e*1] every construction theorem uses.
 
 A GFMatrix wraps a read-only int64 ndarray of element codes plus its field.
 Products go through ``Field.dot``; element codes and integer lifts are the
@@ -123,18 +123,6 @@ class GFMatrix:
 
     def row_space_equals(self, other: "GFMatrix") -> bool:
         return self.rref()[0] == other.rref()[0]
-
-    def null_space(self) -> "GFMatrix":
-        """Rows form a basis of {x : M x = 0}; row count = cols - rank."""
-        F = self.field
-        R, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in set(pivots)]
-        basis = np.zeros((len(free), self.cols), dtype=np.int64)
-        for i, fc in enumerate(free):
-            basis[i, fc] = 1
-            for prow, pc in enumerate(pivots):
-                basis[i, pc] = F.neg(int(R.a[prow, fc]))
-        return GFMatrix(F, basis)
 
     # -- serialization ------------------------------------------------------
 

@@ -113,7 +113,6 @@ class FixedSplit:
     n: int
     m: int
     plength: int  # p^alpha
-    full: OrbitMatrix
 
 
 def build(D: Design, H: PermGroup) -> OrbitMatrix:
@@ -165,7 +164,7 @@ def fixed_split(D: Design, H: PermGroup, p: int, alpha: int) -> FixedSplit:
     return FixedSplit(
         om1=OM.entries[:f2, :f1].copy(),
         om2=OM.entries[f2:, f1:].copy(),
-        f1=f1, f2=f2, n=n, m=m, plength=plength, full=OM)
+        f1=f1, f2=f2, n=n, m=m, plength=plength)
 
 
 # ---------------------------------------------------------------------------

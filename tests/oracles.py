@@ -105,11 +105,12 @@ def field_sub_naive(a, b, p, l):
 
 
 # ---------------------------------------------------------------------------
-# rank over GF(p^l) by naive fraction-free elimination on element codes
+# rank and kernel over GF(p^l) by naive elimination on element codes
 # ---------------------------------------------------------------------------
 
-def rank_naive(rows, p, l, modulus):
-    """Row-reduce a list of lists of element codes; returns the rank.
+def rref_naive(rows, p, l, modulus):
+    """Row-reduce a list of lists of element codes; returns the nonzero rows
+    of the reduced row echelon form and their pivot columns.
 
     Uses only the naive polynomial helpers above.
     """
@@ -123,7 +124,7 @@ def rank_naive(rows, p, l, modulus):
 
     rows = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
-    rank = 0
+    pivots = []
     rix = 0
     for col in range(ncols):
         piv = None
@@ -141,9 +142,30 @@ def rank_naive(rows, p, l, modulus):
                 f = rows[i][col]
                 rows[i] = [field_sub_naive(x, field_mul_naive(f, y, p, l, modulus), p, l)
                            for x, y in zip(rows[i], rows[rix])]
+        pivots.append(col)
         rix += 1
-        rank += 1
-    return rank
+    return rows[:rix], pivots
+
+
+def rank_naive(rows, p, l, modulus):
+    return len(rref_naive(rows, p, l, modulus)[1])
+
+
+def null_space_naive(rows, p, l, modulus):
+    """Basis of {x : x . r = 0 for every row r}, one vector per non-pivot
+    column: that column is 1 and each pivot column holds minus the reduced
+    row's entry there."""
+    R, pivots = rref_naive(rows, p, l, modulus)
+    out = []
+    for free in range(len(rows[0])):
+        if free in pivots:
+            continue
+        x = [0] * len(rows[0])
+        x[free] = 1
+        for r, pc in zip(R, pivots):
+            x[pc] = field_neg_naive(r[free], p, l)
+        out.append(x)
+    return out
 
 
 def gram_naive(rows, p, l, modulus):

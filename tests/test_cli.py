@@ -10,6 +10,9 @@ import pytest
 
 from socodes import fields
 from socodes.cli import main
+from socodes.designs import Design, format_design_text
+from socodes.groups import Perm, PermGroup, format_group_text
+from socodes.m11 import m11_degree
 from socodes.matrices import GFMatrix
 
 
@@ -31,9 +34,6 @@ def c6_files(tmp_path):
 @pytest.fixture
 def inv22(tmp_path):
     # involution of the degree-22 M11 action, as a group file
-    from socodes.groups import PermGroup, format_group_text
-    from socodes.m11 import m11_degree
-
     G = m11_degree(22)
     path = tmp_path / "inv22.grp"
     path.write_text(format_group_text(PermGroup(22, [G.element_of_order(2)])))
@@ -196,6 +196,63 @@ def test_code_forced_theorem(capsys, d2210):
                        "--theorem", "T2.1.3")
     assert code == 2
     assert "CaseMismatch" in err
+
+
+def _cycles(v, w, nfix=0):
+    """Cyclic group moving v-nfix points in w-cycles, fixing the tail."""
+    cycles = [tuple(range(i, i + w)) for i in range(0, v - nfix, w)]
+    return PermGroup(v, [Perm.from_cycles(v, cycles)])
+
+
+# (action, q, blocks on v points, group or None, the tag its profile selects)
+FORCED = [
+    ("from-design", 2, (4, [(0, 1), (2, 3)]), None, "T2.1.1"),
+    ("from-design", 5, (2, [(0,), (1,)]), None, "T2.2.3"),
+    ("from-orbitmat", 2, (8, [(0, 2, 4, 6), (1, 3, 5, 7)]), (8, 2, 0),
+     "T3.1.bin"),
+    ("from-orbitmat", 3, (12, [(0, 1, 3, 6), (0, 2, 5, 8), (1, 2, 4, 7),
+                               (0, 4, 9, 10), (1, 5, 10, 11), (2, 3, 9, 11),
+                               (3, 7, 8, 10), (4, 6, 8, 11), (5, 6, 7, 9)]),
+     (12, 3, 0), "T3.4.q"),
+    ("from-fixedsplit", 2, (6, [(0, 2), (1, 3), (4, 5)]), (6, 2, 2),
+     "T3.1.fix"),
+    ("from-fixedsplit", 3, (7, [(0, 1, 2), (0, 3, 4), (1, 4, 5), (2, 3, 5),
+                                (0, 5, 6), (1, 3, 6), (2, 4, 6)]), (7, 3, 1),
+     "T3.2.fix.q"),
+]
+
+
+@pytest.mark.parametrize("action, q, design, group, tag", FORCED,
+                         ids=[f"{row[0]}-q{row[1]}" for row in FORCED])
+def test_code_forced_theorem_each_construction(capsys, tmp_path, action, q,
+                                               design, group, tag):
+    # --theorem is checked against the tag the construction reports
+    des = tmp_path / "d.des"
+    des.write_text(format_design_text(Design(*design)))
+    argv = ["code", action, str(des), "--q", str(q)]
+    if group is not None:
+        grp = tmp_path / "h.grp"
+        grp.write_text(format_group_text(_cycles(*group)))
+        argv.insert(3, str(grp))
+    code, out, _ = run(capsys, *argv, "--theorem", tag)
+    assert code == 0
+    assert f" theorem={tag} " in out
+    code, out, err = run(capsys, *argv, "--theorem", "T9.9")
+    assert code == 2 and out == ""
+    assert err == f"error: CaseMismatch: profile dispatches to {tag}, not T9.9\n"
+
+
+def test_code_field_cap_precedes_forced_theorem(capsys, tmp_path):
+    # GF(131) lacks a needed square root and GF(131^2) exceeds the field-order
+    # cap; the cap is reported before any tag is compared
+    des = tmp_path / "d11.des"
+    code, _, _ = run(capsys, "design", "build", "m11:11", "0",
+                     "--out", str(des))
+    assert code == 0
+    code, _, err = run(capsys, "code", "from-design", str(des),
+                       "--q", "131", "--theorem", "X")
+    assert code == 2
+    assert err == "error: ValueError: field order 17161 exceeds 16384\n"
 
 
 def test_code_from_orbitmat_c6(capsys, c6_files):

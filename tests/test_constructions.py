@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from socodes.analysis import Exact, is_self_orthogonal, min_distance
 from socodes.constructions import (
-    CaseMismatch, ConstructionReport, NonConstantProfile, NotWSO,
+    ConstructionReport, NonConstantProfile, NotWSO,
     _borders, _om_profile_binary, _om_profile_q, _om_tag_binary, _om_tag_q,
     from_fixed_split_binary, from_fixed_split_q, from_incidence_binary,
     from_incidence_q, from_orbitmatrix_binary, from_orbitmatrix_q)
@@ -26,7 +26,7 @@ from socodes.m11 import m11_degree
 from socodes.matrices import GFMatrix
 from socodes.orbitmat import BadOrbitProfile
 
-from oracles import gram_naive, min_distance_naive, rank_naive
+from oracles import gram_naive, min_distance_naive, null_space_naive, rank_naive
 from strategies import small_transitive_groups
 
 
@@ -740,27 +740,6 @@ def test_fixed_q_rejects_nonconstant_profile():
 
 # ------------------------------------------------------- report contract
 
-def test_forced_theorem_accepts_match():
-    rep = from_incidence_binary(PAIRS, theorem="T2.1.1")
-    assert rep.theorem == "T2.1.1"
-    rq = from_orbitmatrix_q(SYN12, chunks(12, 3), 3, theorem="T3.4.q")
-    assert rq.theorem == "T3.4.q"
-
-
-def test_forced_theorem_rejects_mismatch():
-    with pytest.raises(CaseMismatch):
-        from_incidence_binary(PAIRS, theorem="T2.1.2")
-    with pytest.raises(CaseMismatch):
-        from_incidence_q(SING2, 5, theorem="T2.2.1")
-    with pytest.raises(CaseMismatch):
-        from_orbitmatrix_binary(OCT2, chunks(8, 2), theorem="T3.2.bina")
-    with pytest.raises(CaseMismatch):
-        from_fixed_split_binary(FB1, chunks(6, 2, 2), theorem="T3.3.fix")
-    with pytest.raises(CaseMismatch):
-        from_fixed_split_q(FANO3, chunks(7, 3, 1), 3, 1,
-                           theorem="T3.1.fix.q")
-
-
 def test_report_text_block():
     rep = from_incidence_q(SING2, 5)
     text = rep.to_text()
@@ -794,14 +773,17 @@ def test_self_dual_flag_matches_null_space():
     flagged = [from_incidence_q(SING2, 5),
                from_orbitmatrix_binary(ALL3_V4, chunks(4, 2)),
                from_fixed_split_q(FANO3, chunks(7, 3, 1), 3, 1)[1]]
+    def dual(rep):
+        F = rep.field
+        rows = rep.code.generator.a.tolist()
+        return GFMatrix(F, null_space_naive(rows, F.p, F.l, F.modulus))
+
     for rep in flagged:
         assert rep.self_dual
-        N = rep.code.generator.null_space()
-        assert N.row_space_equals(rep.code.generator)
+        assert dual(rep).row_space_equals(rep.code.generator)
     unflagged = from_incidence_binary(TRI)
     assert not unflagged.self_dual
-    N = unflagged.code.generator.null_space()
-    assert not N.row_space_equals(unflagged.code.generator)
+    assert not dual(unflagged).row_space_equals(unflagged.code.generator)
 
 
 def brute_force_so(code):
