@@ -163,7 +163,7 @@ def _incidence(D: Design, q: int, binary: bool) -> ConstructionReport:
     tag = f"T2.{1 if binary else 2}.{case}{sub}"
     left, right = _borders(prof.a, prof.d, 1, F.p)
     return _finish(f"{_design_name(D)}, {D.b} blocks", tag, F, left, right,
-                   D.incidence_array())
+                   D.incidence)
 
 
 def from_incidence_binary(D: Design) -> ConstructionReport:

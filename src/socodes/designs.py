@@ -2,9 +2,11 @@
 blocks under transitive group actions.
 
 A 1-(v,k,r) design here is a point count plus an ordered sequence of blocks
-(sorted point tuples). Blocks may repeat; a repeated pair intersects in k
-points. The four-residue profile (k mod p, common intersection residue)
-drives every construction theorem downstream.
+(sorted point tuples), together with the b x v 0/1 incidence matrix it
+builds once and holds read-only; everything that counts on a design reads
+that matrix. Blocks may repeat; a repeated pair intersects in k points.
+The four-residue profile (k mod p, common intersection residue) drives
+every construction theorem downstream.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ class TooManyOrbitCombinations(RuntimeError):
 
 MAX_ORBIT_COMBINATIONS = 2 ** 20
 
+# the most entries b * max(b, v) a design may hold: its b x v incidence and
+# the b x b Gram of its intersection profile (1024 blocks on 1024 points)
+INCIDENCE_CAP = 2 ** 20
+
 # p = 2 case labels, keyed by (k mod 2, intersection mod 2)
 CASE_NAMES = {
     (0, 0): "SO",
@@ -49,11 +55,15 @@ CASE_NAMES = {
 
 
 class Design:
-    """Point count v plus an ordered block sequence (sorted index tuples)."""
+    """Point count v, an ordered block sequence (sorted index tuples) and
+    their read-only 0/1 int64 incidence matrix, b x v."""
 
-    __slots__ = ("v", "blocks", "_kr")
+    __slots__ = ("v", "blocks", "incidence")
 
     def __init__(self, v: int, blocks):
+        v = int(v)
+        if v < 0:
+            raise ValueError(f"negative point count {v}")
         norm = []
         for blk in blocks:
             t = tuple(sorted(int(x) for x in blk))
@@ -62,9 +72,16 @@ class Design:
             if len(set(t)) != len(t):
                 raise ValueError(f"block {t} repeats a point")
             norm.append(t)
-        self.v = int(v)
+        b = len(norm)
+        if b * max(b, v) > INCIDENCE_CAP:
+            raise ValueError(f"{b} blocks on {v} points: b * max(b, v) "
+                             f"exceeds {INCIDENCE_CAP}")
+        self.v = v
         self.blocks = tuple(norm)
-        self._kr = None
+        self.incidence = np.zeros((b, v), dtype=np.int64)
+        for i, t in enumerate(norm):
+            self.incidence[i, list(t)] = 1
+        self.incidence.setflags(write=False)
 
     @property
     def b(self) -> int:
@@ -77,13 +94,6 @@ class Design:
     @property
     def r(self) -> int:
         return validate(self)[1]
-
-    def incidence_array(self) -> np.ndarray:
-        """Plain 0/1 integer incidence, for counting work outside any field."""
-        M = np.zeros((self.b, self.v), dtype=np.int64)
-        for i, blk in enumerate(self.blocks):
-            M[i, list(blk)] = 1
-        return M
 
     def __eq__(self, other):
         return (isinstance(other, Design) and self.v == other.v
@@ -102,24 +112,17 @@ class Design:
 
 def validate(D: Design) -> tuple:
     """Confirm constant block size and constant replication; return (k, r)."""
-    if D._kr is not None:
-        return D._kr
     if not D.blocks:
         raise NotOneDesign("design has no blocks")
-    sizes = {len(blk) for blk in D.blocks}
-    if len(sizes) != 1:
-        raise NonConstantBlockSize(f"block sizes {sorted(sizes)}")
-    counts = np.zeros(D.v, dtype=np.int64)
-    for blk in D.blocks:
-        counts[list(blk)] += 1
-    rs = set(counts.tolist())
-    if len(rs) != 1:
-        raise NotOneDesign(f"replication counts {sorted(rs)}")
-    k, r = sizes.pop(), rs.pop()
-    if r == 0:
+    sizes = np.unique(D.incidence.sum(axis=1))
+    if sizes.size != 1:
+        raise NonConstantBlockSize(f"block sizes {sizes.tolist()}")
+    rs = np.unique(D.incidence.sum(axis=0))
+    if rs.size != 1:
+        raise NotOneDesign(f"replication counts {rs.tolist()}")
+    if rs[0] == 0:
         raise NotOneDesign("isolated points")
-    D._kr = (k, r)
-    return D._kr
+    return int(sizes[0]), int(rs[0])
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,7 @@ def intersection_profile(D: Design, p: int) -> WSOProfile:
     if len(sizes) != 1:
         raise NonConstantBlockSize(f"block sizes {sorted(sizes)}")
     k = sizes.pop()
-    M = D.incidence_array().astype(np.float64)
+    M = D.incidence.astype(np.float64)
     off = np.remainder(M @ M.T, p)[~np.eye(D.b, dtype=bool)]
     resid = np.unique(off)
     a = k % p

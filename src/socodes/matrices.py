@@ -16,8 +16,8 @@ from .fields import Field, SpecMismatch, field_for_order
 from .records import format_records, read_records
 
 # the most columns a matrix file may declare, which matters when it has no
-# rows: above the b + v + 1 columns of any bordered incidence matrix the
-# group caps allow (b <= 10^6 blocks, v <= 10^5 points)
+# rows: above the b + v + 1 columns of any bordered incidence matrix a
+# design may have (b * max(b, v) <= designs.INCIDENCE_CAP and v <= 10^5)
 COLS_CAP = 2 ** 21
 
 

@@ -78,7 +78,7 @@ class OrbitMatrix:
         computing the left side over exact rationals. Raises IllDefinedEntry
         on a non-integral term or a mismatch.
         """
-        M = self.design.incidence_array()
+        M = self.design.incidence
         reps = [orb[0] for orb in self.block_orbits]
         S = np.zeros((self.m, self.design.v), dtype=np.int64)
         for t, orb in enumerate(self.block_orbits):
@@ -132,7 +132,7 @@ def build(D: Design, H: PermGroup) -> OrbitMatrix:
     point_orbits = sorted(H.point_orbits(), key=_orbit_sort_key)
     block_orbits = sorted(block_group.point_orbits(), key=_orbit_sort_key)
 
-    M = D.incidence_array()
+    M = D.incidence
     P = np.zeros((D.v, len(point_orbits)), dtype=np.int64)
     for j, orb in enumerate(point_orbits):
         P[list(orb), j] = 1

@@ -303,3 +303,25 @@ def cycle_type_naive(g):
             y, steps = g[y], steps + 1
         lengths.append(steps)
     return tuple(sorted((L, lengths.count(L) // L) for L in set(lengths)))
+
+
+# ---------------------------------------------------------------------------
+# 1-designs: a design is a point count v and a list of point sets
+# ---------------------------------------------------------------------------
+
+def validate_naive(v, blocks):
+    """(None, (k, r)) when the blocks form a 1-(v,k,r) design; otherwise
+    (error class name, message) for the first check that fails, in this
+    order: no blocks, block sizes, replication counts, isolated points."""
+    blocks = [set(blk) for blk in blocks]
+    if not blocks:
+        return "NotOneDesign", "design has no blocks"
+    sizes = sorted({len(blk) for blk in blocks})
+    if len(sizes) != 1:
+        return "NonConstantBlockSize", f"block sizes {sizes}"
+    counts = sorted({sum(x in blk for blk in blocks) for x in range(v)})
+    if len(counts) != 1:
+        return "NotOneDesign", f"replication counts {counts}"
+    if counts[0] == 0:
+        return "NotOneDesign", "isolated points"
+    return None, (sizes[0], counts[0])

@@ -61,7 +61,7 @@ def test_params_counts_rank_not_rows():
 def test_params_design_code():
     G = m11_degree(22)
     D = from_group_action(G, 0, (2,))  # 1-(22,20,10)
-    C = code(GFMatrix(GF2, D.incidence_array()))
+    C = code(GFMatrix(GF2, D.incidence))
     assert (C.n, C.k) == (22, 10)
 
 
@@ -74,7 +74,7 @@ def test_min_distance_repetition():
 def test_min_distance_design_code():
     G = m11_degree(22)
     D = from_group_action(G, 0, (2,))
-    assert min_distance(code(GFMatrix(GF2, D.incidence_array()))) == Exact(4)
+    assert min_distance(code(GFMatrix(GF2, D.incidence))) == Exact(4)
 
 
 def test_min_distance_zero_code_rejected():

@@ -4,13 +4,14 @@ Commands run in-process through main(argv) so exit codes and stdout are
 asserted directly; the M11 action cache makes repeated pipeline runs cheap.
 """
 
+from math import isqrt
 from unittest import mock
 
 import pytest
 
 from socodes import fields
 from socodes.cli import main
-from socodes.designs import Design, format_design_text
+from socodes.designs import INCIDENCE_CAP, Design, format_design_text
 from socodes.groups import Perm, PermGroup, format_group_text
 from socodes.m11 import m11_degree
 from socodes.matrices import GFMatrix
@@ -173,6 +174,33 @@ def test_design_classify_constant_and_not(capsys, tmp_path, c6_files):
     code, out, _ = run(capsys, "design", "classify", str(penta))
     assert code == 0
     assert "non-constant parity" in out
+
+
+def test_design_file_over_cap_or_with_negative_v_is_usage_error(capsys, tmp_path):
+    n = isqrt(INCIDENCE_CAP) + 1
+    over = tmp_path / "over.des"
+    over.write_text(f"{n} {n}\n" + "".join(f"{i}\n" for i in range(n)))
+    neg = tmp_path / "neg.des"
+    neg.write_text("-3 0\n")
+    for path, msg in ((over, f"{n} blocks on {n} points: b * max(b, v) "
+                             f"exceeds {INCIDENCE_CAP}"),
+                      (neg, "negative point count -3")):
+        for argv in (["design", "classify", str(path)],
+                     ["code", "from-design", str(path), "--q", "3"]):
+            assert run(capsys, *argv) == (
+                1, "", f"usage error: bad design file {str(path)!r}: {msg}\n")
+
+
+def test_design_build_over_cap_writes_nothing(capsys, tmp_path):
+    # the regular action of C_n develops a singleton into n blocks
+    n = isqrt(INCIDENCE_CAP) + 1
+    grp = tmp_path / "cyclic.grp"
+    grp.write_text(f"degree {n}\n({' '.join(map(str, range(1, n + 1)))})\n")
+    out = tmp_path / "D.des"
+    assert run(capsys, "design", "build", str(grp), "0", "--out", str(out)) == (
+        2, "", f"error: ValueError: {n} blocks on {n} points: b * max(b, v) "
+               f"exceeds {INCIDENCE_CAP}\n")
+    assert not out.exists()
 
 
 # -------------------------------------------------------------- constructions

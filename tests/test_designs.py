@@ -6,11 +6,16 @@ before this module existed; they are frozen here.
 """
 
 from itertools import combinations
+from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import validate_naive
 from socodes.designs import (
+    INCIDENCE_CAP,
     Design,
     DeltaEmpty,
     DeltaIsOmega,
@@ -56,6 +61,54 @@ def test_validate_not_one_design():
     D = Design(3, [(0, 1), (0, 1)])
     with pytest.raises(NotOneDesign):
         validate(D)
+
+
+@st.composite
+def block_lists(draw):
+    """v <= 8 and a list of point sets: random sets (possibly none, or
+    empty) or the cyclic development of a base block, some of them
+    repeated; points may be left uncovered."""
+    v = draw(st.integers(0, 8))
+    if v and draw(st.booleans()):
+        base = draw(st.sets(st.integers(0, v - 1)))
+        blocks = [{(x + i) % v for x in base} for i in range(v)]
+    else:
+        points = st.sets(st.integers(0, v - 1)) if v else st.just(set())
+        blocks = draw(st.lists(points, max_size=6))
+    if blocks:
+        blocks += draw(st.lists(st.sampled_from(blocks), max_size=3))
+    return v, blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_lists())
+def test_design_layer_matches_naive(case):
+    v, blocks = case
+    D = Design(v, blocks)
+    assert (D.incidence.shape, D.incidence.dtype) == ((len(blocks), v), np.int64)
+    assert D.incidence.tolist() == [[int(x in blk) for x in range(v)]
+                                    for blk in blocks]
+    with pytest.raises(ValueError, match="read-only"):
+        D.incidence[...] = 0
+
+    err, want = validate_naive(v, blocks)
+    if err is None:
+        assert validate(D) == want
+    else:
+        with pytest.raises(ValueError) as e:
+            validate(D)
+        assert (type(e.value).__name__, str(e.value)) == (err, want)
+
+    for p in (2, 3, 5):
+        if len(blocks) < 2:
+            with pytest.raises(ValueError, match="two blocks"):
+                intersection_profile(D, p)
+        elif len({len(blk) for blk in blocks}) != 1:
+            with pytest.raises(NonConstantBlockSize):
+                intersection_profile(D, p)
+        else:
+            prof = intersection_profile(D, p)
+            assert (prof.a, prof.d) == (len(blocks[0]) % p, _profile_naive(D, p))
 
 
 def test_validate_replication_mismatch():
@@ -297,7 +350,7 @@ def test_development_invariant_under_generators():
 def test_so_design_has_zero_gram():
     G = m11_degree(22)
     D = from_group_action(G, 0, (0, 1))
-    M = GFMatrix(Field(2, 1), D.incidence_array())
+    M = GFMatrix(Field(2, 1), D.incidence)
     assert M.gram().is_zero()
 
 
@@ -317,10 +370,30 @@ def test_design_text_rejects_bad_index():
         Design(3, [(0, 5)])
 
 
+def test_design_size_capped_before_incidence():
+    n = isqrt(INCIDENCE_CAP)
+    assert Design(n, [(i,) for i in range(n)]).incidence.shape == (n, n)
+    assert Design(INCIDENCE_CAP, [(0,)]).b == 1
+    with pytest.raises(ValueError, match=f"{n + 1} blocks on {n + 1} points"):
+        Design(n + 1, [(i,) for i in range(n + 1)])
+    with pytest.raises(ValueError, match=f"2 blocks on {INCIDENCE_CAP} points"):
+        Design(INCIDENCE_CAP, [(0,), (1,)])
+    for v, blocks in ((-3, []), (-1, [(0,)])):
+        with pytest.raises(ValueError, match=f"negative point count {v}"):
+            Design(v, blocks)
+
+
+def test_from_group_action_over_cap():
+    # a regular action develops a singleton into degree-many blocks
+    n = isqrt(INCIDENCE_CAP) + 1
+    with pytest.raises(ValueError, match=f"{n} blocks on {n} points"):
+        from_group_action(cyclic(n), 0, (0,))
+
+
 def test_incidence_matrix_shape():
     D = Design(4, [(0, 1), (2, 3)])
-    M = GFMatrix(Field(2, 1), D.incidence_array())
+    M = GFMatrix(Field(2, 1), D.incidence)
     assert (M.rows, M.cols) == (2, 4)
     assert np.array_equal(M.a, [[1, 1, 0, 0], [0, 0, 1, 1]])
-    assert np.array_equal(Design(3, [(), (0, 2), (1,)]).incidence_array(),
+    assert np.array_equal(Design(3, [(), (0, 2), (1,)]).incidence,
                           [[0, 0, 0], [1, 0, 1], [0, 1, 0]])

@@ -16,7 +16,7 @@ from strategies import small_transitive_groups
 from socodes import groups
 from socodes.groups import (
     Perm, PermGroup, OrderExceedsCap, DegreeTooLarge, IndexTooLarge,
-    NotASubgroup, NotInvariant, INDEX_CAP, parse_group_text, format_group_text,
+    NotASubgroup, NotInvariant, parse_group_text, format_group_text,
 )
 from socodes.m11 import m11_degree
 
@@ -202,11 +202,15 @@ def test_group_layer_matches_naive(case):
 
     h = G.elements[pick % order]
     H = PermGroup(n, [h])
-    if order // H.order > INDEX_CAP:
-        with pytest.raises(IndexTooLarge):
-            G.coset_action(H)
-        return
-    A = G.coset_action(H)
+    with pytest.MonkeyPatch.context() as mp:
+        # a small cap sends large-index draws (S8 and A8 by a cyclic
+        # subgroup) to the cheap rejection instead of a naive coset action
+        mp.setattr(groups, "INDEX_CAP", 120)
+        if order // H.order > groups.INDEX_CAP:
+            with pytest.raises(IndexTooLarge):
+                G.coset_action(H)
+            return
+        A = G.coset_action(H)
     assert A.degree == order // H.order
     assert [g.images for g in A.generators] == coset_action_naive(gens, n, [h.images])
 

@@ -50,7 +50,7 @@ def involution(G: PermGroup) -> PermGroup:
 def test_trivial_group_gives_incidence():
     D = Design(4, [(0, 1), (2, 3)])
     OM = build(D, trivial(4))
-    assert np.array_equal(OM.entries, D.incidence_array())
+    assert np.array_equal(OM.entries, D.incidence)
     assert OM.point_orbit_sizes.tolist() == [1, 1, 1, 1]
     assert OM.block_orbit_sizes.tolist() == [1, 1]
 
@@ -180,7 +180,7 @@ def test_fixed_split_trivial_group():
     D = Design(4, [(0, 1), (2, 3)])
     fs = fixed_split(D, trivial(4), 2, 1)
     assert (fs.f1, fs.f2, fs.n, fs.m) == (4, 2, 0, 0)
-    assert np.array_equal(fs.om1, D.incidence_array())
+    assert np.array_equal(fs.om1, D.incidence)
     assert fs.om2.size == 0
 
 
