@@ -7,12 +7,15 @@ to a generator file or ``m11:<degree>`` for the shipped M11 actions.
 Exit codes: 0 ok, 1 usage or input-file problem, 2 mathematical
 precondition failure (wrong orbit profile, non-constant intersection
 residues, forced theorem mismatch, budget exceeded, ...), 3 table
-reproduction mismatch.
+reproduction mismatch, 141 stdout closed before the output was written
+(``socodes ... | head -1``; 128 + SIGPIPE, as a shell reports a process a
+broken pipe ended), with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .analysis import LinearCode, display, is_self_dual, is_self_orthogonal
@@ -357,7 +360,14 @@ def main(argv=None) -> int:
             raise UsageError(f"code {args.action} needs a subgroup argument")
         if getattr(args, "out", None) and args.action in _NO_ARTIFACT.get(args.command, ()):
             raise UsageError(f"{args.command} {args.action} writes no artifact for --out")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left early: stdout goes to devnull so that the flush at
+        # interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -1,14 +1,17 @@
 """Finite permutation groups given by generators.
 
-Full element enumeration (no stabilizer chains: every group in scope has
-order <= 7920), point and set orbits, stabilizers, derived actions, and
-elements of a given order. Two routines carry everything:
+Point and set orbits, a stabilizer chain, element enumeration, stabilizers,
+derived actions, and elements of a given order. Three routines carry
+everything:
 
-- ``_closure``, one breadth-first search over the generators, gives every
-  closure: the elements, a point orbit, a set orbit, the coset
-  representatives. Point and set orbits need the generators alone; the
-  enumerated elements are needed only for group orders, stabilizers and
-  cosets.
+- ``_closure``, one breadth-first search over the generators, gives a
+  point orbit, a set orbit and the coset representatives, from the
+  generators alone.
+- ``_schreier_sims``, deterministic Schreier-Sims, gives a base and one
+  transversal per level. The order is the product of the transversal
+  lengths, membership is sifting, and the elements are the products of the
+  transversals, built level by level in numpy (every group in scope has
+  order <= 7920, and DEFAULT_CAP is checked before any element is listed).
 - ``PermGroup.induced(objects, act)`` gives every derived action: the
   generators acting on the positions of a list of objects they permute.
   The action on k-subsets, the action on the cosets of a subgroup and the
@@ -25,7 +28,9 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from math import comb, lcm
+from math import comb, lcm, prod
+
+import numpy as np
 
 from .records import format_records, read_records
 
@@ -103,9 +108,7 @@ class Perm:
         # so the constructor's check is skipped
         if len(self.images) != len(other.images):
             raise ValueError("degree mismatch")
-        h = Perm.__new__(Perm)
-        h.images = tuple([other.images[x] for x in self.images])
-        return h
+        return _perm(_mul(self.images, other.images))
 
     def apply_set(self, points) -> tuple:
         return tuple(sorted(self.images[p] for p in points))
@@ -158,14 +161,9 @@ class Perm:
         return "Perm" + "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
 
 
-def _closure(start, gens, act, cap=None) -> set:
-    """Everything reached from start by repeated x -> act(x, g), g in gens.
-
-    Breadth-first; raises OrderExceedsCap once more than cap are found,
-    start included.
-    """
-    if cap is not None and cap < 1:
-        raise OrderExceedsCap(f"group order exceeds cap {cap}")
+def _closure(start, gens, act) -> set:
+    """Everything reached from start by repeated x -> act(x, g), g in gens,
+    breadth-first."""
     seen = {start}
     frontier = [start]
     while frontier:
@@ -176,10 +174,144 @@ def _closure(start, gens, act, cap=None) -> set:
                 if y not in seen:
                     seen.add(y)
                     new.append(y)
-                    if cap is not None and len(seen) > cap:
-                        raise OrderExceedsCap(f"group order exceeds cap {cap}")
         frontier = new
     return seen
+
+
+def _perm(images: tuple) -> Perm:
+    """A Perm of images already known to be a bijection, unchecked."""
+    g = Perm.__new__(Perm)
+    g.images = images
+    return g
+
+
+def _mul(g: tuple, h: tuple) -> tuple:
+    return tuple([h[x] for x in g])
+
+
+def _inv(g: tuple) -> tuple:
+    out = [0] * len(g)
+    for i, x in enumerate(g):
+        out[x] = i
+    return tuple(out)
+
+
+def _schreier_sims(n: int, gens) -> list:
+    """Stabilizer chain of the group the image tuples gens generate, by
+    deterministic Schreier-Sims (Sims 1970; Seress 2003, ch. 4).
+
+    Level i is (b_i, U_i): U_i maps each point x of the orbit of b_i under
+    G_i, the pointwise stabilizer of b_0..b_{i-1}, to a pair (u, u^-1) with
+    u in G_i and b_i^u = x. Every element is one product u_{k-1}...u_1 u_0,
+    one u_i from each U_i, so the order is the product of the |U_i|.
+
+    While the chain grows, the product of its orbit lengths is a lower bound
+    on the order, so OrderExceedsCap is raised as soon as it passes
+    DEFAULT_CAP, before that orbit's transversal is made.
+    """
+    cap = DEFAULT_CAP
+    ident = tuple(range(n))
+    gens = [g for g in dict.fromkeys(gens) if g != ident]
+    base, strong, lengths, levels = [], [], [], []
+
+    def new_level(g):
+        # the first point g moves becomes the next base point
+        b = next(x for x in range(n) if g[x] != x)
+        base.append(b)
+        strong.append([])
+        lengths.append(1)
+        levels.append((b, {b: (ident, ident)}))
+
+    def orbit(i):
+        b = base[i]
+        lengths[i] = len(_closure(b, strong[i], lambda x, s: s[x]))
+        if prod(lengths) > cap:
+            raise OrderExceedsCap(f"group order exceeds cap {cap}")
+        U = {b: (ident, ident)}
+        queue = [b]
+        for x in queue:
+            u = U[x][0]
+            for s in strong[i]:
+                y = s[x]
+                if y not in U:
+                    v = _mul(u, s)
+                    U[y] = (v, _inv(v))
+                    queue.append(y)
+        levels[i] = (b, U)
+
+    for g in gens:
+        if all(g[b] == b for b in base):
+            new_level(g)
+    for i in range(len(base)):
+        strong[i] = [g for g in gens if all(g[b] == b for b in base[:i])]
+        orbit(i)
+
+    def unsifted(i):
+        # the first Schreier generator u s (u')^-1 of level i, u' the
+        # representative of x^s, that does not sift through levels i+1 on,
+        # as (residue, level it stopped at); None once all of them sift
+        _, U = levels[i]
+        for x, (u, _) in U.items():
+            for s in strong[i]:
+                h, j = _sift(levels, _mul(_mul(u, s), U[s[x]][1]), i + 1)
+                if h != ident:
+                    return h, j
+        return None
+
+    i = len(base) - 1
+    while i >= 0:
+        found = unsifted(i)
+        if found is None:
+            i -= 1
+            continue
+        h, j = found
+        if j == len(base):
+            new_level(h)
+        for m in range(i + 1, j + 1):
+            strong[m].append(h)
+            orbit(m)
+        i = j
+    if prod(lengths) > cap:
+        # the trivial group, against a cap of 0
+        raise OrderExceedsCap(f"group order exceeds cap {cap}")
+    return levels
+
+
+def _sift(levels, g: tuple, start: int = 0):
+    """(residue, level): g divided by transversal elements from level start
+    on, stopping at the first level whose orbit misses the base image. g is
+    in the group iff the residue is the identity with level len(levels)."""
+    for i in range(start, len(levels)):
+        b, U = levels[i]
+        x = g[b]
+        if x not in U:
+            return g, i
+        g = _mul(g, U[x][1])
+    return g, len(levels)
+
+
+def _element_rows(n: int, levels) -> np.ndarray:
+    """All products of the transversals, one row of images per element,
+    sorted lexicographically.
+
+    Rows take the smallest unsigned type that holds n - 1, one byte per
+    image up to degree 256, so that listing the elements costs little more
+    memory than the Perm objects it makes. The sort keys are the shortest
+    column prefix that tells every row apart: the first p columns do so
+    exactly when no row but the identity fixes points 0..p-1.
+    """
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    rows = np.arange(n, dtype=dtype)[None, :]
+    for _, U in reversed(levels):
+        # rows of G_{i+1} times U_i: (r u)[x] = u[r[x]]
+        rows = np.array([u for u, _ in U.values()], dtype=dtype)[:, rows].reshape(-1, n)
+    fixes, p = np.ones(len(rows), dtype=bool), 0
+    while np.count_nonzero(fixes) > 1:
+        fixes &= rows[:, p] == p
+        p += 1
+    if p:
+        rows = rows[np.lexsort(rows[:, :p].T[::-1])]
+    return rows
 
 
 class PermGroup:
@@ -192,17 +324,28 @@ class PermGroup:
             raise ValueError("generator degree mismatch")
         self.generators = gens
         self._elements = _elements
+        self._chain = None
 
     # -- enumeration --------------------------------------------------------
 
+    def _stabilizer_chain(self) -> list:
+        """The stabilizer chain of ``_schreier_sims``, built once."""
+        if self._chain is None:
+            self._chain = _schreier_sims(self.degree, [g.images for g in self.generators])
+        return self._chain
+
     def enumerate(self) -> tuple:
-        """Breadth-first closure of the generators; sorted by image tuple.
+        """Every element, sorted by image tuple, listed as the products of
+        the chain's transversals.
 
         Raises OrderExceedsCap above DEFAULT_CAP elements."""
         if self._elements is None:
-            self._elements = tuple(sorted(_closure(
-                Perm.identity(self.degree), self.generators, Perm.__mul__,
-                DEFAULT_CAP)))
+            rows = _element_rows(self.degree, self._stabilizer_chain())
+            # 512 rows at a time: a whole-array tolist() would hold a second
+            # copy of every image as a Python list while the Perms are made
+            self._elements = tuple(_perm(tuple(images))
+                                   for start in range(0, len(rows), 512)
+                                   for images in rows[start:start + 512].tolist())
         return self._elements
 
     @property
@@ -211,7 +354,18 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        """The number of elements, from the chain when they are not listed.
+
+        Raises OrderExceedsCap above DEFAULT_CAP."""
+        if self._elements is not None:
+            return len(self._elements)
+        return prod(len(U) for _, U in self._stabilizer_chain())
+
+    def __contains__(self, g: Perm) -> bool:
+        """Membership by sifting through the chain."""
+        levels = self._stabilizer_chain()
+        h, i = _sift(levels, g.images)
+        return i == len(levels) and h == tuple(range(self.degree))
 
     # -- orbits and stabilizers --------------------------------------------
 
@@ -286,8 +440,7 @@ class PermGroup:
 
         Cosets are numbered by their lexicographically least element, sorted.
         """
-        gset = set(self.elements)
-        if H.degree != self.degree or any(h not in gset for h in H.generators):
+        if H.degree != self.degree or any(h not in self for h in H.generators):
             raise NotASubgroup("H is not contained in G")
         if self.order // H.order > INDEX_CAP:
             raise IndexTooLarge(f"index {self.order // H.order} exceeds {INDEX_CAP}")
@@ -317,13 +470,12 @@ class PermGroup:
         For a group with a unique subgroup of index 2 this is that subgroup
         (squares die in any C2 quotient, and what they generate is normal).
         """
-        identity = Perm.identity(self.degree)
-        gens, generated = [], {identity}
+        gens, generated = [], PermGroup(self.degree, [])
         for s in sorted({g * g for g in self.elements}):
             if s not in generated:
                 gens.append(s)
-                generated = _closure(identity, gens, Perm.__mul__)
-        return PermGroup(self.degree, gens, _elements=tuple(sorted(generated)))
+                generated = PermGroup(self.degree, gens)
+        return generated
 
     def __repr__(self):
         n = len(self._elements) if self._elements is not None else "?"

@@ -4,7 +4,11 @@ Commands run in-process through main(argv) so exit codes and stdout are
 asserted directly; the M11 action cache makes repeated pipeline runs cheap.
 """
 
+import os
+import subprocess
+import sys
 from math import isqrt
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -51,6 +55,24 @@ def d2210(tmp_path, capsys):
 
 
 # ------------------------------------------------------------------- usage
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # a 1-(256,1,1) design's report is about 260 KB, more than a pipe holds,
+    # so the writer is still writing when the reader closes its end
+    des = tmp_path / "d256.des"
+    des.write_text("256 256\n" + "".join(f"{i}\n" for i in range(256)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "socodes.cli", "code", "from-design", str(des)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"[512,256,?]_2 SO=true")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
 
 def test_no_command_is_usage_error(capsys):
     code, _, err = run(capsys)

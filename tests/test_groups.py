@@ -1,14 +1,17 @@
 """Permutation groups by generators: enumeration, orbits, stabilizers,
 induced actions, coset actions, elements of given order, file I/O."""
 
+import hashlib
 import importlib.util
 import itertools
 import math
+import time
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (coset_action_naive, cycle_type_naive, group_closure_naive,
                      induced_naive, perm_order_naive, set_orbit_naive)
@@ -104,6 +107,41 @@ def test_enumeration_cap(monkeypatch):
     assert PermGroup(3, []).enumerate() == (Perm.identity(3),)
 
 
+# sha256 of the little-endian uint16 image rows of each shipped action's
+# elements in sorted order, recorded from a breadth-first closure of the
+# generators sorted by image tuple
+M11_ELEMENT_DIGESTS = {
+    11: "6c07eb5900c312f3666ebb40383760f2899499fe26c17249152ac77e7f2befa7",
+    12: "0783be1b9c46cf01854f0ae1c05836f167d306b384574f2486945f3b04cc2009",
+    22: "c609365efbcbfa8e4282e9b864c5fcc33beccdfbf97c7b4972bfecca3a955ac7",
+    55: "a9107d1940a1c412be59e83760ad2655bc0edaa47757c5b70ea78c0d0f05bb33",
+    66: "3becd6c14c472f26258d4c81db0ede89da35fc1a931dec4a96d804cab856fffb",
+    165: "b72b344c3383f2b50a23a6faaf42742db578242050b882079c279bd840e19fdc",
+}
+
+
+@pytest.mark.parametrize("degree", sorted(M11_ELEMENT_DIGESTS))
+def test_m11_elements_from_chain_match_closure(degree):
+    G = PermGroup(degree, m11_degree(degree).generators)
+    assert G.order == 7920
+    assert G._elements is None          # the order comes from the chain
+    rows = np.asarray([g.images for g in G.elements], dtype="<u2")
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == M11_ELEMENT_DIGESTS[degree]
+    assert all(type(x) is int for x in G.elements[-1].images)
+
+
+def test_over_cap_raises_before_listing():
+    # S12 has order 12! > DEFAULT_CAP; the chain's partial orbit lengths
+    # pass the cap long before any element is listed
+    n = 12
+    gens = [Perm.from_cycles(n, [tuple(range(n))]), Perm.from_cycles(n, [(0, 1)])]
+    for read in (lambda G: G.enumerate(), lambda G: G.order):
+        start = time.perf_counter()
+        with pytest.raises(OrderExceedsCap, match=f"group order exceeds cap {groups.DEFAULT_CAP}"):
+            read(PermGroup(n, gens))
+        assert time.perf_counter() - start < 0.5
+
+
 def test_point_orbits():
     assert PermGroup(4, []).point_orbits() == [(0,), (1,), (2,), (3,)]
     assert m11().point_orbits() == [tuple(range(11))]
@@ -182,8 +220,18 @@ def small_groups(draw):
     return n, [tuple(g) for g in gens], delta, draw(st.integers(0, 10 ** 9))
 
 
+S8_GENS = [tuple(range(1, 8)) + (0,), (1, 0) + tuple(range(2, 8))]
+A8_GENS = [(1, 2, 0) + tuple(range(3, 8)), (0,) + tuple(range(2, 8)) + (1,)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(small_groups())
+@example((4, [], {0, 1}, 0))                                    # trivial group
+@example((5, [tuple(range(5)), (1, 2, 0, 3, 4), (1, 2, 0, 3, 4)], {3}, 7))  # id, repeat
+@example((1, [(0,)], {0}, 0))                                    # degree 1
+@example((6, [(1, 0, 2, 3, 4, 5), (0, 1, 2, 3, 5, 4)], {0, 4}, 3))   # C2 x C2
+@example((8, S8_GENS, {0, 1, 2}, 12345))                         # S8
+@example((8, A8_GENS, {0, 5}, 777))                              # A8
 def test_group_layer_matches_naive(case):
     n, gens, delta, pick = case
     closure = group_closure_naive(gens, n)
@@ -191,11 +239,14 @@ def test_group_layer_matches_naive(case):
     G = PermGroup(n, gens)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groups, "DEFAULT_CAP", order)
+        assert PermGroup(n, gens).order == order
         assert [g.images for g in G.enumerate()] == sorted(closure)
         mp.setattr(groups, "DEFAULT_CAP", order - 1)
         with pytest.raises(OrderExceedsCap):
             PermGroup(n, gens).enumerate()
 
+    if n <= 6:
+        assert {p for p in itertools.permutations(range(n)) if Perm(p) in G} == closure
     orbits = sorted({tuple(sorted({g[x] for g in closure})) for x in range(n)})
     assert G.point_orbits() == orbits
     assert G.set_orbit(delta) == set_orbit_naive(gens, n, delta)
@@ -327,6 +378,9 @@ def test_squares_subgroup_keeps_few_generators():
     H = m11().stabilizer(0).squares_subgroup()
     assert H.order == 360 and len(H.generators) <= 4
     assert H.elements == PermGroup(11, H.generators).elements
+    assert [g.images for g in H.generators] == [
+        (0, 1, 2, 5, 10, 9, 3, 8, 4, 6, 7), (0, 1, 3, 2, 6, 8, 4, 10, 5, 9, 7),
+        (0, 2, 1, 3, 10, 6, 5, 8, 7, 9, 4)]
 
 
 def test_m11_degree22_action():
