@@ -14,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from socodes.analysis import Unknown, display, is_self_orthogonal, min_distance
 from socodes.constructions import from_incidence_binary
-from socodes.designs import from_group_action, intersection_profile
+from socodes.designs import from_group_action, intersection_profile, stabilizer_orbits
 from socodes.m11 import m11_degree
 
 
@@ -23,7 +23,7 @@ def main():
     print(f"degree {G.degree}, order {G.order}, "
           f"transitive={G.is_transitive()}")
 
-    orbits = G.stabilizer(0).point_orbits()
+    orbits = stabilizer_orbits(G, 0)
     sizes = sorted(len(o) for o in orbits)
     print(f"point-stabilizer orbit sizes: {sizes}")
 

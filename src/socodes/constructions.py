@@ -149,7 +149,8 @@ def _borders(a: int, d: int, w: int, p: int):
 
 
 def _design_name(D: Design) -> str:
-    return f"1-({D.v},{D.k},{D.r}) design"
+    k, r = validate(D)
+    return f"1-({D.v},{k},{r}) design"
 
 
 # ---------------------------------------------------------------- incidence

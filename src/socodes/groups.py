@@ -7,16 +7,22 @@ everything:
 - ``_closure``, one breadth-first search over the generators, gives a
   point orbit, a set orbit and the coset representatives, from the
   generators alone.
-- ``_schreier_sims``, deterministic Schreier-Sims, gives a base and one
-  transversal per level. The order is the product of the transversal
-  lengths, membership is sifting, and the elements are the products of the
-  transversals, built level by level in numpy (every group in scope has
-  order <= 7920, and DEFAULT_CAP is checked before any element is listed).
+- ``_schreier_sims``, incremental Schreier-Sims, gives a base and, per
+  level, strong generators and one representative per orbit point. The
+  order is the product of the orbit lengths, membership is sifting, a point
+  stabilizer is generated by the first level of a chain whose base starts
+  at that point, and the elements are the products of the transversals,
+  built level by level in numpy (every group in scope has order <= 7920,
+  and DEFAULT_CAP is checked before any transversal is made).
 - ``PermGroup.induced(objects, act)`` gives every derived action: the
   generators acting on the positions of a list of objects they permute.
   The action on k-subsets, the action on the cosets of a subgroup and the
   action of an automorphism group on a design's blocks (``orbitmat``) are
   its three uses.
+
+Only ``enumerate``, ``element_of_order``, ``squares_subgroup`` and the
+subgroup side of ``coset_action`` list elements; orbits, order,
+membership and stabilizers read the chain.
 
 Points are 0-based everywhere internally; the group file format uses the
 1-based convention of the literature and is converted at the I/O boundary.
@@ -196,82 +202,56 @@ def _inv(g: tuple) -> tuple:
     return tuple(out)
 
 
-def _schreier_sims(n: int, gens) -> list:
+def _schreier_sims(n: int, gens, base=()) -> list:
     """Stabilizer chain of the group the image tuples gens generate, by
-    deterministic Schreier-Sims (Sims 1970; Seress 2003, ch. 4).
+    incremental Schreier-Sims (Sims 1970; Seress 2003, ch. 4).
 
-    Level i is (b_i, U_i): U_i maps each point x of the orbit of b_i under
-    G_i, the pointwise stabilizer of b_0..b_{i-1}, to a pair (u, u^-1) with
-    u in G_i and b_i^u = x. Every element is one product u_{k-1}...u_1 u_0,
-    one u_i from each U_i, so the order is the product of the |U_i|.
+    Level i is (b_i, S_i, U_i): S_i generates G_i, the pointwise stabilizer
+    of b_0..b_{i-1}, and U_i maps each point x of the orbit of b_i under G_i
+    to one u in G_i with b_i^u = x. Every element is one product
+    u_{k-1}...u_1 u_0, one u_i from each U_i, so the order is the product of
+    the |U_i|. The base starts with the points of base, then takes the first
+    point the next new level's generator moves.
 
-    While the chain grows, the product of its orbit lengths is a lower bound
-    on the order, so OrderExceedsCap is raised as soon as it passes
-    DEFAULT_CAP, before that orbit's transversal is made.
+    add(i, g) puts g in S_i, rebuilds U_i, and sends every Schreier
+    generator u s (u')^-1 of level i, u' the representative of x^s, that
+    does not sift through the deeper levels to add(i + 1, residue). The
+    product of the orbit lengths is a lower bound on the order, so
+    OrderExceedsCap is raised as soon as it passes DEFAULT_CAP, before that
+    orbit's transversal is made.
     """
     cap = DEFAULT_CAP
     ident = tuple(range(n))
-    gens = [g for g in dict.fromkeys(gens) if g != ident]
-    base, strong, lengths, levels = [], [], [], []
+    levels = []
 
-    def new_level(g):
-        # the first point g moves becomes the next base point
-        b = next(x for x in range(n) if g[x] != x)
-        base.append(b)
-        strong.append([])
-        lengths.append(1)
-        levels.append((b, {b: (ident, ident)}))
-
-    def orbit(i):
-        b = base[i]
-        lengths[i] = len(_closure(b, strong[i], lambda x, s: s[x]))
-        if prod(lengths) > cap:
+    def add(i, g):
+        if i == len(levels):
+            b = base[i] if i < len(base) else next(x for x in range(n) if g[x] != x)
+            levels.append((b, [], {}))
+        b, S, _ = levels[i]
+        S.append(g)
+        others = prod(len(U) for j, (_, _, U) in enumerate(levels) if j != i)
+        if others * len(_closure(b, S, lambda x, s: s[x])) > cap:
             raise OrderExceedsCap(f"group order exceeds cap {cap}")
-        U = {b: (ident, ident)}
+        U = {b: ident}
         queue = [b]
         for x in queue:
-            u = U[x][0]
-            for s in strong[i]:
+            for s in S:
                 y = s[x]
                 if y not in U:
-                    v = _mul(u, s)
-                    U[y] = (v, _inv(v))
+                    U[y] = _mul(U[x], s)
                     queue.append(y)
-        levels[i] = (b, U)
-
-    for g in gens:
-        if all(g[b] == b for b in base):
-            new_level(g)
-    for i in range(len(base)):
-        strong[i] = [g for g in gens if all(g[b] == b for b in base[:i])]
-        orbit(i)
-
-    def unsifted(i):
-        # the first Schreier generator u s (u')^-1 of level i, u' the
-        # representative of x^s, that does not sift through levels i+1 on,
-        # as (residue, level it stopped at); None once all of them sift
-        _, U = levels[i]
-        for x, (u, _) in U.items():
-            for s in strong[i]:
-                h, j = _sift(levels, _mul(_mul(u, s), U[s[x]][1]), i + 1)
+        levels[i] = (b, S, U)
+        for x, u in U.items():
+            for s in S:
+                h, _ = _sift(levels, _mul(_mul(u, s), _inv(U[s[x]])), i + 1)
                 if h != ident:
-                    return h, j
-        return None
+                    add(i + 1, h)
 
-    i = len(base) - 1
-    while i >= 0:
-        found = unsifted(i)
-        if found is None:
-            i -= 1
-            continue
-        h, j = found
-        if j == len(base):
-            new_level(h)
-        for m in range(i + 1, j + 1):
-            strong[m].append(h)
-            orbit(m)
-        i = j
-    if prod(lengths) > cap:
+    for g in dict.fromkeys(gens):
+        if g != ident:
+            add(0, g)
+    if prod(len(U) for _, _, U in levels) > cap:
         # the trivial group, against a cap of 0
         raise OrderExceedsCap(f"group order exceeds cap {cap}")
     return levels
@@ -282,11 +262,11 @@ def _sift(levels, g: tuple, start: int = 0):
     on, stopping at the first level whose orbit misses the base image. g is
     in the group iff the residue is the identity with level len(levels)."""
     for i in range(start, len(levels)):
-        b, U = levels[i]
+        b, _, U = levels[i]
         x = g[b]
         if x not in U:
             return g, i
-        g = _mul(g, U[x][1])
+        g = _mul(g, _inv(U[x]))
     return g, len(levels)
 
 
@@ -302,9 +282,9 @@ def _element_rows(n: int, levels) -> np.ndarray:
     """
     dtype = np.min_scalar_type(max(n - 1, 0))
     rows = np.arange(n, dtype=dtype)[None, :]
-    for _, U in reversed(levels):
+    for _, _, U in reversed(levels):
         # rows of G_{i+1} times U_i: (r u)[x] = u[r[x]]
-        rows = np.array([u for u, _ in U.values()], dtype=dtype)[:, rows].reshape(-1, n)
+        rows = np.array(list(U.values()), dtype=dtype)[:, rows].reshape(-1, n)
     fixes, p = np.ones(len(rows), dtype=bool), 0
     while np.count_nonzero(fixes) > 1:
         fixes &= rows[:, p] == p
@@ -317,22 +297,26 @@ def _element_rows(n: int, levels) -> np.ndarray:
 class PermGroup:
     """Group generated by a list of permutations of common degree."""
 
-    def __init__(self, degree: int, generators, _elements=None):
+    def __init__(self, degree: int, generators):
         self.degree = degree
         gens = tuple(g if isinstance(g, Perm) else Perm(g) for g in generators)
         if any(g.degree != degree for g in gens):
             raise ValueError("generator degree mismatch")
         self.generators = gens
-        self._elements = _elements
+        self._elements = None
         self._chain = None
 
     # -- enumeration --------------------------------------------------------
 
-    def _stabilizer_chain(self) -> list:
-        """The stabilizer chain of ``_schreier_sims``, built once."""
-        if self._chain is None:
-            self._chain = _schreier_sims(self.degree, [g.images for g in self.generators])
-        return self._chain
+    def _stabilizer_chain(self, point: int = 0) -> list:
+        """A ``_schreier_sims`` chain whose base starts at point; the one
+        for point 0 is built once and kept."""
+        if point == 0 and self._chain is not None:
+            return self._chain
+        chain = _schreier_sims(self.degree, [g.images for g in self.generators], (point,))
+        if point == 0:
+            self._chain = chain
+        return chain
 
     def enumerate(self) -> tuple:
         """Every element, sorted by image tuple, listed as the products of
@@ -354,12 +338,11 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        """The number of elements, from the chain when they are not listed.
+        """The number of elements, the product of the chain's orbit lengths;
+        like ``stabilizer``, it lists no element.
 
         Raises OrderExceedsCap above DEFAULT_CAP."""
-        if self._elements is not None:
-            return len(self._elements)
-        return prod(len(U) for _, U in self._stabilizer_chain())
+        return prod(len(U) for _, _, U in self._stabilizer_chain())
 
     def __contains__(self, g: Perm) -> bool:
         """Membership by sifting through the chain."""
@@ -388,8 +371,14 @@ class PermGroup:
         return len(self.orbit_of(0)) == self.degree if self.degree else True
 
     def stabilizer(self, point: int) -> "PermGroup":
-        els = tuple(g for g in self.elements if g.images[point] == point)
-        return PermGroup(self.degree, els, _elements=els)
+        """G_point, generated by level 1 of a stabilizer chain whose base
+        starts at point: the kept chain for point 0, a new one otherwise.
+        Nothing is listed (only ``enumerate``, ``element_of_order``,
+        ``squares_subgroup`` and the subgroup side of ``coset_action`` list
+        elements)."""
+        levels = self._stabilizer_chain(point)
+        strong = levels[1][1] if len(levels) > 1 else []
+        return PermGroup(self.degree, map(_perm, strong))
 
     def set_orbit(self, delta) -> list:
         """Distinct images of the point set delta under the group, as a

@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import math
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from oracles import (coset_action_naive, cycle_type_naive, group_closure_naive,
                      induced_naive, perm_order_naive, set_orbit_naive)
 from strategies import small_transitive_groups
 from socodes import groups
+from socodes.designs import stabilizer_orbits
 from socodes.groups import (
     Perm, PermGroup, OrderExceedsCap, DegreeTooLarge, IndexTooLarge,
     NotASubgroup, NotInvariant, parse_group_text, format_group_text,
@@ -207,7 +209,27 @@ def test_orbits_leave_elements_unenumerated():
     assert G.orbit_of(0) == tuple(range(165))
     assert len(G.set_orbit((0, 1, 2))) == 3960
     assert G.set_orbit(()) == [()]
+    # point stabilizers come from the chain's first level, not from a list
+    assert sorted(map(len, stabilizer_orbits(G, 0))) == [1, 8, 12, 24, 24, 24, 24, 48]
+    assert G.stabilizer(7).order == 48
     assert G._elements is None
+    M = PermGroup(11, M11_GENS)
+    assert M.stabilizer(0).squares_subgroup().order == 360
+    assert M._elements is None
+
+
+def test_chain_keeps_one_image_tuple_per_orbit_point():
+    # the regular action of C_1000: one orbit of 1000 points, each with one
+    # 1000-image representative (about 8 MB) and no stored inverse
+    n = 1000
+    G = PermGroup(n, [Perm.from_cycles(n, [tuple(range(n))])])
+    tracemalloc.start()
+    try:
+        assert G.order == n
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 12 * 2 ** 20
 
 
 @st.composite
@@ -241,6 +263,9 @@ def test_group_layer_matches_naive(case):
         mp.setattr(groups, "DEFAULT_CAP", order)
         assert PermGroup(n, gens).order == order
         assert [g.images for g in G.enumerate()] == sorted(closure)
+        for x in range(n):
+            assert ([g.images for g in G.stabilizer(x).enumerate()]
+                    == sorted(g for g in closure if g[x] == x))
         mp.setattr(groups, "DEFAULT_CAP", order - 1)
         with pytest.raises(OrderExceedsCap):
             PermGroup(n, gens).enumerate()
