@@ -14,7 +14,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from socodes.analysis import Unknown, display, is_self_orthogonal, min_distance
 from socodes.constructions import from_incidence_binary
-from socodes.designs import from_group_action, intersection_profile, stabilizer_orbits
+from socodes.designs import (from_group_action, intersection_profile, parameters,
+                             stabilizer_orbits)
 from socodes.m11 import m11_degree
 
 
@@ -31,7 +32,7 @@ def main():
     # union develops into a design with k = r = 116.
     choice = tuple(i for i, o in enumerate(orbits) if len(o) not in (1, 48))
     D = from_group_action(G, 0, choice)
-    print(f"design 1-({D.v},{D.k},{D.r}) with b={D.b}")
+    print(f"design {parameters(D)} with b={D.b}")
 
     prof = intersection_profile(D, 2)
     print(f"parity profile: a={prof.a} d={prof.d} "

@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from socodes.analysis import display, min_distance
 from socodes.constructions import from_fixed_split_binary, from_incidence_binary, \
     from_orbitmatrix_binary
-from socodes.designs import wso_search
+from socodes.designs import parameters, wso_search
 from socodes.groups import PermGroup
 from socodes.m11 import m11_degree
 from socodes.orbitmat import BadOrbitProfile
@@ -43,7 +43,7 @@ def main():
         for hit in hits:
             D = hit.design
             rep = from_incidence_binary(D)
-            print(f"    1-({D.v},{D.k},{D.r})  ->  {finish(rep)}")
+            print(f"    {parameters(D)}  ->  {finish(rep)}")
 
         z = G.element_of_order(2)
         H = PermGroup(degree, [z])
@@ -52,7 +52,7 @@ def main():
         for hit in hits:
             r1, r2 = from_fixed_split_binary(hit.design, H)
             D = hit.design
-            print(f"    1-({D.v},{D.k},{D.r})  OM1 {finish(r1)}  "
+            print(f"    {parameters(D)}  OM1 {finish(r1)}  "
                   f"OM2 {finish(r2, budget=1 << 28)}")
 
         if degree == 66:
@@ -64,7 +64,7 @@ def main():
                 except BadOrbitProfile:
                     continue
                 D = hit.design
-                print(f"    1-({D.v},{D.k},{D.r})  ->  {finish(rep)}")
+                print(f"    {parameters(D)}  ->  {finish(rep)}")
 
 
 if __name__ == "__main__":

@@ -32,8 +32,8 @@ from .designs import (
     from_group_action,
     intersection_profile,
     format_design_text,
+    parameters,
     parse_design_text,
-    validate,
     wso_search,
     stabilizer_orbits,
 )
@@ -141,12 +141,6 @@ def cmd_group(args) -> int:
     return 0
 
 
-def _params(D) -> str:
-    """1-(v,k,r), with k and r from one validate call."""
-    k, r = validate(D)
-    return f"1-({D.v},{k},{r})"
-
-
 def cmd_design(args) -> int:
     p = prime_power(args.q)[0]
     if args.action == "search":
@@ -154,7 +148,7 @@ def cmd_design(args) -> int:
         for hit in wso_search(G, 0, p):
             D, prof = hit.design, hit.profile
             orbits = ",".join(str(i) for i in hit.orbit_choice)
-            print(f"Case{prof.dispatch_case()} {_params(D)} "
+            print(f"Case{prof.dispatch_case()} {parameters(D)} "
                   f"b={D.b} orbits={orbits}")
         return 0
     if args.action == "build":
@@ -166,12 +160,12 @@ def cmd_design(args) -> int:
         if not choice or any(not 0 <= i < count for i in choice):
             raise UsageError(f"orbit indices must lie in 0..{count - 1}")
         D = from_group_action(G, 0, choice)
-        print(f"{_params(D)} b={D.b}")
+        print(f"{parameters(D)} b={D.b}")
         _emit(format_design_text(D), args.out)
         return 0
     # classify
     D = _read(args.group, parse_design_text, "design")
-    params = _params(D)
+    params = parameters(D)
     prof = intersection_profile(D, p)
     if not prof.constant:
         kind = "parity" if p == 2 else f"residues mod {p}"

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import LinearCode, display
-from .designs import Design, intersection_profile, validate
+from .designs import Design, intersection_profile, parameters
 from .fields import Field, field_for_order
 from .groups import PermGroup
 from .matrices import GFMatrix, bordered
@@ -129,14 +129,15 @@ def _finish(source: str, tag: str, F: Field, left, right,
 
 
 def _constant_profile(D: Design, p: int, binary: bool):
-    """Intersection profile of a valid design, rejected unless constant."""
-    validate(D)
+    """(intersection profile, "1-(v,k,r) design") of a design validated by
+    that one ``parameters`` call; rejected unless the profile is constant."""
+    name = f"{parameters(D)} design"
     prof = intersection_profile(D, p)
     if not prof.constant:
         if binary:
             raise NotWSO("pairwise intersection sizes have mixed parity")
         raise NonConstantProfile(f"intersection sizes vary mod {p}")
-    return prof
+    return prof, name
 
 
 def _borders(a: int, d: int, w: int, p: int):
@@ -148,23 +149,17 @@ def _borders(a: int, d: int, w: int, p: int):
     return tuple(None if b[1] == 0 else b for b in (left, right))
 
 
-def _design_name(D: Design) -> str:
-    k, r = validate(D)
-    return f"1-({D.v},{k},{r}) design"
-
-
 # ---------------------------------------------------------------- incidence
 
 
 def _incidence(D: Design, q: int, binary: bool) -> ConstructionReport:
     F = field_for_order(q)
-    prof = _constant_profile(D, F.p, binary)
+    prof, name = _constant_profile(D, F.p, binary)
     case = prof.dispatch_case()
     sub = "" if binary or case < 4 else "a" if prof.a == prof.d else "b"
     tag = f"T2.{1 if binary else 2}.{case}{sub}"
     left, right = _borders(prof.a, prof.d, 1, F.p)
-    return _finish(f"{_design_name(D)}, {D.b} blocks", tag, F, left, right,
-                   D.incidence)
+    return _finish(f"{name}, {D.b} blocks", tag, F, left, right, D.incidence)
 
 
 def from_incidence_binary(D: Design) -> ConstructionReport:
@@ -225,12 +220,12 @@ def from_orbitmatrix_binary(D: Design, H: PermGroup) -> ConstructionReport:
     length w = 2^u w'; block orbit lengths must share one 2-adic valuation
     o <= u. When o = u the borders follow the rule for w; when o < u the
     orbit matrix stands unbordered."""
-    prof = _constant_profile(D, 2, binary=True)
+    prof, name = _constant_profile(D, 2, binary=True)
     OM = build(D, H)
     w, o, u = _om_profile_binary(OM.point_orbit_sizes, OM.block_orbit_sizes)
     tag = _om_tag_binary(prof.dispatch_case(), o, u)
     left, right = _borders(prof.a, prof.d, w, 2) if o == u else (None, None)
-    src = f"{_design_name(D)}, orbit matrix {OM.m}x{OM.n}, w={w}"
+    src = f"{name}, orbit matrix {OM.m}x{OM.n}, w={w}"
     return _finish(src, tag, field_for_order(2), left, right, OM.entries)
 
 
@@ -246,12 +241,12 @@ def from_orbitmatrix_q(D: Design, H: PermGroup, q: int) -> ConstructionReport:
     """Bordered orbit-matrix code over GF(q)/GF(q^2); every point and block
     orbit must share one length w, which enters the right border -w*d."""
     F = field_for_order(q)
-    prof = _constant_profile(D, F.p, binary=False)
+    prof, name = _constant_profile(D, F.p, binary=False)
     OM = build(D, H)
     w = _om_profile_q(OM.point_orbit_sizes, OM.block_orbit_sizes)
     tag = _om_tag_q(prof.dispatch_case(), w, F.p)
     left, right = _borders(prof.a, prof.d, w, F.p)
-    src = f"{_design_name(D)}, orbit matrix {OM.m}x{OM.n}, w={w}"
+    src = f"{name}, orbit matrix {OM.m}x{OM.n}, w={w}"
     return _finish(src, tag, F, left, right, OM.entries)
 
 
@@ -263,10 +258,10 @@ def _fixed(D: Design, H: PermGroup, q: int, alpha: int, binary: bool):
     p = F.p
     if not 1 <= alpha <= F.l:
         raise ValueError(f"alpha must lie in 1..{F.l} for GF({q})")
-    prof = _constant_profile(D, p, binary)
+    prof, name = _constant_profile(D, p, binary)
     fs = fixed_split(D, H, p, alpha)
     tag = f"T3.{prof.dispatch_case()}.fix" + ("" if binary else ".q")
-    base = f"{_design_name(D)}, fixed split"
+    base = f"{name}, fixed split"
     rep1 = _finish(f"{base}, OM1 {fs.f2}x{fs.f1}", tag, F,
                    *_borders(prof.a, prof.d, 1, p), fs.om1)
     rep2 = _finish(f"{base}, OM2 {fs.m}x{fs.n}", tag, F,

@@ -1,12 +1,15 @@
-"""1-designs: validation, intersection profiles, and developments of base
-blocks under transitive group actions.
+"""1-designs: validation, parameters, intersection profiles, and
+developments of base blocks under transitive group actions.
 
 A 1-(v,k,r) design here is a point count plus an ordered sequence of blocks
 (sorted point tuples), together with the b x v 0/1 incidence matrix it
 builds once and holds read-only; everything that counts on a design reads
 that matrix. Blocks may repeat; a repeated pair intersects in k points.
-The four-residue profile (k mod p, common intersection residue) drives
-every construction theorem downstream.
+``validate`` returns (k, r) and ``parameters`` names the design
+"1-(v,k,r)" from it; every printed design name comes from ``parameters``.
+``from_group_action`` and ``wso_search`` develop an orbit union through
+one routine, ``_develop``. The four-residue profile (k mod p, common
+intersection residue) drives every construction theorem downstream.
 """
 
 from __future__ import annotations
@@ -87,14 +90,6 @@ class Design:
     def b(self) -> int:
         return len(self.blocks)
 
-    @property
-    def k(self) -> int:
-        return validate(self)[0]
-
-    @property
-    def r(self) -> int:
-        return validate(self)[1]
-
     def __eq__(self, other):
         return (isinstance(other, Design) and self.v == other.v
                 and self.blocks == other.blocks)
@@ -104,8 +99,7 @@ class Design:
 
     def __repr__(self):
         try:
-            k, r = validate(self)
-            return f"Design(1-({self.v},{k},{r}), b={self.b})"
+            return f"Design({parameters(self)}, b={self.b})"
         except ValueError:
             return f"Design(v={self.v}, b={self.b})"
 
@@ -123,6 +117,12 @@ def validate(D: Design) -> tuple:
     if rs[0] == 0:
         raise NotOneDesign("isolated points")
     return int(sizes[0]), int(rs[0])
+
+
+def parameters(D: Design) -> str:
+    """"1-(v,k,r)", from one validate call; raises as validate does."""
+    k, r = validate(D)
+    return f"1-({D.v},{k},{r})"
 
 
 @dataclass(frozen=True)
@@ -183,31 +183,29 @@ def stabilizer_orbits(G: PermGroup, alpha: int) -> list:
     return G.stabilizer(alpha).point_orbits()
 
 
-def _delta_from_choice(orbits, orbit_choice) -> tuple:
-    """Sorted distinct points of the chosen orbits; an index outside
-    0..len(orbits)-1 is a ValueError."""
+def _develop(G: PermGroup, orbits, orbit_choice) -> Design:
+    """The validated development {Delta g} of Delta, the union of the chosen
+    orbits; an index outside 0..len(orbits)-1 is a ValueError."""
     pts = set()
     for i in map(int, orbit_choice):
         if not 0 <= i < len(orbits):
             raise ValueError(
                 f"orbit indices must lie in 0..{len(orbits) - 1}, got {i}")
         pts.update(orbits[i])
-    return tuple(sorted(pts))
+    if not pts:
+        raise DeltaEmpty("empty base block")
+    if len(pts) == G.degree:
+        raise DeltaIsOmega("base block is the whole point set")
+    D = Design(G.degree, G.set_orbit(tuple(sorted(pts))))
+    validate(D)
+    return D
 
 
 def from_group_action(G: PermGroup, alpha: int, orbit_choice) -> Design:
     """Develop Delta = union of chosen stabilizer orbits into {Delta g}."""
     if not G.is_transitive():
         raise NotTransitive("construction needs a transitive action")
-    orbits = stabilizer_orbits(G, alpha)
-    delta = _delta_from_choice(orbits, orbit_choice)
-    if not delta:
-        raise DeltaEmpty("empty base block")
-    if len(delta) == G.degree:
-        raise DeltaIsOmega("base block is the whole point set")
-    D = Design(G.degree, G.set_orbit(delta))
-    validate(D)
-    return D
+    return _develop(G, stabilizer_orbits(G, alpha), orbit_choice)
 
 
 @dataclass(frozen=True)
@@ -229,8 +227,7 @@ def wso_search(G: PermGroup, alpha: int, p: int = 2) -> list:
     hits = []
     for mask in range(1, 2 ** len(orbits) - 1):
         choice = tuple(i for i in range(len(orbits)) if mask >> i & 1)
-        D = Design(G.degree, G.set_orbit(_delta_from_choice(orbits, choice)))
-        validate(D)
+        D = _develop(G, orbits, choice)
         prof = intersection_profile(D, p)
         if prof.constant:
             hits.append(SearchHit(choice, D, prof))

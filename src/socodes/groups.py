@@ -215,10 +215,11 @@ def _schreier_sims(n: int, gens, base=()) -> list:
 
     add(i, g) puts g in S_i, rebuilds U_i, and sends every Schreier
     generator u s (u')^-1 of level i, u' the representative of x^s, that
-    does not sift through the deeper levels to add(i + 1, residue). The
-    product of the orbit lengths is a lower bound on the order, so
-    OrderExceedsCap is raised as soon as it passes DEFAULT_CAP, before that
-    orbit's transversal is made.
+    does not sift through the deeper levels to add(i + 1, residue). When
+    u s = u', as on every edge of U_i's BFS tree, that generator is the
+    identity and is skipped unsifted. The product of the orbit lengths is a
+    lower bound on the order, so OrderExceedsCap is raised as soon as it
+    passes DEFAULT_CAP, before that orbit's transversal is made.
     """
     cap = DEFAULT_CAP
     ident = tuple(range(n))
@@ -244,7 +245,10 @@ def _schreier_sims(n: int, gens, base=()) -> list:
         levels[i] = (b, S, U)
         for x, u in U.items():
             for s in S:
-                h, _ = _sift(levels, _mul(_mul(u, s), _inv(U[s[x]])), i + 1)
+                us, v = _mul(u, s), U[s[x]]
+                if us == v:
+                    continue
+                h, _ = _sift(levels, _mul(us, _inv(v)), i + 1)
                 if h != ident:
                     add(i + 1, h)
 
@@ -345,7 +349,10 @@ class PermGroup:
         return prod(len(U) for _, _, U in self._stabilizer_chain())
 
     def __contains__(self, g: Perm) -> bool:
-        """Membership by sifting through the chain."""
+        """Membership by sifting through the chain; a permutation of
+        another degree is not a member."""
+        if g.degree != self.degree:
+            return False
         levels = self._stabilizer_chain()
         h, i = _sift(levels, g.images)
         return i == len(levels) and h == tuple(range(self.degree))

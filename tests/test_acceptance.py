@@ -30,7 +30,8 @@ from socodes.constructions import (
     from_orbitmatrix_binary,
     from_orbitmatrix_q,
 )
-from socodes.designs import Design, from_group_action, intersection_profile, wso_search
+from socodes.designs import (Design, from_group_action, intersection_profile, validate,
+                             wso_search)
 from socodes.fields import field_for_order
 from socodes.groups import Perm, PermGroup
 from socodes.m11 import m11_degree
@@ -90,7 +91,7 @@ def z11():
 def _design(hits, vkr):
     for hit in hits:
         D = hit.design
-        if (D.v, D.k, D.r) == vkr:
+        if (D.v, *validate(D)) == vkr:
             return D
     raise AssertionError(f"no search hit with profile {vkr}")
 
@@ -161,7 +162,7 @@ def test_criterion_06_large_rows_sanity():
     orbits = G.stabilizer(0).point_orbits()
     choice = tuple(i for i, o in enumerate(orbits) if len(o) not in (1, 48))
     D = from_group_action(G, 0, choice)
-    assert (D.v, D.k, D.r, D.b) == (165, 116, 116, 165)
+    assert (D.v, *validate(D), D.b) == (165, 116, 116, 165)
     assert intersection_profile(D, 2).dispatch_case() == 2
     rep = from_incidence_binary(D)
     assert (rep.code.n, rep.code.k) == (331, 165)

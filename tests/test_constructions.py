@@ -6,12 +6,14 @@ generator recipes (gram arithmetic done in the margin). Branches whose
 hypotheses are unsatisfiable (see the selector tests) are pinned at the
 dispatch level instead.
 """
+import sys
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from socodes import designs
 from socodes.analysis import Exact, is_self_orthogonal, min_distance
 from socodes.constructions import (
     ConstructionReport, NonConstantProfile, NotWSO,
@@ -739,6 +741,31 @@ def test_fixed_q_rejects_nonconstant_profile():
 
 
 # ------------------------------------------------------- report contract
+
+def test_each_entry_point_validates_its_design_once(monkeypatch):
+    # one validation names the design and gates its profile; an orbit
+    # matrix's build checks its own input once more
+    calls = []
+    real = designs.validate
+
+    def counted(D):
+        calls.append(D)
+        return real(D)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("socodes") and getattr(mod, "validate", None) is real:
+            monkeypatch.setattr(mod, "validate", counted)
+    for run, want in [
+            (lambda: from_incidence_binary(FANO7), 1),
+            (lambda: from_incidence_q(SING2, 5), 1),
+            (lambda: from_orbitmatrix_binary(OCT2, chunks(8, 2)), 2),
+            (lambda: from_orbitmatrix_q(SIX1, chunks(6, 2), 3), 2),
+            (lambda: from_fixed_split_binary(FB1, chunks(6, 2, 2)), 2),
+            (lambda: from_fixed_split_q(FQ1, chunks(10, 3, 1), 3, 1), 2)]:
+        calls.clear()
+        run()
+        assert len(calls) == want
+
 
 def test_report_text_block():
     rep = from_incidence_q(SING2, 5)

@@ -25,6 +25,7 @@ from socodes.designs import (
     format_design_text,
     from_group_action,
     intersection_profile,
+    parameters,
     parse_design_text,
     stabilizer_orbits,
     validate,
@@ -94,10 +95,12 @@ def test_design_layer_matches_naive(case):
     err, want = validate_naive(v, blocks)
     if err is None:
         assert validate(D) == want
+        assert parameters(D) == f"1-({v},{want[0]},{want[1]})"
     else:
-        with pytest.raises(ValueError) as e:
-            validate(D)
-        assert (type(e.value).__name__, str(e.value)) == (err, want)
+        for check in (validate, parameters):
+            with pytest.raises(ValueError) as e:
+                check(D)
+            assert (type(e.value).__name__, str(e.value)) == (err, want)
 
     for p in (2, 3, 5):
         if len(blocks) < 2:
@@ -234,10 +237,10 @@ def test_from_group_action_negative_index_rejected():
 def test_m11_degree22_developments():
     G = m11_degree(22)
     D = from_group_action(G, 0, (2,))
-    assert (D.v, D.k, D.r, D.b) == (22, 20, 10, 11)
+    assert (D.v, *validate(D), D.b) == (22, 20, 10, 11)
     assert intersection_profile(D, 2).case == "SO"
     D2 = from_group_action(G, 0, (0, 1))
-    assert (D2.v, D2.k, D2.r, D2.b) == (22, 2, 1, 11)
+    assert (D2.v, *validate(D2), D2.b) == (22, 2, 1, 11)
     assert intersection_profile(D2, 2).case == "SO"
 
 
@@ -248,7 +251,7 @@ def test_m11_degree22_developments():
 def test_wso_search_degree22_frozen():
     G = m11_degree(22)
     hits = wso_search(G, 0)
-    got = [(h.orbit_choice, (h.design.v, h.design.k, h.design.r),
+    got = [(h.orbit_choice, (h.design.v, *validate(h.design)),
             h.design.b, h.profile.dispatch_case()) for h in hits]
     assert got == [
         ((0,), (22, 1, 1), 22, 3),
@@ -263,7 +266,7 @@ def test_wso_search_degree22_frozen():
 def test_wso_search_degree66_frozen():
     G = m11_degree(66)
     hits = wso_search(G, 0)
-    got = [(h.orbit_choice, (h.design.v, h.design.k, h.design.r),
+    got = [(h.orbit_choice, (h.design.v, *validate(h.design)),
             h.design.b, h.profile.dispatch_case()) for h in hits]
     assert got == [
         ((0,), (66, 1, 1), 66, 3),
@@ -313,7 +316,7 @@ def test_profile_matches_pairwise():
             for p in (2, 3):
                 prof = intersection_profile(D, p)
                 assert prof.d == _profile_naive(D, p)
-                assert prof.a == D.k % p
+                assert prof.a == validate(D)[0] % p
 
 
 def _subsets(n):
@@ -333,7 +336,8 @@ def test_search_invariants():
     G = m11_degree(22)
     for h in wso_search(G, 0):
         D = h.design
-        assert D.b * D.k == D.v * D.r
+        k, r = validate(D)
+        assert D.b * k == D.v * r
         assert h.profile.constant
 
 

@@ -97,6 +97,28 @@ def test_m11_order():
     assert m11().order == 7920
 
 
+def test_membership_of_another_degree_is_false():
+    G = m11()
+    assert Perm.identity(11) in G and M11_GENS[1] in G
+    assert Perm.identity(12) not in G
+    assert Perm.identity(3) not in G
+
+
+def test_chain_sifts_no_identity_schreier_generator(monkeypatch):
+    # u s equal to the representative of x^s makes the Schreier generator
+    # the identity; the chain skips it instead of sifting it
+    sifted = []
+    real = groups._sift
+
+    def sift(levels, g, start=0):
+        sifted.append(g == tuple(range(len(g))))
+        return real(levels, g, start)
+
+    monkeypatch.setattr(groups, "_sift", sift)
+    assert PermGroup(11, M11_GENS).order == 7920
+    assert sifted and not any(sifted)
+
+
 def test_enumeration_cap(monkeypatch):
     monkeypatch.setattr(groups, "DEFAULT_CAP", 100)
     with pytest.raises(OrderExceedsCap):
