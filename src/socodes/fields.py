@@ -10,17 +10,22 @@ All Field operations accept plain ints or numpy arrays of codes and
 broadcast; scalar in, scalar out.
 
 Only ``Field`` knows this encoding. Within it, ``Field.dot`` is the only
-matrix-product kernel: one integer matmul over GF(p) of base-p digit rows
-against the l x l multiplication matrices of the regular representation,
-each a combination of the l powers of the modulus's companion matrix.
-``add`` adds base-p digits (integers mod p when l = 1), and the
-lexicographic order of canonical square roots reads digits. Products
-and inverses are index arithmetic on the standard logarithm tables
-(Lidl and Niederreiter, *Finite Fields*, 1997): exp[i] = g^i for a
-primitive element g and its inverse log, read-only and of length O(q),
-built once per field. No operation allocates anything of size q^2, nor
-an l x l matrix for each of the q elements. ``matrices`` and ``analysis``
-call ``dot`` and the element operations and never see a digit or a table.
+matrix-product kernel: one float64 (BLAS) matmul over GF(p) of base-p digit
+rows against the l x l multiplication matrices of the regular
+representation, each a combination of the l powers of the modulus's
+companion matrix, reduced mod p; the exact integer sums are then reduced
+mod p (the method of Dumas, Gautier and Pernet, "Finite field linear
+algebra subroutines", ISSAC 2002). It is exact while K*l*(p - 1)^2 < 2^53
+for an inner dimension K; ``dot`` checks that first, and every matrix under
+``matrices.COLS_CAP`` and ``ORDER_CAP`` stays below 2^49. ``add`` adds
+base-p digits (integers mod p when l = 1), and the lexicographic order of
+canonical square roots reads digits. Products and inverses are index
+arithmetic on the standard logarithm tables (Lidl and Niederreiter,
+*Finite Fields*, 1997): exp[i] = g^i for a primitive element g and its
+inverse log, read-only and of length O(q), built once per field. No
+operation allocates anything of size q^2, nor an l x l matrix for each of
+the q elements. ``matrices`` and ``analysis`` call ``dot`` and the element
+operations and never see a digit or a table.
 
 The canonical square root and the default modulus are both defined by
 lexicographic order on ascending-degree coefficient tuples, which keeps every
@@ -128,21 +133,24 @@ class Field:
         self.q = p ** l
         self.modulus = default_modulus(p, l)
 
-        # digits[x] = coefficient vector of code x; powers = (1, p, p^2, ...)
+        # digits[x] = coefficient vector of code x, fdigits its float64 copy
+        # for dot; powers = (1, p, p^2, ...)
         codes = np.arange(self.q, dtype=np.int64)
         self._powers = p ** np.arange(l, dtype=np.int64)
         self._digits = (codes[:, None] // self._powers) % p
+        self._fdigits = self._digits.astype(np.float64)
+        self._fdigits.setflags(write=False)
 
         # xpow[j] = C^j for the companion matrix C of the modulus, acting on
-        # digit rows: digits(a * x^j) = digits(a) @ xpow[j]. dot needs them,
-        # and the primitive-element search below calls dot.
+        # digit rows: digits(a * x^j) = digits(a) @ xpow[j]. Only dot reads
+        # them, as float64, and the primitive-element search below calls dot.
         companion = np.zeros((l, l), dtype=np.int64)
         companion[:-1, 1:] = np.eye(l - 1, dtype=np.int64)
         companion[-1] = np.negative(self.modulus[:l]) % p
         xpow = [np.eye(l, dtype=np.int64)]
         for _ in range(l - 1):
             xpow.append(xpow[-1] @ companion % p)
-        self._xpow = np.stack(xpow)
+        self._xpow = np.stack(xpow).astype(np.float64)
 
         # exp[i] = g^i for a primitive element g, doubled so that
         # log[x] + log[y] needs no reduction mod q - 1; log[0] = 2(q - 1)
@@ -184,11 +192,19 @@ class Field:
             if not 0 <= x < self.q:
                 raise ValueError(f"element code out of range [0,{self.q})")
             return x
-        a = np.asarray(x, dtype=np.int64)
+        a = self._integers(x)
         # read unsigned, a negative code is at least 2^63: one max checks both ends
         if a.size and a.view(np.uint64).max() >= self.q:
             raise ValueError(f"element code out of range [0,{self.q})")
         return a
+
+    @staticmethod
+    def _integers(x):
+        # as int64, a float array would be truncated to codes silently
+        a = np.asarray(x)
+        if a.size and a.dtype.kind not in "iub":
+            raise TypeError(f"expected integers, not {a.dtype}")
+        return a.astype(np.int64, copy=False)
 
     @staticmethod
     def _out(a):
@@ -196,26 +212,38 @@ class Field:
 
     def from_int(self, n):
         """Reduce an ordinary integer (array) into the prime subfield."""
-        return self._out(np.asarray(n, dtype=np.int64) % self.p)
+        return self._out(self._integers(n) % self.p)
 
     # -- the encoding: dot --------------------------------------------------
 
     def dot(self, a, b) -> np.ndarray:
-        """Matrix product of code arrays of shapes (m, K) and (K, n).
+        """Matrix product of code arrays of shapes (m, K) and (K, n), as int64.
 
         The entries must already be codes in [0, q); they are not checked.
+        One float64 matmul over GF(p), exact because every entry of it is a
+        sum of K*l products of digits, each at most (p - 1)^2, and float64
+        holds every integer below 2^53. Under COLS_CAP and ORDER_CAP the sum
+        stays below 2^49; past 2^53 this raises AssertionError before it
+        converts anything.
         """
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self.l == 1:
-            return (a @ b) % self.p
-        # one matmul over GF(p): a's entries as digit rows, b's entries as
-        # their multiplication matrices sum_j b_j C^j (regular representation)
-        (m, K), n, l = a.shape, b.shape[1], self.l
-        mats = np.tensordot(self._digits[b], self._xpow, axes=1)     # (K, n, l, l)
-        rhs = mats.transpose(0, 2, 1, 3).reshape(K * l, n * l)
-        prod = self._digits[a].reshape(m, K * l) @ rhs
-        return (prod.reshape(m, n, l) % self.p) @ self._powers
+        (m, K), n, p, l = np.shape(a), np.shape(b)[1], self.p, self.l
+        if K * l * (p - 1) ** 2 >= 2 ** 53:
+            raise AssertionError(f"sums of {K * l} products over GF({p}) "
+                                 "are not exact in float64")
+        if l == 1:
+            prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+        else:
+            # a's entries as digit rows, b's entries as their multiplication
+            # matrices sum_j b_j C^j (regular representation), reduced mod p
+            mats = np.tensordot(self._fdigits[b], self._xpow, axes=1)  # (K, n, l, l)
+            np.fmod(mats, p, out=mats)
+            rhs = mats.transpose(0, 2, 1, 3).reshape(K * l, n * l)
+            prod = self._fdigits[a].reshape(m, K * l) @ rhs
+        # the sums are exact integers: reduce them as int64, whose % is
+        # many times faster than float fmod on large values
+        out = prod.astype(np.int64)
+        np.remainder(out, p, out=out)
+        return out if l == 1 else out.reshape(m, n, l) @ self._powers
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -31,7 +31,13 @@ def _scalar_code(field: Field, x) -> int:
 class GFMatrix:
 
     def __init__(self, field: Field, entries):
-        a = np.array(entries, dtype=np.int64)
+        a = np.array(entries)
+        if a.ndim == 0:
+            raise ValueError("matrix entries must be rows, not a scalar")
+        # empty input reads as float64 and holds no value to truncate
+        if a.size and a.dtype.kind not in "iub":
+            raise TypeError(f"matrix entries must be integer codes, not {a.dtype}")
+        a = a.astype(np.int64, copy=False)
         if a.ndim != 2:
             a = a.reshape(a.shape[0], -1) if a.size else a.reshape(0, 0)
         if a.size and (a.min() < 0 or a.max() >= field.q):

@@ -186,6 +186,21 @@ def gram_naive(rows, p, l, modulus):
     return out
 
 
+def matmul_naive(rows, cols, p, l, modulus):
+    """Product of a matrix given by its rows and one given by its columns,
+    each entry summed term by term with the naive field helpers; so an empty
+    inner dimension gives zeros, and no rows or no columns an empty result."""
+    out = []
+    for x in rows:
+        out.append([])
+        for y in cols:
+            s = 0
+            for a, b in zip(x, y):
+                s = field_add_naive(s, field_mul_naive(a, b, p, l, modulus), p, l)
+            out[-1].append(s)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # exhaustive minimum distance by message enumeration
 # ---------------------------------------------------------------------------

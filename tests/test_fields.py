@@ -15,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from socodes.fields import (
-    Field, NotPrime, NotASquare, default_modulus,
+    ORDER_CAP, Field, NotPrime, NotASquare, default_modulus, field_for_order,
+    prime_power,
 )
+from socodes.matrices import COLS_CAP
 import oracles
 
 
@@ -216,6 +218,72 @@ def test_out_of_range_codes_raise():
                              lambda: F.sqrt(x), lambda: F.is_square(x)):
                     with pytest.raises(ValueError, match="out of range"):
                         call()
+
+
+def test_element_codes_must_be_integers():
+    # np.asarray(x, dtype=np.int64) would truncate 1.7 to the code 1
+    F = Field(3, 2)
+    for bad in (1.7, np.array([1.0, 2.0]), np.float64(2)):
+        for call in (lambda: F.add(bad, 1), lambda: F.mul(1, bad),
+                     lambda: F.inv(bad), lambda: F.sqrt(bad),
+                     lambda: F.from_int(bad)):
+            with pytest.raises(TypeError, match="integers"):
+                call()
+    # empty input reads as float64 but holds no value to truncate
+    assert F.add([], 1).shape == (0,)
+    assert F.mul(np.array([True, False]), 5).tolist() == [5, 0]
+
+
+# the largest prime below ORDER_CAP = 2^14 (16383 = 3 * 43 * 127)
+LARGE_P = 16381
+
+
+@st.composite
+def _dot_operands(draw):
+    F = field_for_order(draw(st.sampled_from([2, 3, 4, 9, 25, LARGE_P])))
+    m, K, n = (draw(st.integers(0, 6)) for _ in range(3))
+    codes = st.integers(0, F.q - 1)
+    return (F, draw(hnp.arrays(np.int64, (m, K), elements=codes)),
+            draw(hnp.arrays(np.int64, (K, n), elements=codes)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dot_operands())
+def test_dot_matches_oracle(args):
+    F, a, b = args
+    out = F.dot(a, b)
+    assert out.dtype == np.int64 and out.shape == (a.shape[0], b.shape[1])
+    assert out.tolist() == oracles.matmul_naive(a.tolist(), b.T.tolist(),
+                                                F.p, F.l, F.modulus)
+
+
+def test_dot_exact_at_the_column_cap():
+    # the largest sum any matrix under the caps can make: COLS_CAP terms of
+    # (p - 1)^2, about 2^49, each (p - 1)^2 = 1 mod p
+    assert prime_power(LARGE_P) == (LARGE_P, 1)
+    F = field_for_order(LARGE_P)
+    row = np.full((1, COLS_CAP), F.p - 1)
+    assert F.dot(row, row.T).tolist() == [[COLS_CAP % F.p]] == [[384]]
+
+
+def test_caps_keep_dot_exact():
+    # dot's float64 sums are exact below 2^53; raising COLS_CAP or
+    # ORDER_CAP past that must fail here, not round a Gram entry
+    for q in range(2, ORDER_CAP + 1):
+        try:
+            p, l = prime_power(q)
+        except ValueError:
+            continue
+        assert COLS_CAP * l * (p - 1) ** 2 < 2 ** 53, q
+
+
+def test_dot_refuses_inexact_sums():
+    # 2^26 terms of (p - 1)^2 pass 2^53; zero-stride views allocate nothing,
+    # so the check must come before any conversion
+    F = field_for_order(LARGE_P)
+    a = np.broadcast_to(np.int64(F.p - 1), (1, 2 ** 26))
+    with pytest.raises(AssertionError, match="not exact"):
+        F.dot(a, a.T)
 
 
 _RSS_PROBE = """

@@ -76,14 +76,8 @@ def test_matmul_matches_naive():
         for rows, inner, cols in [(4, 5, 3), (3, 1, 4)]:
             A = rand_matrix(field, rows, inner, 1)
             B = rand_matrix(field, inner, cols, 2)
-            C = (A @ B).a
-            for i in range(rows):
-                for j in range(cols):
-                    acc = 0
-                    for k in range(inner):
-                        prod = oracles.field_mul_naive(int(A.a[i, k]), int(B.a[k, j]), p, l, m)
-                        acc = oracles.field_add_naive(acc, prod, p, l)
-                    assert C[i, j] == acc, (field, rows, inner, cols, i, j)
+            want = oracles.matmul_naive(A.a.tolist(), B.a.T.tolist(), p, l, m)
+            assert (A @ B).a.tolist() == want, (field, rows, inner, cols)
 
 
 def test_matmul_outer_product_is_mul_table():
@@ -208,6 +202,20 @@ def test_entries_validated_and_immutable():
     M = GFMatrix(GF2, [[0, 1]])
     with pytest.raises(ValueError):
         M.a[0, 0] = 1
+
+
+def test_entries_must_be_integer_codes():
+    # np.array(entries, dtype=np.int64) would truncate 1.7 to the code 1
+    for bad in ([[1.7, 2]], np.ones((2, 2)), [[1, 2.0]]):
+        with pytest.raises(TypeError, match="integer codes"):
+            GFMatrix(GF9, bad)
+    with pytest.raises(TypeError, match="integers"):
+        GFMatrix.from_int(GF9, [[1.7, 2]])
+    with pytest.raises(ValueError, match="not a scalar"):
+        GFMatrix(GF9, 5)
+    # empty input reads as float64 but holds no value to truncate
+    assert GFMatrix(GF9, []).a.shape == (0, 0)
+    assert GFMatrix(GF9, np.array([[True, False]])).a.dtype == np.int64
 
 
 def test_scale_identity():
