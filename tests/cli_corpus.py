@@ -65,6 +65,24 @@ SUBGROUPS = {
 
 BUDGET = ["--budget", "3000"]
 
+# (design, subgroup) pairs of the orbit-matrix construction
+ORBITMAT_PAIRS = (
+    ("d11_1", "c11_11"), ("d22_01", "c11_22"), ("d22_02", "c11_22"),
+    ("d22_2", "c11_22"), ("d55_12", "c5_55"), ("d55_12", "c11_55"),
+    ("d55_1", "c5_55"), ("d66_1", "c11_66"), ("d66_23", "c11_66"),
+    ("d12_1", "c11_12"), ("d22_2", "swap_22"),
+)
+
+# (design, subgroup, field orders) of the fixed-split construction
+FIXEDSPLIT_RUNS = (
+    ("d12_1", "c3_12", (2, 3, 9)), ("d22_01", "c2_22", (2, 4, 3)),
+    ("d22_02", "c2_22", (2, 4, 5)), ("d22_2", "c2_22", (2, 4)),
+    ("d22_02", "c3_22", (3, 9)), ("d22_2", "c5_22", (5,)),
+    ("d22_2", "c4_22", (2, 4)), ("d55_1", "c5_55", (2, 5)),
+    ("d66_1", "c2_66", (2, 4)), ("d66_23", "c2_66", (2, 4)),
+    ("d66_01", "c3_66", (3, 9)),
+)
+
 
 def write_fixtures(tmp) -> None:
     tmp = Path(tmp)
@@ -121,27 +139,12 @@ def corpus() -> list:
                          *BUDGET])
     # orbit matrices: uniform orbits, a fixed point (rejected), a
     # non-automorphism (rejected)
-    for des, grp in (("d11_1", "c11_11"), ("d22_01", "c11_22"),
-                     ("d22_02", "c11_22"), ("d22_2", "c11_22"),
-                     ("d55_12", "c5_55"), ("d55_12", "c11_55"),
-                     ("d55_1", "c5_55"), ("d66_1", "c11_66"),
-                     ("d66_23", "c11_66"), ("d12_1", "c11_12"),
-                     ("d22_2", "swap_22")):
+    for des, grp in ORBITMAT_PAIRS:
         for q in (2, 3, 4, 5, 9):
             runs.append(["code", "from-orbitmat", _des(des), _grp(grp),
                          "--q", str(q), *BUDGET])
     # fixed splits: orbit lengths {1, 2}, {1, 3}, {1, 5}, and {1, 2, 4}
-    for des, grp, qs in (("d12_1", "c3_12", (2, 3, 9)),
-                         ("d22_01", "c2_22", (2, 4, 3)),
-                         ("d22_02", "c2_22", (2, 4, 5)),
-                         ("d22_2", "c2_22", (2, 4)),
-                         ("d22_02", "c3_22", (3, 9)),
-                         ("d22_2", "c5_22", (5,)),
-                         ("d22_2", "c4_22", (2, 4)),
-                         ("d55_1", "c5_55", (2, 5)),
-                         ("d66_1", "c2_66", (2, 4)),
-                         ("d66_23", "c2_66", (2, 4)),
-                         ("d66_01", "c3_66", (3, 9))):
+    for des, grp, qs in FIXEDSPLIT_RUNS:
         for q in qs:
             runs.append(["code", "from-fixedsplit", _des(des), _grp(grp),
                          "--q", str(q), *BUDGET])
@@ -181,6 +184,15 @@ def corpus() -> list:
     # a non-square border residue mod 61 moves to GF(61^2) = GF(3721)
     for name in DESIGNS:
         runs.append(["code", "from-design", _des(name), "--q", "61", *BUDGET])
+    # the orbit matrix and the fixed split of every pair above, split at the
+    # least prime dividing the subgroup's order (the transposition: 2);
+    # swap_22 is no automorphism and c4_22's lengths {1, 2, 4} do not split
+    pairs = [*ORBITMAT_PAIRS, *((des, grp) for des, grp, _ in FIXEDSPLIT_RUNS)]
+    for des, grp in dict.fromkeys(pairs):
+        t = SUBGROUPS[grp][1] if grp in SUBGROUPS else 2
+        p = next(d for d in range(2, t + 1) if t % d == 0)
+        runs.append(["orbitmat", "build", _des(des), _grp(grp)])
+        runs.append(["orbitmat", "split", _des(des), _grp(grp), "--q", str(p)])
     return runs
 
 
