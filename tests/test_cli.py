@@ -7,6 +7,7 @@ asserted directly; the M11 action cache makes repeated pipeline runs cheap.
 import os
 import subprocess
 import sys
+import time
 from math import isqrt
 from pathlib import Path
 from unittest import mock
@@ -15,7 +16,8 @@ import pytest
 
 from socodes import fields
 from socodes.cli import main
-from socodes.designs import INCIDENCE_CAP, Design, format_design_text
+from socodes.designs import (INCIDENCE_CAP, Design, format_design_text,
+                             from_group_action, stabilizer_orbits)
 from socodes.groups import Perm, PermGroup, format_group_text
 from socodes.m11 import m11_degree
 from socodes.matrices import GFMatrix
@@ -367,6 +369,28 @@ def test_orbitmat_build_and_split(capsys, tmp_path, d2210, inv22):
     assert lines[0] == "fixed-split p=2 alpha=1 f1=6 f2=3 n=8 m=4"
     assert lines[1] == "OM1 3 6"
     assert lines[5] == "OM2 4 8"
+
+
+@pytest.mark.parametrize("group, shape", [("trivial", "165x165"),
+                                          ("involution", "89x89")])
+def test_orbitmat_build_degree_165_certifies_quickly(capsys, tmp_path, group,
+                                                    shape):
+    # the 1-(165,116,116) design of demos/degree165_large_code.py; the
+    # double count over all 165 or 89 block orbits runs in integer matrices
+    G = m11_degree(165)
+    choice = [i for i, orb in enumerate(stabilizer_orbits(G, 0))
+              if len(orb) not in (1, 48)]
+    des = tmp_path / "d165.des"
+    des.write_text(format_design_text(from_group_action(G, 0, choice)))
+    grp = tmp_path / "h.grp"
+    grp.write_text("degree 165\n()\n" if group == "trivial" else
+                   format_group_text(PermGroup(165, [G.element_of_order(2)])))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "orbitmat", "build", str(des), str(grp),
+                       "--out", str(tmp_path / "om.txt"))
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert out.splitlines()[0] == f"orbit-matrix {shape}"
 
 
 def test_orbitmat_split_without_fixed_points_writes_no_blank_rows(capsys, tmp_path,

@@ -6,16 +6,21 @@ brute-force search script and verified there by direct row products before
 being frozen here.
 """
 
+import random
+
 import numpy as np
 import pytest
 
-from socodes.designs import Design, from_group_action
+from oracles import count_identity_naive, orbit_matrix_naive
+from socodes.designs import Design, from_group_action, wso_search
 from socodes.groups import Perm, PermGroup
 from socodes.m11 import m11_degree
 from socodes.orbitmat import (
     BadOrbitProfile,
     IllDefinedEntry,
     NotAnAutomorphismGroup,
+    OrbitMatrix,
+    _certify,
     build,
     fixed_split,
     format_orbit_matrix_text,
@@ -96,26 +101,77 @@ def test_row_sums_equal_k_everywhere():
 
 
 # ---------------------------------------------------------------------------
-# Remark-style double-counting certificate
+# Remark-style double-counting certificate, checked by build
 
 
-def test_verify_counts_m11_involution():
+@pytest.fixture(scope="module")
+def cyclic_cases():
+    """(design, subgroup): every binary WSO hit of m11:11, 12, 22, 55 and 66
+    under the cyclic subgroups generated by its first element of order 2, 3,
+    5 and 11, then the synthetic design under its C3."""
+    cases = []
+    for degree in (11, 12, 22, 55, 66):
+        G = m11_degree(degree)
+        subgroups = [PermGroup(degree, [G.element_of_order(t)])
+                     for t in (2, 3, 5, 11)]
+        cases += [(hit.design, H) for hit in wso_search(G, 0, 2)
+                  for H in subgroups]
+    return cases + [(SYN12, SYN12_GROUP)]
+
+
+def test_build_matches_orbit_matrix_oracle(cyclic_cases):
+    assert len(cyclic_cases) == 73
+    for D, H in cyclic_cases:
+        OM = build(D, H)
+        want = orbit_matrix_naive(D.v, D.blocks,
+                                  [g.images for g in H.generators])
+        entries, point_orbits, block_orbits = want
+        assert OM.entries.tolist() == entries
+        assert [sorted(o) for o in OM.point_orbits] == point_orbits
+        assert [sorted(o) for o in OM.block_orbits] == block_orbits
+        assert count_identity_naive(D.blocks, *want)
+
+
+def test_certificate_rejects_what_the_oracle_rejects(cyclic_cases):
+    # a step of +-1 in a[s][j] moves the (s,s) left side by
+    # (b_s/v_j)(2 a[s][j] +- 1) != 0, so the oracle rejects every one
+    rng = random.Random(0)
+    for D, H in cyclic_cases:
+        OM = build(D, H)
+        for _ in range(3):
+            a = OM.entries.copy()
+            a[rng.randrange(OM.m), rng.randrange(OM.n)] += rng.choice((-1, 1))
+            assert not count_identity_naive(D.blocks, a.tolist(),
+                                            OM.point_orbits, OM.block_orbits)
+            with pytest.raises(IllDefinedEntry):
+                _certify(D.incidence,
+                         OrbitMatrix(a, OM.point_orbits, OM.block_orbits))
+
+
+def _tampered(OM, s, j):
+    a = OM.entries.copy()
+    a[s, j] += 1
+    return OrbitMatrix(a, OM.point_orbits, OM.block_orbits)
+
+
+def test_certificate_count_mismatch_message():
+    # every SYN12 orbit has length 3, so b_t * a[t][j] / v_j stays integral
+    OM = build(SYN12, SYN12_GROUP)
+    with pytest.raises(IllDefinedEntry, match=r"^count identity fails at "
+                       r"block orbit pair \(0,0\): 11 != 6$"):
+        _certify(SYN12.incidence, _tampered(OM, 0, 0))
+
+
+def test_certificate_non_integral_replication_message():
+    # block orbit 0 is a fixed block, so r[0][j] = a[0][j] / 2 on a point
+    # orbit j of length 2; one more point makes a[0][j] odd
     G = m11_degree(22)
-    for choice in [(2,), (0, 1)]:
-        OM = build(from_group_action(G, 0, choice), involution(G))
-        OM.verify_counts()
-
-
-def test_verify_counts_z11_on_66():
-    G = m11_degree(66)
-    z11 = PermGroup(66, [G.element_of_order(11)])
-    for choice in [(0, 1), (2, 3)]:
-        OM = build(from_group_action(G, 0, choice), z11)
-        OM.verify_counts()
-
-
-def test_verify_counts_synthetic():
-    build(SYN12, SYN12_GROUP).verify_counts()
+    D = from_group_action(G, 0, (2,))
+    OM = build(D, involution(G))
+    j = OM.point_orbit_sizes.tolist().index(2)
+    with pytest.raises(IllDefinedEntry, match=r"^replication b_t\*a\[t\]\[j\]/v_j = "
+                       rf"{OM.entries[0, j] + 1}/2 is not an integer at \(0,{j}\)$"):
+        _certify(D.incidence, _tampered(OM, 0, j))
 
 
 # ---------------------------------------------------------------------------
