@@ -148,6 +148,31 @@ def test_certificate_rejects_what_the_oracle_rejects(cyclic_cases):
                          OrbitMatrix(a, OM.point_orbits, OM.block_orbits))
 
 
+def _assert_counts_hold(D, H):
+    # build certifies; check the certificate again and against the oracle
+    OM = build(D, H)
+    _certify(D.incidence, OM)
+    assert count_identity_naive(D.blocks, OM.entries.tolist(),
+                                OM.point_orbits, OM.block_orbits)
+
+
+def test_verify_counts_m11_involution():
+    G = m11_degree(22)
+    for choice in [(2,), (0, 1)]:
+        _assert_counts_hold(from_group_action(G, 0, choice), involution(G))
+
+
+def test_verify_counts_z11_on_66():
+    G = m11_degree(66)
+    z11 = PermGroup(66, [G.element_of_order(11)])
+    for choice in [(0, 1), (2, 3)]:
+        _assert_counts_hold(from_group_action(G, 0, choice), z11)
+
+
+def test_verify_counts_synthetic():
+    _assert_counts_hold(SYN12, SYN12_GROUP)
+
+
 def _tampered(OM, s, j):
     a = OM.entries.copy()
     a[s, j] += 1
