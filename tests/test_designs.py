@@ -374,6 +374,32 @@ def test_design_text_rejects_bad_index():
         Design(3, [(0, 5)])
 
 
+@pytest.mark.parametrize("blocks, message", [
+    # each message shows the block as a sorted tuple
+    ([(5, 1)], "block (1, 5) outside point range [0,3)"),
+    ([(1, 0, 0)], "block (0, 0, 1) repeats a point"),
+    ([(2, -1)], "block (-1, 2) outside point range [0,3)"),
+    # the first offending block in input order is the one reported
+    ([(0, 1), (2, 2), (0, 7)], "block (2, 2) repeats a point"),
+    ([(0, 1), (9, 0), (1, 1)], "block (0, 9) outside point range [0,3)"),
+    # within one block the range check comes before the repeat check
+    ([(0, 1), (4, 4, 2)], "block (2, 4, 4) outside point range [0,3)"),
+    # the point checks come before the size cap
+    ([(0,)] * 2000 + [(3,)], "block (3,) outside point range [0,3)"),
+])
+def test_design_rejects_first_bad_block(blocks, message):
+    with pytest.raises(ValueError) as e:
+        Design(3, blocks)
+    assert str(e.value) == message
+
+
+def test_design_cap_message():
+    with pytest.raises(ValueError) as e:
+        Design(3, [(0,)] * 2000)
+    assert str(e.value) == (f"2000 blocks on 3 points: b * max(b, v) "
+                            f"exceeds {INCIDENCE_CAP}")
+
+
 def test_design_size_capped_before_incidence():
     n = isqrt(INCIDENCE_CAP)
     assert Design(n, [(i,) for i in range(n)]).incidence.shape == (n, n)
