@@ -4,7 +4,9 @@ developments of base blocks under transitive group actions.
 A 1-(v,k,r) design here is a point count plus an ordered sequence of blocks
 (sorted point tuples), together with the b x v 0/1 incidence matrix it
 builds once and holds read-only; everything that counts on a design reads
-that matrix. Blocks may repeat; a repeated pair intersects in k points.
+that matrix. A design is built from one flat int64 array of all its points
+and the block lengths: one sort within blocks, the range and repeat checks
+as array tests, one fancy-indexed store for the incidence. Blocks may repeat; a repeated pair intersects in k points.
 ``validate`` returns (k, r) and ``parameters`` names the design
 "1-(v,k,r)" from it; every printed design name comes from ``parameters``.
 ``from_group_action`` and ``wso_search`` develop an orbit union through
@@ -14,7 +16,9 @@ intersection residue) drives every construction theorem downstream.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -67,23 +71,32 @@ class Design:
         v = int(v)
         if v < 0:
             raise ValueError(f"negative point count {v}")
-        norm = []
-        for blk in blocks:
-            t = tuple(sorted(int(x) for x in blk))
-            if t and not 0 <= t[0] <= t[-1] < v:
+        blocks = [tuple(blk) for blk in blocks]
+        b = len(blocks)
+        sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=b)
+        block_of = np.repeat(np.arange(b), sizes)
+        points = _points(blocks, v, int(sizes.sum()))
+        if b and (sizes == sizes[0]).all():
+            points = np.sort(points.reshape(b, -1), axis=1).ravel()
+        else:
+            points = points[np.lexsort((points, block_of))]
+        # block_of is ascending, so the first hit of each test is its first block
+        outside = block_of[(points < 0) | (points >= v)]
+        repeats = block_of[1:][(points[1:] == points[:-1]) & (block_of[1:] == block_of[:-1])]
+        if outside.size or repeats.size:
+            i = min(outside[:1].tolist() + repeats[:1].tolist())
+            t = tuple(sorted(map(int, blocks[i])))
+            if outside.size and outside[0] == i:
                 raise ValueError(f"block {t} outside point range [0,{v})")
-            if len(set(t)) != len(t):
-                raise ValueError(f"block {t} repeats a point")
-            norm.append(t)
-        b = len(norm)
+            raise ValueError(f"block {t} repeats a point")
         if b * max(b, v) > INCIDENCE_CAP:
             raise ValueError(f"{b} blocks on {v} points: b * max(b, v) "
                              f"exceeds {INCIDENCE_CAP}")
         self.v = v
-        self.blocks = tuple(norm)
+        flat = iter(points.tolist())
+        self.blocks = tuple(tuple(islice(flat, k)) for k in sizes.tolist())
         self.incidence = np.zeros((b, v), dtype=np.int64)
-        for i, t in enumerate(norm):
-            self.incidence[i, list(t)] = 1
+        self.incidence[block_of, points] = 1
         self.incidence.setflags(write=False)
 
     @property
@@ -102,6 +115,20 @@ class Design:
             return f"Design({parameters(self)}, b={self.b})"
         except ValueError:
             return f"Design(v={self.v}, b={self.b})"
+
+
+def _points(blocks: list, v: int, count: int) -> np.ndarray:
+    """Every point of every block, in order, as int64; a point that is not
+    an integer (bool and numpy integers are) raises TypeError rather than
+    being truncated."""
+    try:
+        return np.fromiter(map(operator.index, chain.from_iterable(blocks)),
+                           dtype=np.int64, count=count)
+    except OverflowError:
+        # a point past int64 lies outside [0, v), and so does -1
+        return np.fromiter((x if 0 <= x < v else -1 for x in
+                            map(operator.index, chain.from_iterable(blocks))),
+                           dtype=np.int64, count=count)
 
 
 def _block_size(D: Design) -> int:

@@ -5,8 +5,11 @@ derived actions, and elements of a given order. Three routines carry
 everything:
 
 - ``_closure``, one breadth-first search over the generators, gives a
-  point orbit, a set orbit and the coset representatives, from the
-  generators alone.
+  point orbit, the orbit lengths the chain checks against its cap, and the
+  coset representatives, from the generators alone. Set orbits, the one
+  search whose objects are large, run the same search in numpy instead
+  (``PermGroup.set_orbit``): each layer is a 0/1 array of sets, and its
+  images under every generator are one gather.
 - ``_schreier_sims``, incremental Schreier-Sims, gives a base and, per
   level, strong generators and one representative per orbit point. The
   order is the product of the orbit lengths, membership is sifting, a point
@@ -389,11 +392,36 @@ class PermGroup:
 
     def set_orbit(self, delta) -> list:
         """Distinct images of the point set delta under the group, as a
-        sorted list of sorted tuples, found from the generators alone."""
-        seen = _closure(frozenset(int(x) for x in delta),
-                        [g.images for g in self.generators],
-                        lambda s, img: frozenset([img[x] for x in s]))
-        return sorted(tuple(sorted(s)) for s in seen)
+        sorted list of sorted tuples, found from the generators alone.
+
+        A breadth-first search by layers on 0/1 indicator rows: the image
+        of a set under g is its row gathered by g's inverse, one gather for
+        the whole frontier and every generator; a row is new unless its
+        packed bytes were seen. The orbit is sorted by one lexsort of its
+        rows' point indices.
+        """
+        n = self.degree
+        points = np.fromiter(map(int, delta), dtype=np.intp)
+        if not points.size:
+            return [()]
+        if not 0 <= points.min() <= points.max() < n:
+            raise ValueError(f"set {sorted(points.tolist())} is not within 0..{n - 1}")
+        start = np.zeros((1, n), dtype=bool)
+        start[0, points] = True
+        gens = self.generators
+        inverses = np.argsort(np.reshape([g.images for g in gens], (len(gens), n)))
+        seen = {np.packbits(start).tobytes()}
+        layers = [start]
+        while len(layers[-1]):
+            images = layers[-1][:, inverses].reshape(-1, n)
+            fresh = []
+            for i, key in enumerate(map(bytes, np.packbits(images, axis=1))):
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(i)
+            layers.append(images[fresh])
+        sets = np.nonzero(np.concatenate(layers))[1].reshape(-1, np.count_nonzero(start))
+        return list(map(tuple, sets[np.lexsort(sets.T[::-1])].tolist()))
 
     # -- derived actions ----------------------------------------------------
 

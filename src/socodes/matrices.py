@@ -99,7 +99,9 @@ class GFMatrix:
         """Reduced row echelon form and its pivot columns.
 
         The RREF is the canonical basis of the row space: equal row spaces
-        give byte-identical results.
+        give byte-identical results. At pivot (r, c) rows r.. are zero left
+        of c, so only the columns c.. are updated; over GF(2) every nonzero
+        factor is 1 and adding codes is XOR, so clearing is one in-place XOR.
         """
         F = self.field
         R = self.a.copy()
@@ -113,16 +115,20 @@ class GFMatrix:
                 continue
             if nzrows[0]:
                 pr = r + int(nzrows[0])
-                R[[r, pr]] = R[[pr, r]]
+                R[[r, pr], c:] = R[[pr, r], c:]
             lead = int(R[r, c])
             if lead != 1:
-                R[r] = F.mul(R[r], F.inv(lead))
+                R[r, c:] = F.mul(R[r, c:], F.inv(lead))
             rows_to_clear = np.flatnonzero(R[:, c])
             rows_to_clear = rows_to_clear[rows_to_clear != r]
-            if rows_to_clear.size:
+            if rows_to_clear.size == 0:
+                pass
+            elif F.q == 2:
+                R[rows_to_clear, c:] ^= R[r, c:]
+            else:
                 # x - c*r as x + (-c)*r: negate the column, not the product
-                R[rows_to_clear] = F.add(R[rows_to_clear],
-                                         F.mul(F.neg(R[rows_to_clear, c, None]), R[r]))
+                R[rows_to_clear, c:] = F.add(R[rows_to_clear, c:],
+                                             F.mul(F.neg(R[rows_to_clear, c, None]), R[r, c:]))
             pivots.append(c)
             r += 1
         return GFMatrix(F, R[:r]), tuple(pivots)

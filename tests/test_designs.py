@@ -393,6 +393,22 @@ def test_design_rejects_first_bad_block(blocks, message):
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, np.float64(1.0), "1", None])
+def test_design_rejects_non_integer_points(bad):
+    # a float would otherwise be truncated to a point: (0.5, 1) -> (0, 1)
+    with pytest.raises(TypeError):
+        Design(3, [(0, 2), (bad, 1)])
+
+
+def test_design_accepts_numpy_integers_and_bools():
+    D = Design(3, [(np.int64(2), np.uint8(0)), (True, np.int32(2)), [False]])
+    assert D.blocks == ((0, 2), (1, 2), (0,))
+    assert all(type(x) is int for blk in D.blocks for x in blk)
+    with pytest.raises(ValueError) as e:
+        Design(3, [(0,), (np.uint64(2 ** 64 - 1), 1), (2 ** 70,)])
+    assert str(e.value) == "block (1, 18446744073709551615) outside point range [0,3)"
+
+
 def test_design_cap_message():
     with pytest.raises(ValueError) as e:
         Design(3, [(0,)] * 2000)

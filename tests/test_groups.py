@@ -226,6 +226,39 @@ def test_set_orbit_m11_matches_closure():
         assert len(orbit) * set_stabilizer_order(G, delta) == 7920
 
 
+def _set_orbit_by_elements(elements, delta):
+    """Sorted distinct images of delta under the rows of elements."""
+    images = np.sort(elements[:, sorted(delta)], axis=1)
+    return sorted(set(map(tuple, images.tolist())))
+
+
+# three of the degree-165 unions the benchmark develops (perfbench/golden.json)
+UNIONS_165 = [(0,), (1, 3, 5), (1, 2, 3, 4, 5, 6, 7)]
+
+
+@pytest.mark.parametrize("degree", [22, 55, 66, 165])
+def test_set_orbit_at_benchmark_sizes(degree):
+    # every orbit union of the stabilizer orbits, or the degree-165 three,
+    # against the images under every one of the 7920 elements
+    G = m11_degree(degree)
+    elements = np.array([g.images for g in G.elements])
+    orbits = stabilizer_orbits(G, 0)
+    choices = UNIONS_165 if degree == 165 else [
+        [i for i in range(len(orbits)) if mask >> i & 1]
+        for mask in range(1, 2 ** len(orbits))]
+    for choice in choices:
+        delta = set().union(*(orbits[i] for i in choice))
+        orbit = G.set_orbit(delta)
+        assert orbit == _set_orbit_by_elements(elements, delta), (degree, choice)
+
+
+def test_set_orbit_rejects_points_outside_the_degree():
+    G = m11()
+    for delta in [(11,), (0, -1)]:
+        with pytest.raises(ValueError, match="not within 0..10"):
+            G.set_orbit(delta)
+
+
 def test_orbits_leave_elements_unenumerated():
     G = PermGroup(165, m11_degree(165).generators)
     assert G.orbit_of(0) == tuple(range(165))
