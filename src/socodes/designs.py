@@ -68,7 +68,7 @@ class Design:
     __slots__ = ("v", "blocks", "incidence")
 
     def __init__(self, v: int, blocks):
-        v = int(v)
+        v = operator.index(v)
         if v < 0:
             raise ValueError(f"negative point count {v}")
         blocks = [tuple(blk) for blk in blocks]
@@ -76,10 +76,7 @@ class Design:
         sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=b)
         block_of = np.repeat(np.arange(b), sizes)
         points = _points(blocks, v, int(sizes.sum()))
-        if b and (sizes == sizes[0]).all():
-            points = np.sort(points.reshape(b, -1), axis=1).ravel()
-        else:
-            points = points[np.lexsort((points, block_of))]
+        points = points[np.lexsort((points, block_of))]
         # block_of is ascending, so the first hit of each test is its first block
         outside = block_of[(points < 0) | (points >= v)]
         repeats = block_of[1:][(points[1:] == points[:-1]) & (block_of[1:] == block_of[:-1])]

@@ -395,9 +395,11 @@ def test_design_rejects_first_bad_block(blocks, message):
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, np.float64(1.0), "1", None])
 def test_design_rejects_non_integer_points(bad):
-    # a float would otherwise be truncated to a point: (0.5, 1) -> (0, 1)
+    # a float would otherwise be truncated: (0.5, 1) -> (0, 1), v = 0.5 -> 0
     with pytest.raises(TypeError):
         Design(3, [(0, 2), (bad, 1)])
+    with pytest.raises(TypeError):
+        Design(bad, [])
 
 
 def test_design_accepts_numpy_integers_and_bools():
