@@ -6,7 +6,8 @@ A 1-(v,k,r) design here is a point count plus an ordered sequence of blocks
 builds once and holds read-only; everything that counts on a design reads
 that matrix. A design is built from one flat int64 array of all its points
 and the block lengths: one sort within blocks, the range and repeat checks
-as array tests, one fancy-indexed store for the incidence. Blocks may repeat; a repeated pair intersects in k points.
+as array tests, one fancy-indexed store for the incidence. Blocks may
+repeat; a repeated pair intersects in k points.
 ``validate`` returns (k, r) and ``parameters`` names the design
 "1-(v,k,r)" from it; every printed design name comes from ``parameters``.
 ``from_group_action`` and ``wso_search`` develop an orbit union through

@@ -121,11 +121,9 @@ class GFMatrix:
                 R[r, c:] = F.mul(R[r, c:], F.inv(lead))
             rows_to_clear = np.flatnonzero(R[:, c])
             rows_to_clear = rows_to_clear[rows_to_clear != r]
-            if rows_to_clear.size == 0:
-                pass
-            elif F.q == 2:
+            if F.q == 2:
                 R[rows_to_clear, c:] ^= R[r, c:]
-            else:
+            elif rows_to_clear.size:
                 # x - c*r as x + (-c)*r: negate the column, not the product
                 R[rows_to_clear, c:] = F.add(R[rows_to_clear, c:],
                                              F.mul(F.neg(R[rows_to_clear, c, None]), R[r, c:]))
