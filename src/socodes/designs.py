@@ -123,7 +123,8 @@ def _points(blocks: list, v: int, count: int) -> np.ndarray:
         return np.fromiter(map(operator.index, chain.from_iterable(blocks)),
                            dtype=np.int64, count=count)
     except OverflowError:
-        # a point past int64 lies outside [0, v), and so does -1
+        # a point past int64 is outside [0, v) for every v below 2^63;
+        # -1 stands for each outside point
         return np.fromiter((x if 0 <= x < v else -1 for x in
                             map(operator.index, chain.from_iterable(blocks))),
                            dtype=np.int64, count=count)

@@ -154,17 +154,18 @@ def test_rref_invariant_under_invertible_row_operations(q, rows, cols, seed):
 @given(st.sampled_from([2, 4, 3, 9, 25]), st.integers(0, 10), st.integers(0, 20),
        st.integers(0, 10), st.integers(0, 10 ** 6))
 def test_rref_matches_oracle(q, rows, cols, rank_cap, seed):
-    # a product through an inner dimension below rows gives dependent rows;
-    # some rows and columns are then zeroed outright
     field = field_for_order(q)
     rng = np.random.default_rng(seed)
-    inner = min(rank_cap, rows, cols)
-    M = (GFMatrix(field, rng.integers(0, q, (rows, inner)))
-         @ GFMatrix(field, rng.integers(0, q, (inner, cols)))).a.copy()
-    M[rng.random(rows) < 0.2] = 0
-    M[:, rng.random(cols) < 0.2] = 0
     if rank_cap == 10:
         M = rng.integers(0, q, (rows, cols))
+    else:
+        # a product through an inner dimension below rows gives dependent
+        # rows; some rows and columns are then zeroed outright
+        inner = min(rank_cap, rows, cols)
+        M = (GFMatrix(field, rng.integers(0, q, (rows, inner)))
+             @ GFMatrix(field, rng.integers(0, q, (inner, cols)))).a.copy()
+        M[rng.random(rows) < 0.2] = 0
+        M[:, rng.random(cols) < 0.2] = 0
     R, pivots = GFMatrix(field, M).rref()
     want_rows, want_pivots = oracles.rref_naive(M.tolist(), field.p, field.l, field.modulus)
     assert pivots == tuple(want_pivots)
