@@ -5,7 +5,7 @@ imports from socodes, so that agreement between the two codebases is meaningful.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +253,27 @@ def set_orbit_naive(gens, n, delta):
     """Sorted distinct images of the point set delta under every element."""
     return sorted({tuple(sorted(g[x] for x in delta))
                    for g in group_closure_naive(gens, n)})
+
+
+def wso_search_naive(gens, n, p):
+    """(orbit choice, blocks, a, d) for every proper nonempty union Delta of
+    the orbits of the stabilizer of point 0 whose development has one
+    pairwise intersection residue d mod p; a = |Delta| mod p. Orbits are
+    ordered by least point, choices by ascending bitmask."""
+    stab = [g for g in group_closure_naive(gens, n) if g[0] == 0]
+    orbits = []
+    for x in range(n):
+        if not any(x in orb for orb in orbits):
+            orbits.append({g[x] for g in stab})
+    hits = []
+    for mask in range(1, 2 ** len(orbits) - 1):
+        choice = tuple(i for i in range(len(orbits)) if mask >> i & 1)
+        delta = set().union(*(orbits[i] for i in choice))
+        blocks = set_orbit_naive(gens, n, delta)
+        resid = {len(set(x) & set(y)) % p for x, y in combinations(blocks, 2)}
+        if len(resid) == 1:
+            hits.append((choice, blocks, len(delta) % p, resid.pop()))
+    return hits
 
 
 def coset_action_naive(gens, n, hgens):

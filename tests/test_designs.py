@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import validate_naive
+from oracles import validate_naive, wso_search_naive
 from socodes.designs import (
     INCIDENCE_CAP,
     Design,
@@ -35,6 +35,7 @@ from socodes.fields import Field
 from socodes.matrices import GFMatrix
 from socodes.groups import NotTransitive, Perm, PermGroup
 from socodes.m11 import m11_degree
+from strategies import small_transitive_groups
 
 
 def cyclic(n: int) -> PermGroup:
@@ -299,6 +300,17 @@ def test_wso_search_degree165_frozen():
         (1, 3, 4, 5, 6, 7), (0, 1, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7),
     ]
     assert all(h.design.b == 165 for h in hits)
+
+
+# at most 2^8 - 2 orbit unions per group keeps each example near 0.1 s
+@settings(max_examples=30, deadline=None)
+@given(small_transitive_groups().filter(lambda G: len(stabilizer_orbits(G, 0)) <= 8),
+       st.sampled_from([2, 3, 5]))
+def test_wso_search_matches_plain_search(G, p):
+    want = wso_search_naive([g.images for g in G.generators], G.degree, p)
+    got = [(h.orbit_choice, list(h.design.blocks), h.profile.a, h.profile.d)
+           for h in wso_search(G, 0, p)]
+    assert got == want
 
 
 def _profile_naive(D, p):
