@@ -24,7 +24,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .groups import DEGREE_CAP, NotTransitive, PermGroup
-from .records import format_records, read_records
+from .records import _integers, format_records, read_records
 
 
 class NonConstantBlockSize(ValueError):
@@ -63,13 +63,13 @@ CASE_NAMES = {
 
 
 class Design:
-    """Point count v, an ordered block sequence (sorted index tuples) and
-    their read-only 0/1 int64 incidence matrix, b x v."""
+    """Point count v, an ordered block sequence (sorted tuples of integer
+    points) and their read-only 0/1 int64 incidence matrix, b x v."""
 
     __slots__ = ("v", "blocks", "incidence")
 
     def __init__(self, v: int, blocks):
-        v = operator.index(v)
+        v = _integers(v, "point count")
         if v < 0:
             raise ValueError(f"negative point count {v}")
         blocks = [tuple(blk) for blk in blocks]
@@ -116,18 +116,14 @@ class Design:
 
 
 def _points(blocks: list, v: int, count: int) -> np.ndarray:
-    """Every point of every block, in order, as int64; a point that is not
-    an integer (bool and numpy integers are) raises TypeError rather than
-    being truncated."""
+    """Every point of every block, in order, as int64."""
     try:
-        return np.fromiter(map(operator.index, chain.from_iterable(blocks)),
-                           dtype=np.int64, count=count)
-    except OverflowError:
+        return _integers(chain.from_iterable(blocks), "points", count)
+    except ValueError:
         # a point past int64 is outside [0, v) for every v below 2^63;
         # -1 stands for each outside point
-        return np.fromiter((x if 0 <= x < v else -1 for x in
-                            map(operator.index, chain.from_iterable(blocks))),
-                           dtype=np.int64, count=count)
+        return _integers((x if 0 <= x < v else -1 for x in map(
+            operator.index, chain.from_iterable(blocks))), "points", count)
 
 
 def _block_size(D: Design) -> int:
@@ -186,13 +182,15 @@ def intersection_profile(D: Design, p: int) -> WSOProfile:
     """Classify all C(b,2) pairwise intersection sizes mod p.
 
     The Gram matrix M M^T is formed in float64 (BLAS; exact, since every
-    count is at most v).
+    count is at most v) and reduced as int64. p is at least 2.
     """
+    if (p := _integers(p, "p")) < 2:
+        raise ValueError(f"p={p} must be at least 2")
     if D.b < 2:
         raise ValueError("need at least two blocks for an intersection profile")
     k = _block_size(D)
     M = D.incidence.astype(np.float64)
-    off = np.remainder(M @ M.T, p)[~np.eye(D.b, dtype=bool)]
+    off = ((M @ M.T).astype(np.int64) % p)[~np.eye(D.b, dtype=bool)]
     resid = np.unique(off)
     a = k % p
     if resid.size != 1:
@@ -216,7 +214,7 @@ def _develop(G: PermGroup, orbits, orbit_choice) -> Design:
     """The validated development {Delta g} of Delta, the union of the chosen
     orbits; an index outside 0..len(orbits)-1 is a ValueError."""
     pts = set()
-    for i in map(int, orbit_choice):
+    for i in _integers(orbit_choice, "orbit indices", -1).tolist():
         if not 0 <= i < len(orbits):
             raise ValueError(
                 f"orbit indices must lie in 0..{len(orbits) - 1}, got {i}")

@@ -39,6 +39,8 @@ from itertools import product
 
 import numpy as np
 
+from .records import _integers
+
 
 class NotPrime(ValueError):
     pass
@@ -188,23 +190,15 @@ class Field:
     # -- scalar/array plumbing ----------------------------------------------
 
     def _codes(self, x):
-        if isinstance(x, int):     # a plain scalar needs no array round trip
+        if type(x) is int:     # no array round trip; a bool would index as a mask
             if not 0 <= x < self.q:
                 raise ValueError(f"element code out of range [0,{self.q})")
             return x
-        a = self._integers(x)
+        a = _integers(np.asarray(x), "element codes")
         # read unsigned, a negative code is at least 2^63: one max checks both ends
         if a.size and a.view(np.uint64).max() >= self.q:
             raise ValueError(f"element code out of range [0,{self.q})")
         return a
-
-    @staticmethod
-    def _integers(x):
-        # as int64, a float array would be truncated to codes silently
-        a = np.asarray(x)
-        if a.size and a.dtype.kind not in "iub":
-            raise TypeError(f"expected integers, not {a.dtype}")
-        return a.astype(np.int64, copy=False)
 
     @staticmethod
     def _out(a):
@@ -212,7 +206,7 @@ class Field:
 
     def from_int(self, n):
         """Reduce an ordinary integer (array) into the prime subfield."""
-        return self._out(self._integers(n) % self.p)
+        return self._out(_integers(np.asarray(n), "integers to lift") % self.p)
 
     # -- the encoding: dot --------------------------------------------------
 

@@ -41,7 +41,7 @@ from math import comb, lcm, prod
 
 import numpy as np
 
-from .records import format_records, read_records
+from .records import _integers, format_records, read_records
 
 
 class OrderExceedsCap(RuntimeError):
@@ -82,7 +82,7 @@ DEGREE_CAP = KSUBSET_CAP
 
 
 class Perm:
-    """A permutation of {0..n-1}; images[i] is the image of i.
+    """A permutation of {0..n-1}; images[i] is the integer image of i.
 
     Composition is the right action: (g * h)(i) = h(g(i)), matching the
     "first apply g, then h" convention of block developments.
@@ -91,7 +91,7 @@ class Perm:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(i) for i in images)
+        images = tuple(_integers(images, "images", -1).tolist())
         if sorted(images) != list(range(len(images))):
             raise ValueError("images is not a bijection")
         self.images = images
@@ -391,8 +391,8 @@ class PermGroup:
         return PermGroup(self.degree, map(_perm, strong))
 
     def set_orbit(self, delta) -> list:
-        """Distinct images of the point set delta under the group, as a
-        sorted list of sorted tuples, found from the generators alone.
+        """Distinct images of the set delta of integer points under the group,
+        as a sorted list of sorted tuples, found from the generators alone.
 
         A breadth-first search by layers on 0/1 indicator rows: the image
         of a set under g is its row gathered by g's inverse, one gather for
@@ -401,7 +401,7 @@ class PermGroup:
         rows' point indices.
         """
         n = self.degree
-        points = np.fromiter(map(int, delta), dtype=np.intp)
+        points = _integers(delta, "points", -1)
         if not points.size:
             return [()]
         if not 0 <= points.min() <= points.max() < n:

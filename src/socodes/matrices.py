@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Field, SpecMismatch, field_for_order
-from .records import format_records, read_records
+from .records import _integers, format_records, read_records
 
 # the most columns a matrix file may declare, which matters when it has no
 # rows: above the b + v + 1 columns of any bordered incidence matrix a
@@ -22,7 +22,7 @@ COLS_CAP = 2 ** 21
 
 
 def _scalar_code(field: Field, x) -> int:
-    x = int(x)
+    x = _integers(x, "scalar code")
     if not 0 <= x < field.q:
         raise ValueError(f"scalar code {x} out of range for {field}")
     return x
@@ -31,13 +31,9 @@ def _scalar_code(field: Field, x) -> int:
 class GFMatrix:
 
     def __init__(self, field: Field, entries):
-        a = np.array(entries)
+        a = _integers(np.array(entries), "matrix entries")
         if a.ndim == 0:
             raise ValueError("matrix entries must be rows, not a scalar")
-        # empty input reads as float64 and holds no value to truncate
-        if a.size and a.dtype.kind not in "iub":
-            raise TypeError(f"matrix entries must be integer codes, not {a.dtype}")
-        a = a.astype(np.int64, copy=False)
         if a.ndim != 2:
             a = a.reshape(a.shape[0], -1) if a.size else a.reshape(0, 0)
         if a.size and (a.min() < 0 or a.max() >= field.q):

@@ -1,4 +1,4 @@
-"""The line syntax shared by the group, design and matrix file formats.
+"""Integer arguments and the line syntax of the group, design and matrix files.
 
 A file is one record per line. ``#`` starts a comment anywhere on a line,
 and a line that is blank once its comment is cut is skipped. The first
@@ -7,6 +7,28 @@ designs, ``rows cols q`` for matrices.
 """
 
 from __future__ import annotations
+
+import operator
+
+import numpy as np
+
+
+def _integers(x, what: str, count: int | None = None):
+    """x as exact integers, else TypeError "<what> must be integral": a value by
+    operator.index (PEP 357) as an int, an ndarray by dtype kind as int64, and given
+    a count (-1: unknown) an iterable by one np.fromiter pass, ValueError past int64."""
+    try:
+        if count is not None:
+            return np.fromiter(map(operator.index, x), dtype=np.int64, count=count)
+        if not isinstance(x, np.ndarray):
+            return operator.index(x)
+        if x.size and x.dtype.kind not in "iub":
+            raise TypeError(f"dtype {x.dtype}")
+        return x.astype(np.int64, copy=False)
+    except TypeError as e:
+        raise TypeError(f"{what} must be integral") from e
+    except OverflowError as e:
+        raise ValueError(f"{what} must lie within int64") from e
 
 
 def read_records(text: str, form: str, keyword: str = "") -> tuple:

@@ -1,8 +1,13 @@
 """Hypothesis strategies shared by the test modules."""
 
+import numpy as np
 from hypothesis import strategies as st
 
 from socodes.groups import Perm, PermGroup
+
+# values that are not integers: each must raise TypeError wherever the
+# library reads an integer, never be truncated to one
+NON_INTEGERS = (0.5, 1.0, np.float64(1.0), np.float32(2.5), "1", None)
 
 
 @st.composite

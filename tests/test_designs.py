@@ -35,7 +35,7 @@ from socodes.fields import Field
 from socodes.matrices import GFMatrix
 from socodes.groups import NotTransitive, Perm, PermGroup
 from socodes.m11 import m11_degree
-from strategies import small_transitive_groups
+from strategies import NON_INTEGERS, small_transitive_groups
 
 
 def cyclic(n: int) -> PermGroup:
@@ -313,6 +313,13 @@ def test_wso_search_matches_plain_search(G, p):
     assert got == want
 
 
+@pytest.mark.parametrize("p", [1, 0, -2])
+def test_profile_needs_p_at_least_2(p):
+    # p = 1 would make every union a hit, p = 0 divide by zero
+    with pytest.raises(ValueError, match=rf"^p={p} must be at least 2$"):
+        wso_search(m11_degree(22), 0, p)
+
+
 def _profile_naive(D, p):
     resid = {len(set(x) & set(y)) % p for x, y in combinations(D.blocks, 2)}
     return resid.pop() if len(resid) == 1 else None
@@ -405,12 +412,12 @@ def test_design_rejects_first_bad_block(blocks, message):
     assert str(e.value) == message
 
 
-@pytest.mark.parametrize("bad", [0.5, 1.0, np.float64(1.0), "1", None])
+@pytest.mark.parametrize("bad", NON_INTEGERS)
 def test_design_rejects_non_integer_points(bad):
     # a float would otherwise be truncated: (0.5, 1) -> (0, 1), v = 0.5 -> 0
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^points must be integral$"):
         Design(3, [(0, 2), (bad, 1)])
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^point count must be integral$"):
         Design(bad, [])
 
 

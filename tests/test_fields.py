@@ -20,6 +20,7 @@ from socodes.fields import (
 )
 from socodes.matrices import COLS_CAP
 import oracles
+from strategies import NON_INTEGERS
 
 
 # frozen: lexicographically least monic irreducible, ascending coefficients
@@ -223,12 +224,13 @@ def test_out_of_range_codes_raise():
 def test_element_codes_must_be_integers():
     # np.asarray(x, dtype=np.int64) would truncate 1.7 to the code 1
     F = Field(3, 2)
-    for bad in (1.7, np.array([1.0, 2.0]), np.float64(2)):
+    for bad in NON_INTEGERS + tuple(np.array([x, x]) for x in NON_INTEGERS):
         for call in (lambda: F.add(bad, 1), lambda: F.mul(1, bad),
-                     lambda: F.inv(bad), lambda: F.sqrt(bad),
-                     lambda: F.from_int(bad)):
-            with pytest.raises(TypeError, match="integers"):
+                     lambda: F.inv(bad), lambda: F.sqrt(bad)):
+            with pytest.raises(TypeError, match="^element codes must be integral$"):
                 call()
+        with pytest.raises(TypeError, match="^integers to lift must be integral$"):
+            F.from_int(bad)
     # empty input reads as float64 but holds no value to truncate
     assert F.add([], 1).shape == (0,)
     assert F.mul(np.array([True, False]), 5).tolist() == [5, 0]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from socodes.fields import Field, field_for_order
 from socodes.matrices import GFMatrix, bordered
 import oracles
+from strategies import NON_INTEGERS
 
 GF2 = Field(2)
 GF3 = Field(3)
@@ -229,11 +230,11 @@ def test_entries_validated_and_immutable():
 
 def test_entries_must_be_integer_codes():
     # np.array(entries, dtype=np.int64) would truncate 1.7 to the code 1
-    for bad in ([[1.7, 2]], np.ones((2, 2)), [[1, 2.0]]):
-        with pytest.raises(TypeError, match="integer codes"):
+    for bad in [[[x, 2]] for x in NON_INTEGERS] + [[[1, 2], [3, x]] for x in NON_INTEGERS]:
+        with pytest.raises(TypeError, match="^matrix entries must be integral$"):
             GFMatrix(GF9, bad)
-    with pytest.raises(TypeError, match="integers"):
-        GFMatrix.from_int(GF9, [[1.7, 2]])
+        with pytest.raises(TypeError, match="^integers to lift must be integral$"):
+            GFMatrix.from_int(GF9, bad)
     with pytest.raises(ValueError, match="not a scalar"):
         GFMatrix(GF9, 5)
     # empty input reads as float64 but holds no value to truncate

@@ -1,5 +1,6 @@
 """The record syntax shared by the group, design and matrix file formats,
-the size caps at that boundary, and the numeric CLI arguments.
+the size caps at that boundary, the numeric CLI arguments, and the one rule
+by which the library reads an integer argument.
 
 The properties draw numbers up to 2^64: every draw either parses (or runs)
 or raises ValueError / UsageError, never anything else, and writing then
@@ -14,12 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strategies import small_transitive_groups
+from strategies import NON_INTEGERS, small_transitive_groups
 from socodes import cli
-from socodes.designs import Design, format_design_text, parse_design_text
+from socodes.designs import (Design, format_design_text, from_group_action,
+                             intersection_profile, parse_design_text, wso_search)
 from socodes.fields import ORDER_CAP, Field, field_for_order, prime_power
 from socodes.groups import (DEGREE_CAP, INDEX_CAP, KSUBSET_CAP, DegreeTooLarge,
-                            format_group_text, parse_group_text)
+                            Perm, format_group_text, parse_group_text)
+from socodes.m11 import m11_degree
 from socodes.matrices import COLS_CAP, GFMatrix
 from socodes.records import format_records, read_records
 
@@ -268,3 +271,54 @@ def test_matrix_text_round_trip(q, rows, cols, seed):
     M = GFMatrix(F, np.random.default_rng(seed).integers(0, q, (rows, cols)))
     written = _round_trips_or_writer_refuses(M, GFMatrix.to_text, GFMatrix.from_text)
     assert written == (rows == 0 or cols > 0)
+
+
+# ------------------------------------------------------- integer arguments
+
+F9 = field_for_order(9)
+M11 = m11_degree(11)
+PAIRS = Design(11, M11.set_orbit((0, 1)))
+
+# every entry point that reads an integer argument, as a call of that one
+# argument, with a Python int the entry point accepts there
+INTEGER_ARGUMENTS = {
+    "Field.add": (lambda x: F9.add(x, 1), 1),
+    "Field.from_int": (F9.from_int, 1),
+    "GFMatrix": (lambda x: GFMatrix(F9, [[x, 2]]), 1),
+    "GFMatrix.from_int": (lambda x: GFMatrix.from_int(F9, [[x, 2]]), 1),
+    "GFMatrix.identity": (lambda x: GFMatrix.identity(F9, 2, scale=x), 1),
+    "Design.v": (lambda x: Design(x, [(0,)]), 1),
+    "Design.blocks": (lambda x: Design(2, [(0, x)]), 1),
+    "Perm": (lambda x: Perm([x, 0, 2]), 1),
+    "Perm.from_cycles": (lambda x: Perm.from_cycles(3, [(0, x)]), 1),
+    "PermGroup.set_orbit": (lambda x: M11.set_orbit((0, x)), 1),
+    "from_group_action": (lambda x: from_group_action(M11, 0, (x,)), 1),
+    "intersection_profile": (lambda x: intersection_profile(PAIRS, x), 2),
+    "wso_search": (lambda x: wso_search(M11, 0, x), 2),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(INTEGER_ARGUMENTS)), st.sampled_from(NON_INTEGERS),
+       st.sampled_from([np.int64, np.int32, np.uint8, bool]))
+def test_integer_arguments_are_integers_or_type_error(name, bad, integer):
+    call, n = INTEGER_ARGUMENTS[name]
+    with pytest.raises(TypeError):
+        call(bad)
+    if integer is not bool or n == 1:
+        assert call(integer(n)) == call(n)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Perm([1.5, 0.2, 2.0]), "images must be integral"),
+    (lambda: M11.set_orbit((0.5, 1.9)), "points must be integral"),
+    (lambda: from_group_action(M11, 0, (1.5,)), "orbit indices must be integral"),
+    (lambda: wso_search(M11, 0, 2.5), "p must be integral"),
+    (lambda: GFMatrix.identity(F9, 2, scale=1.7), "scalar code must be integral"),
+])
+def test_non_integers_are_not_truncated(call, message):
+    # each was once read by int(): (0 1), the orbit of {0, 1}, orbit 1,
+    # a profile with p=2.5, and the identity
+    with pytest.raises(TypeError) as e:
+        call()
+    assert str(e.value) == message
