@@ -282,15 +282,20 @@ def coset_action_naive(gens, n, hgens):
     Each coset Hg is the set {h g : h in H}; cosets are numbered by their
     lexicographically least elements in sorted order, and a generator s
     sends Hg to Hgs. Returns the image tuple of every generator.
+
+    The elements of G are walked in sorted order, so each one that no coset
+    found so far holds is the least element of a new coset.
     """
     def mul(g, h):
         return tuple(h[x] for x in g)
 
     H = group_closure_naive(hgens, n)
-    cosets = {frozenset(mul(h, g) for h in H) for g in group_closure_naive(gens, n)}
-    reps = sorted(min(c) for c in cosets)
-    number = {rep: i for i, rep in enumerate(reps)}
-    label = {g: number[min(c)] for c in cosets for g in c}
+    label, reps = {}, []
+    for g in sorted(group_closure_naive(gens, n)):
+        if g not in label:
+            for h in H:
+                label[mul(h, g)] = len(reps)
+            reps.append(g)
     return [tuple(label[mul(rep, s)] for rep in reps) for s in gens]
 
 

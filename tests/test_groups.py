@@ -289,12 +289,14 @@ def test_chain_keeps_one_image_tuple_per_orbit_point():
 
 @st.composite
 def small_groups(draw):
-    """A group on at most 8 points with 1-3 generators, a point set, and a
-    draw that picks the generator of a cyclic subgroup."""
+    """A group on at most 8 points with 1-3 generators, a point set, and two
+    draws that each pick an element: the first generates a cyclic subgroup,
+    both together a subgroup whose chain may have several levels."""
     n = draw(st.integers(1, 8))
     gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
     delta = draw(st.sets(st.integers(0, n - 1)))
-    return n, [tuple(g) for g in gens], delta, draw(st.integers(0, 10 ** 9))
+    picks = draw(st.tuples(st.integers(0, 10 ** 9), st.integers(0, 10 ** 9)))
+    return n, [tuple(g) for g in gens], delta, picks
 
 
 S8_GENS = [tuple(range(1, 8)) + (0,), (1, 0) + tuple(range(2, 8))]
@@ -303,14 +305,14 @@ A8_GENS = [(1, 2, 0) + tuple(range(3, 8)), (0,) + tuple(range(2, 8)) + (1,)]
 
 @settings(max_examples=30, deadline=None)
 @given(small_groups())
-@example((4, [], {0, 1}, 0))                                    # trivial group
-@example((5, [tuple(range(5)), (1, 2, 0, 3, 4), (1, 2, 0, 3, 4)], {3}, 7))  # id, repeat
-@example((1, [(0,)], {0}, 0))                                    # degree 1
-@example((6, [(1, 0, 2, 3, 4, 5), (0, 1, 2, 3, 5, 4)], {0, 4}, 3))   # C2 x C2
-@example((8, S8_GENS, {0, 1, 2}, 12345))                         # S8
-@example((8, A8_GENS, {0, 5}, 777))                              # A8
+@example((4, [], {0, 1}, (0, 0)))                                # trivial group
+@example((5, [tuple(range(5)), (1, 2, 0, 3, 4), (1, 2, 0, 3, 4)], {3}, (7, 2)))  # id, repeat
+@example((1, [(0,)], {0}, (0, 0)))                               # degree 1
+@example((6, [(1, 0, 2, 3, 4, 5), (0, 1, 2, 3, 5, 4)], {0, 4}, (3, 1)))   # C2 x C2
+@example((8, S8_GENS, {0, 1, 2}, (12366, 140883)))   # S8; <both> has order 5040
+@example((8, A8_GENS, {0, 5}, (12347, 140750)))       # A8; <both> has order 288
 def test_group_layer_matches_naive(case):
-    n, gens, delta, pick = case
+    n, gens, delta, picks = case
     closure = group_closure_naive(gens, n)
     order = len(closure)
     G = PermGroup(n, gens)
@@ -331,19 +333,20 @@ def test_group_layer_matches_naive(case):
     assert G.point_orbits() == orbits
     assert G.set_orbit(delta) == set_orbit_naive(gens, n, delta)
 
-    h = G.elements[pick % order]
-    H = PermGroup(n, [h])
-    with pytest.MonkeyPatch.context() as mp:
-        # a small cap sends large-index draws (S8 and A8 by a cyclic
-        # subgroup) to the cheap rejection instead of a naive coset action
-        mp.setattr(groups, "INDEX_CAP", 120)
-        if order // H.order > groups.INDEX_CAP:
-            with pytest.raises(IndexTooLarge):
-                G.coset_action(H)
-            return
-        A = G.coset_action(H)
-    assert A.degree == order // H.order
-    assert [g.images for g in A.generators] == coset_action_naive(gens, n, [h.images])
+    hs = [G.elements[pick % order].images for pick in picks]
+    for hgens in (hs[:1], hs):
+        H = PermGroup(n, hgens)
+        with pytest.MonkeyPatch.context() as mp:
+            # a small cap sends large-index draws (S8 and A8 by a small
+            # subgroup) to the cheap rejection instead of a naive coset action
+            mp.setattr(groups, "INDEX_CAP", 120)
+            if order // H.order > groups.INDEX_CAP:
+                with pytest.raises(IndexTooLarge):
+                    G.coset_action(H)
+                continue
+            A = G.coset_action(H)
+        assert A.degree == order // H.order
+        assert [g.images for g in A.generators] == coset_action_naive(gens, n, hgens)
 
 
 @st.composite
