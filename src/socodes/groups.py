@@ -17,15 +17,12 @@ everything:
   at that point, and the elements are the products of the transversals,
   built level by level in numpy (every group in scope has order <= 7920,
   and DEFAULT_CAP is checked before any transversal is made).
-- ``PermGroup.induced(objects, act)`` gives every derived action: the
-  generators acting on the positions of a list of objects they permute.
-  The action on k-subsets, the action on the cosets of a subgroup and the
-  action of an automorphism group on a design's blocks (``orbitmat``) are
-  its three uses.
+- ``PermGroup.induced(objects, act)`` gives the generators acting on the
+  positions of a list of objects they permute: the action on k-subsets, and
+  that of an automorphism group on a design's blocks (``orbitmat``).
 
-Only ``enumerate``, ``element_of_order``, ``squares_subgroup`` and the
-subgroup side of ``coset_action`` list elements; orbits, order,
-membership and stabilizers read the chain.
+Only ``enumerate``, ``element_of_order`` and ``squares_subgroup`` list
+elements; orbits, order, membership, stabilizers and coset labels read a chain.
 
 Points are 0-based everywhere internally; the group file format uses the
 1-based convention of the literature and is converted at the I/O boundary.
@@ -103,8 +100,10 @@ class Perm:
     @classmethod
     def from_cycles(cls, n: int, cycles) -> "Perm":
         images = list(range(n))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + type(cyc)((cyc[0],))):
+        for cyc in [_integers(cyc, "images", -1).tolist() for cyc in cycles]:
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                if not 0 <= a < n:
+                    raise ValueError(f"point {a} is not within 0..{n - 1}")
                 images[a] = b
         return cls(images)
 
@@ -383,9 +382,8 @@ class PermGroup:
     def stabilizer(self, point: int) -> "PermGroup":
         """G_point, generated by level 1 of a stabilizer chain whose base
         starts at point: the kept chain for point 0, a new one otherwise.
-        Nothing is listed (only ``enumerate``, ``element_of_order``,
-        ``squares_subgroup`` and the subgroup side of ``coset_action`` list
-        elements)."""
+        Nothing is listed (only ``enumerate``, ``element_of_order`` and
+        ``squares_subgroup`` list elements)."""
         levels = self._stabilizer_chain(point)
         strong = levels[1][1] if len(levels) > 1 else []
         return PermGroup(self.degree, map(_perm, strong))
@@ -463,20 +461,32 @@ class PermGroup:
         """Action of this group on right cosets of H, degree [G:H].
 
         Cosets are numbered by their lexicographically least element, sorted.
+        That of Hg is one descent of the chain of H built below: each level
+        sends the product p to the u p that puts its base point lowest.
         """
         if H.degree != self.degree or any(h not in self for h in H.generators):
             raise NotASubgroup("H is not contained in G")
-        if self.order // H.order > INDEX_CAP:
-            raise IndexTooLarge(f"index {self.order // H.order} exceeds {INDEX_CAP}")
-        hels = H.elements
+        levels, hgens = [], [h.images for h in H.generators if h.cycles()]
+        while hgens:
+            # b is the least point H_i moves, so H_i fixes every point below b
+            b = min(next(x for x, y in enumerate(h) if x != y) for h in hgens)
+            chain = _schreier_sims(self.degree, hgens, (b,))
+            levels.append(chain[0])
+            hgens = chain[1][1] if len(chain) > 1 else []
+        if (index := self.order // prod(len(U) for _, _, U in levels)) > INDEX_CAP:
+            raise IndexTooLarge(f"index {index} exceeds {INDEX_CAP}")
+        images = {}
 
-        def canon(g: Perm) -> Perm:
-            return min(h * g for h in hels)
+        def canon(rep: tuple, s: Perm) -> tuple:
+            p = _mul(rep, s.images)
+            for _, _, U in levels:
+                p = _mul(U[min(U, key=p.__getitem__)], p)
+            return images.setdefault((rep, s), p)
 
-        ordered = sorted(_closure(canon(Perm.identity(self.degree)),
-                                  self.generators,
-                                  lambda rep, s: canon(rep * s)))
-        return self.induced(ordered, lambda s, rep: canon(rep * s))
+        reps = sorted(_closure(tuple(range(self.degree)), self.generators, canon))
+        number = {rep: i for i, rep in enumerate(reps)}
+        return PermGroup(len(reps), [Perm([number[images[rep, s]] for rep in reps])
+                                     for s in self.generators])
 
     def element_of_order(self, t: int):
         """First element of order t in sorted element order, or None."""

@@ -455,6 +455,44 @@ def test_coset_action_not_subgroup():
         G.coset_action(PermGroup(4, []))
 
 
+# the generators of the shipped degree-22 action, m11_degree(22)
+M11_22_IMAGES = [
+    (3, 2, 5, 4, 6, 7, 9, 8, 11, 10, 13, 12, 14, 15, 16, 17, 18, 19, 21, 20, 0, 1),
+    (1, 0, 3, 2, 13, 12, 18, 19, 10, 11, 7, 6, 21, 20, 5, 4, 16, 17, 9, 8, 15, 14)]
+
+
+def _listed(*args):
+    raise AssertionError("a group was listed")
+
+
+@pytest.mark.parametrize("G, subgroup, images", [
+    # M11 on the cosets of the A6 in a point stabilizer, |A6| = 360
+    (m11(), lambda G: G.stabilizer(0).squares_subgroup(), M11_22_IMAGES),
+    # S9 on the cosets of S8, |S8| = 40320
+    (PermGroup(9, [Perm.from_cycles(9, [tuple(range(9))]), Perm.from_cycles(9, [(0, 1)])]),
+     lambda G: G.stabilizer(8),
+     [(8, 0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 4, 5, 6, 8, 7)]),
+], ids=["m11-on-A6", "S9-on-S8"])
+def test_coset_action_lists_no_element(monkeypatch, G, subgroup, images):
+    H = subgroup(G)
+    monkeypatch.setattr(groups, "_element_rows", _listed)
+    A = G.coset_action(H)
+    assert [g.images for g in A.generators] == images
+    assert A.order == G.order           # both actions are faithful
+
+
+def test_coset_action_on_far_apart_points():
+    # H moves only 0, 1, n - 2 and n - 1: a chain of H on the base 0..n-1
+    # would pass (n-2 n-1) down one nested call per point in between, past
+    # the interpreter's recursion limit
+    n = 3000
+    swaps = [(0, 1), (n - 2, n - 1), (1, 2)]
+    gens = [Perm.from_cycles(n, [c]).images for c in swaps]
+    A = PermGroup(n, gens).coset_action(PermGroup(n, gens[:2]))
+    assert [g.images for g in A.generators] == coset_action_naive(gens, n, gens[:2])
+    assert A.degree == 3
+
+
 def test_squares_subgroup_keeps_few_generators():
     # the A6 in M11's point stabilizer: each kept square is new to the
     # closure of those before it, and the elements come with the group

@@ -309,6 +309,17 @@ def test_integer_arguments_are_integers_or_type_error(name):
             assert call(integer(n)) == call(n)
 
 
+def test_from_cycles_reads_every_point_before_using_it():
+    # a point was once a list index: a float raised Python's "list indices
+    # must be integers", 3 an IndexError, and -1 wrapped around to 2
+    for bad in NON_INTEGERS:
+        with pytest.raises(TypeError, match="^images must be integral$"):
+            Perm.from_cycles(3, [(0, bad)])
+    for point in (3, 5, -1):
+        with pytest.raises(ValueError, match=f"^point {point} is not within 0..2$"):
+            Perm.from_cycles(3, [(0, point)])
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: Perm([1.5, 0.2, 2.0]), "images must be integral"),
     (lambda: M11.set_orbit((0.5, 1.9)), "points must be integral"),
