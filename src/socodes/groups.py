@@ -11,12 +11,11 @@ everything:
   (``PermGroup.set_orbit``): each layer is a 0/1 array of sets, and its
   images under every generator are one gather.
 - ``_schreier_sims``, incremental Schreier-Sims, gives a base and, per
-  level, strong generators and one representative per orbit point. The
-  order is the product of the orbit lengths, membership is sifting, a point
-  stabilizer is generated by the first level of a chain whose base starts
-  at that point, and the elements are the products of the transversals,
-  built level by level in numpy (every group in scope has order <= 7920,
-  and DEFAULT_CAP is checked before any transversal is made).
+  level, strong generators and one representative per orbit point. A group
+  keeps one chain, based at each level at the least point it moves: the
+  order is the product of its orbit lengths, membership is sifting, coset
+  labels descend it once, and the elements are the transversal products,
+  built in numpy. A point stabilizer is level 1 of a chain based there.
 - ``PermGroup.induced(objects, act)`` gives the generators acting on the
   positions of a list of objects they permute: the action on k-subsets, and
   that of an automorphism group on a design's blocks (``orbitmat``).
@@ -32,6 +31,7 @@ that every downstream matrix is byte-reproducible.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from itertools import combinations
 from math import comb, lcm, prod
@@ -78,6 +78,13 @@ INDEX_CAP = 10 ** 4
 DEGREE_CAP = KSUBSET_CAP
 
 
+def _point(n: int, x) -> int:
+    """x as an int within 0..n-1: ValueError outside, TypeError for a non-integer."""
+    if not 0 <= (x := operator.index(x)) < n:
+        raise ValueError(f"point {x} is not within 0..{n - 1}")
+    return x
+
+
 class Perm:
     """A permutation of {0..n-1}; images[i] is the integer image of i.
 
@@ -102,9 +109,7 @@ class Perm:
         images = list(range(n))
         for cyc in [_integers(cyc, "images", -1).tolist() for cyc in cycles]:
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                if not 0 <= a < n:
-                    raise ValueError(f"point {a} is not within 0..{n - 1}")
-                images[a] = b
+                images[_point(n, a)] = b
         return cls(images)
 
     @property
@@ -204,7 +209,11 @@ def _inv(g: tuple) -> tuple:
     return tuple(out)
 
 
-def _schreier_sims(n: int, gens, base=()) -> list:
+def _least_moved(n: int, gens) -> int:
+    return next((x for x in range(n) if any(g[x] != x for g in gens)), 0)
+
+
+def _schreier_sims(n: int, gens, first: int) -> list:
     """Stabilizer chain of the group the image tuples gens generate, by
     incremental Schreier-Sims (Sims 1970; Seress 2003, ch. 4).
 
@@ -212,8 +221,9 @@ def _schreier_sims(n: int, gens, base=()) -> list:
     of b_0..b_{i-1}, and U_i maps each point x of the orbit of b_i under G_i
     to one u in G_i with b_i^u = x. Every element is one product
     u_{k-1}...u_1 u_0, one u_i from each U_i, so the order is the product of
-    the |U_i|. The base starts with the points of base, then takes the first
-    point the next new level's generator moves.
+    the |U_i|. The base starts at first, and every later level at the least
+    point its opening residue moves, so its orbit has 2 points or more and
+    the recursion is at most 1 + log2(DEFAULT_CAP) levels deep.
 
     add(i, g) puts g in S_i, rebuilds U_i, and sends every Schreier
     generator u s (u')^-1 of level i, u' the representative of x^s, that
@@ -229,7 +239,7 @@ def _schreier_sims(n: int, gens, base=()) -> list:
 
     def add(i, g):
         if i == len(levels):
-            b = base[i] if i < len(base) else next(x for x in range(n) if g[x] != x)
+            b = _least_moved(n, [g]) if i else first
             levels.append((b, [], {}))
         b, S, _ = levels[i]
         S.append(g)
@@ -250,7 +260,7 @@ def _schreier_sims(n: int, gens, base=()) -> list:
                 us, v = _mul(u, s), U[s[x]]
                 if us == v:
                     continue
-                h, _ = _sift(levels, _mul(us, _inv(v)), i + 1)
+                h = _sift(levels, _mul(us, _inv(v)), i + 1)
                 if h != ident:
                     add(i + 1, h)
 
@@ -263,17 +273,17 @@ def _schreier_sims(n: int, gens, base=()) -> list:
     return levels
 
 
-def _sift(levels, g: tuple, start: int = 0):
-    """(residue, level): g divided by transversal elements from level start
-    on, stopping at the first level whose orbit misses the base image. g is
-    in the group iff the residue is the identity with level len(levels)."""
+def _sift(levels, g: tuple, start: int = 0) -> tuple:
+    """The residue of g divided by transversal elements from level start on,
+    stopping at the first level whose orbit misses the base image (which g
+    then moves); g is in the group iff the residue is the identity."""
     for i in range(start, len(levels)):
         b, _, U = levels[i]
         x = g[b]
         if x not in U:
-            return g, i
+            return g
         g = _mul(g, _inv(U[x]))
-    return g, len(levels)
+    return g
 
 
 def _element_rows(n: int, levels) -> np.ndarray:
@@ -282,21 +292,17 @@ def _element_rows(n: int, levels) -> np.ndarray:
 
     Rows take the smallest unsigned type that holds n - 1, one byte per
     image up to degree 256, so that listing the elements costs little more
-    memory than the Perm objects it makes. The sort keys are the shortest
-    column prefix that tells every row apart: the first p columns do so
-    exactly when no row but the identity fixes points 0..p-1.
+    memory than the Perm objects it makes. On a kept chain, columns 0..b of
+    its last base point b tell every row apart, and no fewer do (the last
+    level fixes every point below b), so they are the sort keys.
     """
     dtype = np.min_scalar_type(max(n - 1, 0))
     rows = np.arange(n, dtype=dtype)[None, :]
     for _, _, U in reversed(levels):
         # rows of G_{i+1} times U_i: (r u)[x] = u[r[x]]
         rows = np.array(list(U.values()), dtype=dtype)[:, rows].reshape(-1, n)
-    fixes, p = np.ones(len(rows), dtype=bool), 0
-    while np.count_nonzero(fixes) > 1:
-        fixes &= rows[:, p] == p
-        p += 1
-    if p:
-        rows = rows[np.lexsort(rows[:, :p].T[::-1])]
+    if levels:
+        rows = rows[np.lexsort(rows[:, :levels[-1][0] + 1].T[::-1])]
     return rows
 
 
@@ -314,21 +320,24 @@ class PermGroup:
 
     # -- enumeration --------------------------------------------------------
 
-    def _stabilizer_chain(self, point: int = 0) -> list:
-        """A ``_schreier_sims`` chain whose base starts at point; the one
-        for point 0 is built once and kept."""
-        if point == 0 and self._chain is not None:
-            return self._chain
-        chain = _schreier_sims(self.degree, [g.images for g in self.generators], (point,))
-        if point == 0:
-            self._chain = chain
-        return chain
+    def _stabilizer_chain(self) -> list:
+        """The one chain a group keeps: level i is level 0 of a chain of G_i
+        (G_0 = G; that call checks the cap) based at b_i, the least point G_i
+        moves. Its level 1 generates G_{i+1}, and its later levels are kept
+        while their base points are least too. So the b_i increase, G_i fixes
+        every point below b_i, and there are at most log2(DEFAULT_CAP) levels."""
+        if self._chain is None:
+            n, gens, levels = self.degree, [g.images for g in self.generators], []
+            while chain := _schreier_sims(n, gens, _least_moved(n, gens)):
+                while chain and chain[0][0] == _least_moved(n, chain[0][1]):
+                    levels.append(chain.pop(0))
+                gens = chain[0][1] if chain else []
+            self._chain = levels
+        return self._chain
 
     def enumerate(self) -> tuple:
-        """Every element, sorted by image tuple, listed as the products of
-        the chain's transversals.
-
-        Raises OrderExceedsCap above DEFAULT_CAP elements."""
+        """Every element, sorted by image tuple: the products of the kept
+        chain's transversals. Raises OrderExceedsCap above DEFAULT_CAP."""
         if self._elements is None:
             rows = _element_rows(self.degree, self._stabilizer_chain())
             # 512 rows at a time: a whole-array tolist() would hold a second
@@ -344,25 +353,20 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        """The number of elements, the product of the chain's orbit lengths;
-        like ``stabilizer``, it lists no element.
-
+        """The product of the kept chain's orbit lengths; nothing is listed.
         Raises OrderExceedsCap above DEFAULT_CAP."""
         return prod(len(U) for _, _, U in self._stabilizer_chain())
 
     def __contains__(self, g: Perm) -> bool:
         """Membership by sifting through the chain; a permutation of
         another degree is not a member."""
-        if g.degree != self.degree:
-            return False
-        levels = self._stabilizer_chain()
-        h, i = _sift(levels, g.images)
-        return i == len(levels) and h == tuple(range(self.degree))
+        return (g.degree == self.degree
+                and _sift(self._stabilizer_chain(), g.images) == tuple(range(self.degree)))
 
     # -- orbits and stabilizers --------------------------------------------
 
     def orbit_of(self, point: int) -> tuple:
-        return tuple(sorted(_closure(point, self.generators,
+        return tuple(sorted(_closure(_point(self.degree, point), self.generators,
                                      lambda x, g: g.images[x])))
 
     def point_orbits(self) -> list:
@@ -380,11 +384,13 @@ class PermGroup:
         return len(self.orbit_of(0)) == self.degree if self.degree else True
 
     def stabilizer(self, point: int) -> "PermGroup":
-        """G_point, generated by level 1 of a stabilizer chain whose base
-        starts at point: the kept chain for point 0, a new one otherwise.
-        Nothing is listed (only ``enumerate``, ``element_of_order`` and
-        ``squares_subgroup`` list elements)."""
-        levels = self._stabilizer_chain(point)
+        """G_point, generated by level 1 of a chain based at point: the kept
+        chain if point is its first base point (0, for a transitive group),
+        else ``_schreier_sims(n, gens, point)``. Nothing is listed. A point
+        outside 0..degree-1 is a ValueError, a non-integer a TypeError."""
+        gens, point = [g.images for g in self.generators], _point(self.degree, point)
+        levels = (self._stabilizer_chain() if point == _least_moved(self.degree, gens)
+                  else _schreier_sims(self.degree, gens, point))
         strong = levels[1][1] if len(levels) > 1 else []
         return PermGroup(self.degree, map(_perm, strong))
 
@@ -461,21 +467,14 @@ class PermGroup:
         """Action of this group on right cosets of H, degree [G:H].
 
         Cosets are numbered by their lexicographically least element, sorted.
-        That of Hg is one descent of the chain of H built below: each level
-        sends the product p to the u p that puts its base point lowest.
+        That of Hg is one descent of H's kept chain: each level sends the
+        product p to the u p that puts its base point lowest.
         """
         if H.degree != self.degree or any(h not in self for h in H.generators):
             raise NotASubgroup("H is not contained in G")
-        levels, hgens = [], [h.images for h in H.generators if h.cycles()]
-        while hgens:
-            # b is the least point H_i moves, so H_i fixes every point below b
-            b = min(next(x for x, y in enumerate(h) if x != y) for h in hgens)
-            chain = _schreier_sims(self.degree, hgens, (b,))
-            levels.append(chain[0])
-            hgens = chain[1][1] if len(chain) > 1 else []
-        if (index := self.order // prod(len(U) for _, _, U in levels)) > INDEX_CAP:
+        if (index := self.order // H.order) > INDEX_CAP:
             raise IndexTooLarge(f"index {index} exceeds {INDEX_CAP}")
-        images = {}
+        levels, images = H._stabilizer_chain(), {}
 
         def canon(rep: tuple, s: Perm) -> tuple:
             p = _mul(rep, s.images)

@@ -1,4 +1,5 @@
-"""Each demo's stdout, byte for byte, against its recorded golden.
+"""Each demo's stdout, byte for byte, against its recorded golden, run
+with every warning an error.
 
 The goldens live in tests/data/demos/<name>.out. A change that moves a
 demo's output on purpose re-records the file and says why.
@@ -21,7 +22,7 @@ def test_every_demo_has_a_golden():
 
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_stdout_matches_golden(name):
-    run = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
+    run = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / f"{name}.py")],
                          cwd=ROOT, capture_output=True, timeout=300)
     assert run.returncode == 0, run.stderr.decode()
     assert run.stdout == (GOLDEN / f"{name}.out").read_bytes()

@@ -207,6 +207,17 @@ def test_from_group_action_repeated_index_is_omega():
     assert from_group_action(G, 0, (1, 1)) == from_group_action(G, 0, (1,))
 
 
+def test_stabilizer_points_outside_the_degree_are_value_errors():
+    # a negative alpha once wrapped around: -22 developed from point 0
+    G = m11_degree(22)
+    for call in (lambda: from_group_action(G, -22, (1,)),
+                 lambda: from_group_action(G, 22, (1,)),
+                 lambda: wso_search(G, -1),
+                 lambda: stabilizer_orbits(G, 22)):
+        with pytest.raises(ValueError, match=r"^point (-1|-22|22) is not within 0\.\.21$"):
+            call()
+
+
 def test_from_group_action_delta_empty():
     G = cyclic(3)
     with pytest.raises(DeltaEmpty):

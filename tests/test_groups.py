@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (coset_action_naive, cycle_type_naive, group_closure_naive,
                      induced_naive, perm_order_naive, set_orbit_naive)
-from strategies import small_transitive_groups
+from strategies import NON_INTEGERS, small_transitive_groups
 from socodes import groups
 from socodes.designs import stabilizer_orbits
 from socodes.groups import (
@@ -40,6 +40,28 @@ def set_stabilizer_order(G, delta) -> int:
     """|{g : delta g = delta}|, counted over the enumerated elements."""
     target = tuple(sorted(delta))
     return sum(1 for g in G.elements if g.apply_set(delta) == target)
+
+
+def assert_least_point_chain(G):
+    """G's kept chain: each base point is the least point its level moves,
+    so the base points strictly increase, each level's strong generators fix
+    every point below its base point, and every orbit has 2 points or more;
+    its depth is bounded by the cap. Every chain _schreier_sims builds from
+    one first point has the same order and, past its first level, orbits of
+    2 points or more."""
+    n, gens = G.degree, [g.images for g in G.generators]
+    levels = G._stabilizer_chain()
+    bases = [b for b, _, _ in levels]
+    assert bases == sorted(set(bases))
+    for b, S, U in levels:
+        assert all(s[x] == x for s in S for x in range(b))
+        assert b in U and len(U) >= 2
+    assert len(levels) <= 1 + math.log2(groups.DEFAULT_CAP)
+    for first in range(n):
+        chain = groups._schreier_sims(n, gens, first)
+        assert all(len(U) >= 2 for _, _, U in chain[1:])
+        assert len(chain) <= 1 + math.log2(groups.DEFAULT_CAP)
+        assert math.prod(len(U) for _, _, U in chain) == G.order
 
 
 def test_perm_basics():
@@ -148,6 +170,7 @@ M11_ELEMENT_DIGESTS = {
 def test_m11_elements_from_chain_match_closure(degree):
     G = PermGroup(degree, m11_degree(degree).generators)
     assert G.order == 7920
+    assert_least_point_chain(G)
     assert G._elements is None          # the order comes from the chain
     rows = np.asarray([g.images for g in G.elements], dtype="<u2")
     assert hashlib.sha256(rows.tobytes()).hexdigest() == M11_ELEMENT_DIGESTS[degree]
@@ -179,6 +202,22 @@ def test_orbit_stabilizer():
     assert S.order == 720
     for pt in range(3):
         assert len(G.orbit_of(pt)) * G.stabilizer(pt).order == G.order
+
+
+def test_points_outside_the_degree_are_value_errors():
+    # a negative point was once a tuple index: stabilizer(-1) returned G_10,
+    # orbit_of(-1) twelve "points", and stabilizer(11) raised IndexError
+    G = m11()
+    assert G.order == 7920              # the kept chain is built
+    for point in (-1, -11, 11, 12):
+        for call in (G.stabilizer, G.orbit_of, PermGroup(11, []).stabilizer):
+            with pytest.raises(ValueError, match=f"^point {point} is not within 0..10$"):
+                call(point)
+    for bad in NON_INTEGERS + (0.0,):
+        for call in (G.stabilizer, G.orbit_of):
+            with pytest.raises(TypeError):
+                call(bad)
+    assert G.stabilizer(np.int64(10)).order == 720
 
 
 def test_set_orbit_toys():
@@ -311,6 +350,9 @@ A8_GENS = [(1, 2, 0) + tuple(range(3, 8)), (0,) + tuple(range(2, 8)) + (1,)]
 @example((6, [(1, 0, 2, 3, 4, 5), (0, 1, 2, 3, 5, 4)], {0, 4}, (3, 1)))   # C2 x C2
 @example((8, S8_GENS, {0, 1, 2}, (12366, 140883)))   # S8; <both> has order 5040
 @example((8, A8_GENS, {0, 5}, (12347, 140750)))       # A8; <both> has order 288
+# <(0 1), (3 4), (1 2)>: its kept chain once had the base 0, 3, 1, and
+# level 1's generators moved points 1 and 2
+@example((5, [(1, 0, 2, 3, 4), (0, 1, 2, 4, 3), (0, 2, 1, 3, 4)], {1, 3}, (5, 17)))
 def test_group_layer_matches_naive(case):
     n, gens, delta, picks = case
     closure = group_closure_naive(gens, n)
@@ -319,6 +361,7 @@ def test_group_layer_matches_naive(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groups, "DEFAULT_CAP", order)
         assert PermGroup(n, gens).order == order
+        assert_least_point_chain(G)
         assert [g.images for g in G.enumerate()] == sorted(closure)
         for x in range(n):
             assert ([g.images for g in G.stabilizer(x).enumerate()]
@@ -347,6 +390,18 @@ def test_group_layer_matches_naive(case):
             A = G.coset_action(H)
         assert A.degree == order // H.order
         assert [g.images for g in A.generators] == coset_action_naive(gens, n, hgens)
+
+
+def test_chain_levels_are_as_many_as_the_base_needs():
+    # an explicit base 0, 1, ..., n-1 once nested one call per base point
+    # between a generator's moved points, past the interpreter's recursion
+    # limit; every later level now opens at a point its residue moves
+    n = 3000
+    gens = [Perm.from_cycles(n, [c]).images for c in [(0, 1), (n - 2, n - 1)]]
+    for first, bases in [(0, [0, n - 2]), (1500, [1500, 0, n - 2]), (n - 1, [n - 1, 0])]:
+        levels = groups._schreier_sims(n, gens, first)
+        assert [b for b, _, _ in levels] == bases
+        assert math.prod(len(U) for _, _, U in levels) == 4
 
 
 @st.composite
