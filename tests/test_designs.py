@@ -246,6 +246,24 @@ def test_from_group_action_negative_index_rejected():
         from_group_action(G, 0, (0, 2))
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_transitive_groups(), st.data())
+def test_development_equals_checked_design(G, data):
+    # a development must be the design the checked constructor builds from
+    # the same set orbit: blocks, incidence bytes and parameters
+    orbits = stabilizer_orbits(G, 0)
+    choice = data.draw(st.lists(st.integers(0, len(orbits) - 1), min_size=1,
+                                max_size=len(orbits) - 1, unique=True))
+    delta = tuple(sorted(x for i in choice for x in orbits[i]))
+    got = from_group_action(G, 0, choice)
+    want = Design(G.degree, G.set_orbit(delta))
+    assert got.v == want.v and got.blocks == want.blocks
+    assert got.incidence.dtype == np.int64 and not got.incidence.flags.writeable
+    assert got.incidence.shape == want.incidence.shape
+    assert got.incidence.tobytes() == want.incidence.tobytes()
+    assert validate(got) == validate(want)
+
+
 def test_m11_degree22_developments():
     G = m11_degree(22)
     D = from_group_action(G, 0, (2,))
