@@ -11,8 +11,12 @@ repeat; a repeated pair intersects in k points.
 ``validate`` returns (k, r) and ``parameters`` names the design
 "1-(v,k,r)" from it; every printed design name comes from ``parameters``.
 ``from_group_action`` and ``wso_search`` develop an orbit union through
-one routine, ``_develop``. The four-residue profile (k mod p, common
-intersection residue) drives every construction theorem downstream.
+one routine, ``_develop``. A development is stored as its set orbit gives
+it (sorted, equal-length blocks of distinct points in range), without the
+re-parse and re-checks, then validated. The four-residue profile (k mod p,
+common intersection residue) drives every construction theorem
+downstream; it reduces the Gram mod p in place and tests the off-diagonal
+residues by min and max, with the diagonal set to one pair's residue.
 """
 
 from __future__ import annotations
@@ -87,14 +91,22 @@ class Design:
             if outside.size and outside[0] == i:
                 raise ValueError(f"block {t} outside point range [0,{v})")
             raise ValueError(f"block {t} repeats a point")
+        flat = iter(points.tolist())
+        self._store(v, tuple(tuple(islice(flat, k)) for k in sizes.tolist()),
+                    block_of, points)
+
+    def _store(self, v: int, blocks: tuple, rows, points) -> None:
+        """Keep v and blocks, and the incidence with a 1 at each (rows[i],
+        points[i]); past INCIDENCE_CAP it raises before the incidence is
+        allocated."""
+        b = len(blocks)
         if b * max(b, v) > INCIDENCE_CAP:
             raise ValueError(f"{b} blocks on {v} points: b * max(b, v) "
                              f"exceeds {INCIDENCE_CAP}")
         self.v = v
-        flat = iter(points.tolist())
-        self.blocks = tuple(tuple(islice(flat, k)) for k in sizes.tolist())
+        self.blocks = blocks
         self.incidence = np.zeros((b, v), dtype=np.int64)
-        self.incidence[block_of, points] = 1
+        self.incidence[rows, points] = 1
         self.incidence.setflags(write=False)
 
     @property
@@ -113,6 +125,17 @@ class Design:
             return f"Design({parameters(self)}, b={self.b})"
         except ValueError:
             return f"Design(v={self.v}, b={self.b})"
+
+
+def _design(v: int, blocks) -> Design:
+    """A Design of blocks already known to be sorted, equal-length tuples of
+    distinct Python ints in [0, v), as a set orbit gives them; unchecked but
+    for INCIDENCE_CAP."""
+    blocks = tuple(blocks)
+    D = Design.__new__(Design)
+    D._store(v, blocks, np.arange(len(blocks))[:, None],
+             np.array(blocks, dtype=np.int64))
+    return D
 
 
 def _points(blocks: list, v: int, count: int) -> np.ndarray:
@@ -190,12 +213,14 @@ def intersection_profile(D: Design, p: int) -> WSOProfile:
         raise ValueError("need at least two blocks for an intersection profile")
     k = _block_size(D)
     M = D.incidence.astype(np.float64)
-    off = ((M @ M.T).astype(np.int64) % p)[~np.eye(D.b, dtype=bool)]
-    resid = np.unique(off)
+    R = (M @ M.T).astype(np.int64)
+    R %= p
+    # the diagonal holds k, not an intersection: give it one pair's residue
+    np.fill_diagonal(R, R[0, 1])
     a = k % p
-    if resid.size != 1:
+    if R.min() != R.max():
         return WSOProfile(p, a, None, None)
-    d = int(resid[0])
+    d = int(R[0, 1])
     case = CASE_NAMES[(a, d)] if p == 2 else None
     return WSOProfile(p, a, d, case)
 
@@ -223,7 +248,7 @@ def _develop(G: PermGroup, orbits, orbit_choice) -> Design:
         raise DeltaEmpty("empty base block")
     if len(pts) == G.degree:
         raise DeltaIsOmega("base block is the whole point set")
-    D = Design(G.degree, G.set_orbit(tuple(sorted(pts))))
+    D = _design(G.degree, G.set_orbit(tuple(sorted(pts))))
     validate(D)
     return D
 

@@ -98,6 +98,8 @@ class GFMatrix:
         give byte-identical results. At pivot (r, c) rows r.. are zero left
         of c, so only the columns c.. are updated; over GF(2) every nonzero
         factor is 1 and adding codes is XOR, so clearing is one in-place XOR.
+        One boolean mask of column c per pivot gives both the pivot row (its
+        first nonzero at or after r) and the rows to clear.
         """
         F = self.field
         R = self.a.copy()
@@ -106,23 +108,26 @@ class GFMatrix:
         for c in range(self.cols):
             if r == self.rows:
                 break
-            nzrows = np.flatnonzero(R[r:, c])
-            if nzrows.size == 0:
+            nonzero = R[:, c] != 0
+            pr = r + int(nonzero[r:].argmax())
+            if not nonzero[pr]:
                 continue
-            if nzrows[0]:
-                pr = r + int(nzrows[0])
+            if pr != r:
                 R[[r, pr], c:] = R[[pr, r], c:]
+            # row r was zero in column c if it moved to pr, so after the
+            # swap the rows to clear are the mask less row pr
+            nonzero[pr] = False
             lead = int(R[r, c])
             if lead != 1:
                 R[r, c:] = F.mul(R[r, c:], F.inv(lead))
-            rows_to_clear = np.flatnonzero(R[:, c])
-            rows_to_clear = rows_to_clear[rows_to_clear != r]
-            if F.q == 2:
-                R[rows_to_clear, c:] ^= R[r, c:]
-            elif rows_to_clear.size:
+            if not nonzero.any():
+                pass  # e.g. an identity border: no rows to clear
+            elif F.q == 2:
+                R[nonzero, c:] ^= R[r, c:]
+            else:
                 # x - c*r as x + (-c)*r: negate the column, not the product
-                R[rows_to_clear, c:] = F.add(R[rows_to_clear, c:],
-                                             F.mul(F.neg(R[rows_to_clear, c, None]), R[r, c:]))
+                R[nonzero, c:] = F.add(R[nonzero, c:],
+                                       F.mul(F.neg(R[nonzero, c, None]), R[r, c:]))
             pivots.append(c)
             r += 1
         return GFMatrix(F, R[:r]), tuple(pivots)

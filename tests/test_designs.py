@@ -181,6 +181,34 @@ def test_profile_needs_two_blocks():
         intersection_profile(D, 2)
 
 
+# one odd pair, both of whose intersections differ from the rest mod 2 and
+# mod 3: pairs meet in 0 except one in 1; pairs meet in 1 except one in 2
+ODD_PAIR_BLOCKS = [
+    ([(0, 1), (1, 2)], [(3, 4), (5, 6), (7, 8)]),
+    ([(0, 1, 2), (0, 1, 3)], [(0, 4, 5), (0, 6, 7), (0, 8, 9)]),
+]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("odd, rest", ODD_PAIR_BLOCKS)
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_profile_one_odd_pair(p, odd, rest, where):
+    # the profile fills its diagonal with the residue of pair (0, 1), so
+    # the odd pair is put there once and at (b-2, b-1) once
+    blocks = odd + rest if where == "first" else rest + odd
+    D = Design(10, blocks)
+    assert _profile_naive(D, p) is None
+    prof = intersection_profile(D, p)
+    assert prof.d is None and prof.case is None
+
+
+@pytest.mark.parametrize("p, want", [(2, 0), (3, 2)])
+def test_profile_two_blocks_is_constant(p, want):
+    D = Design(4, [(0, 1, 2), (1, 2, 3)])
+    prof = intersection_profile(D, p)
+    assert (prof.a, prof.d) == (3 % p, want)
+
+
 # ---------------------------------------------------------------------------
 # from_group_action
 

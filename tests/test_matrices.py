@@ -174,6 +174,22 @@ def test_rref_matches_oracle(q, rows, cols, rank_cap, seed):
     assert R.a.shape == (len(want_pivots), cols)
 
 
+@pytest.mark.parametrize("field, x", [(GF2, 1), (GF3, 2), (GF9, 5)])
+def test_rref_swaps_and_clears_above_the_pivot(field, x):
+    r0 = np.array([x, 1, 0, 1, 0, x])
+    r1 = np.array([x, 1, 0, x, 1, 0])
+    r2 = np.array([0, x, 0, 1, 1, 0])
+    # r1 - r0 is zero in columns 0 and 1, so column 1's pivot is r2, found
+    # below its row and swapped up, and r0 is nonzero there; column 2 is
+    # zero; the last two rows are dependent, so the rank is 3 of 5 rows
+    M = np.stack([r0, r1, r2, field.add(r0, r2), field.add(r1, field.neg(r0))])
+    R, pivots = GFMatrix(field, M).rref()
+    want_rows, want_pivots = oracles.rref_naive(M.tolist(), field.p, field.l, field.modulus)
+    assert pivots == tuple(want_pivots)
+    assert R.a.tolist() == want_rows
+    assert len(pivots) == 3 and pivots[:2] == (0, 1) and 2 not in pivots
+
+
 def test_rref_pivots_are_unit_columns():
     M = rand_matrix(GF9, 6, 9, 4)
     R, pivots = M.rref()
