@@ -29,9 +29,9 @@ def derive() -> str:
     G = m11_natural()
     assert G.order == 7920
 
-    x = next(g for g in G.elements if g.order() == 11)
+    x = G.element_of_order(11)
     # <x, y> is either that subgroup or all of M11
-    candidates = (PermGroup(11, [x, y]) for y in G.elements if y.order() == 2)
+    candidates = (PermGroup(11, [x, y]) for y in G.enumerate() if y.order() == 2)
     H = next(c for c in candidates if c.order == 660)
 
     A = G.coset_action(H)

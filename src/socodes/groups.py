@@ -20,8 +20,8 @@ everything:
   positions of a list of objects they permute: the action on k-subsets, and
   that of an automorphism group on a design's blocks (``orbitmat``).
 
-Only ``enumerate``, ``element_of_order`` and ``squares_subgroup`` list
-elements; orbits, order, membership, stabilizers and coset labels read a chain.
+Only ``enumerate`` and ``element_of_order`` list elements; orbits, order,
+membership, stabilizers, coset labels and the derived subgroup read a chain.
 
 Points are 0-based everywhere internally; the group file format uses the
 1-based convention of the literature and is converted at the I/O boundary.
@@ -348,10 +348,6 @@ class PermGroup:
         return self._elements
 
     @property
-    def elements(self) -> tuple:
-        return self.enumerate()
-
-    @property
     def order(self) -> int:
         """The product of the kept chain's orbit lengths; nothing is listed.
         Raises OrderExceedsCap above DEFAULT_CAP."""
@@ -489,26 +485,25 @@ class PermGroup:
 
     def element_of_order(self, t: int):
         """First element of order t in sorted element order, or None."""
-        for g in self.elements:
+        for g in self.enumerate():
             if g.order() == t:
                 return g
         return None
 
-    def squares_subgroup(self) -> "PermGroup":
-        """Subgroup generated by the squares of all elements.
+    def derived_subgroup(self) -> "PermGroup":
+        """G', the normal closure of the commutators a^-1 b^-1 a b of pairs
+        of generators (Butler 1991; Holt, Eick and O'Brien 2005, ch. 4).
 
-        A square joins the generators only if those kept so far do not
-        already generate it.
-
-        For a group with a unique subgroup of index 2 this is that subgroup
-        (squares die in any C2 quotient, and what they generate is normal).
-        """
-        gens, generated = [], PermGroup(self.degree, [])
-        for s in sorted({g * g for g in self.elements}):
-            if s not in generated:
-                gens.append(s)
-                generated = PermGroup(self.degree, gens)
-        return generated
+        A commutator, or a conjugate s^-1 c s of a kept c by a generator s,
+        is kept only if the chain of those kept so far does not sift it, so
+        each kept element enlarges the subgroup; nothing is listed."""
+        gens, D = [g.images for g in self.generators], PermGroup(self.degree, [])
+        queue = [_mul(_inv(_mul(b, a)), _mul(a, b)) for a, b in combinations(gens, 2)]
+        for c in map(_perm, queue):
+            if c not in D:
+                D = PermGroup(self.degree, D.generators + (c,))
+                queue += [_mul(_mul(_inv(s), c.images), s) for s in gens]
+        return D
 
     def __repr__(self):
         n = len(self._elements) if self._elements is not None else "?"

@@ -2,9 +2,9 @@
 actions.
 
 Degrees 11 and 12 load from packaged generator files; 22 comes from the
-coset action on the index-2 subgroup of a point stabilizer, 55 and 165 from
-the actions on 2- and 3-subsets of 11 points, and 66 from the action on
-2-subsets of 12 points.  Results are cached per process.
+coset action on the derived subgroup of a point stabilizer (A6 in M10), 55
+and 165 from the actions on 2- and 3-subsets of 11 points, and 66 from the
+action on 2-subsets of 12 points.  Results are cached per process.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def m11_degree(n: int) -> PermGroup:
         return _load("m11_12.grp")
     if n == 22:
         G = m11_natural()
-        return G.coset_action(G.stabilizer(0).squares_subgroup())
+        return G.coset_action(G.stabilizer(0).derived_subgroup())
     if n == 55:
         return m11_natural().action_on_ksubsets(2)
     if n == 66:

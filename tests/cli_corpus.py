@@ -94,7 +94,7 @@ def write_fixtures(tmp) -> None:
         (tmp / f"{name}.grp").write_text(
             format_group_text(PermGroup(degree, [g])))
     # the A6 whose cosets give the degree-22 action of m11:11
-    a6 = m11_degree(11).stabilizer(0).squares_subgroup()
+    a6 = m11_degree(11).stabilizer(0).derived_subgroup()
     (tmp / "a6_11.grp").write_text(format_group_text(a6))
     # a transposition of two points of m11:22: not an automorphism
     swap = Perm.from_cycles(22, [(1, 2)])

@@ -249,6 +249,26 @@ def group_closure_naive(gens, n):
     return seen
 
 
+def derived_subgroup_naive(gens, n):
+    """All image tuples of <[x, s] : x in G, s in gens>, G = <gens>, with
+    [x, s] = x^-1 s^-1 x s. It is normal, as [x, s]^y = [xy, s][y, s]^-1,
+    and s and t commute modulo it, so it is G'. A commutator joins the
+    generators of the closure only when the closure so far misses it."""
+    kept, closure = [], {tuple(range(n))}
+    for x in sorted(group_closure_naive(gens, n)):
+        for s in gens:
+            xs = tuple(s[y] for y in x)
+            sx = tuple(x[y] for y in s)
+            inverse = [0] * n
+            for i, y in enumerate(sx):
+                inverse[y] = i
+            c = tuple(xs[y] for y in inverse)
+            if c not in closure:
+                kept.append(c)
+                closure = group_closure_naive(kept, n)
+    return closure
+
+
 def set_orbit_naive(gens, n, delta):
     """Sorted distinct images of the point set delta under every element."""
     return sorted({tuple(sorted(g[x] for x in delta))

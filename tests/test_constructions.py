@@ -905,7 +905,7 @@ def random_group_cases(draw):
     choice = draw(st.sets(st.integers(0, len(orbits) - 1), min_size=1,
                           max_size=len(orbits) - 1))
     D = from_group_action(G, 0, sorted(choice))
-    H = PermGroup(G.degree, [draw(st.sampled_from(G.elements))])
+    H = PermGroup(G.degree, [draw(st.sampled_from(G.enumerate()))])
     q = draw(st.sampled_from([2, 4, 3, 9, 5, 25]))
     F = field_for_order(q)
     moving = {len(o) for o in H.point_orbits()} - {1}

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (coset_action_naive, cycle_type_naive, group_closure_naive,
-                     induced_naive, perm_order_naive, set_orbit_naive)
+from oracles import (coset_action_naive, cycle_type_naive, derived_subgroup_naive,
+                     group_closure_naive, induced_naive, perm_order_naive,
+                     set_orbit_naive)
 from strategies import NON_INTEGERS, small_transitive_groups
 from socodes import groups
 from socodes.designs import stabilizer_orbits
@@ -39,7 +40,7 @@ def m11():
 def set_stabilizer_order(G, delta) -> int:
     """|{g : delta g = delta}|, counted over the enumerated elements."""
     target = tuple(sorted(delta))
-    return sum(1 for g in G.elements if g.apply_set(delta) == target)
+    return sum(1 for g in G.enumerate() if g.apply_set(delta) == target)
 
 
 def assert_least_point_chain(G):
@@ -112,7 +113,7 @@ def test_cyclic_group_order():
 def test_trivial_group():
     G = PermGroup(4, [])
     assert G.order == 1
-    assert G.elements == (Perm.identity(4),)
+    assert G.enumerate() == (Perm.identity(4),)
 
 
 def test_m11_order():
@@ -172,9 +173,9 @@ def test_m11_elements_from_chain_match_closure(degree):
     assert G.order == 7920
     assert_least_point_chain(G)
     assert G._elements is None          # the order comes from the chain
-    rows = np.asarray([g.images for g in G.elements], dtype="<u2")
+    rows = np.asarray([g.images for g in G.enumerate()], dtype="<u2")
     assert hashlib.sha256(rows.tobytes()).hexdigest() == M11_ELEMENT_DIGESTS[degree]
-    assert all(type(x) is int for x in G.elements[-1].images)
+    assert all(type(x) is int for x in G.enumerate()[-1].images)
 
 
 def test_over_cap_raises_before_listing():
@@ -280,7 +281,7 @@ def test_set_orbit_at_benchmark_sizes(degree):
     # every orbit union of the stabilizer orbits, or the degree-165 three,
     # against the images under every one of the 7920 elements
     G = m11_degree(degree)
-    elements = np.array([g.images for g in G.elements])
+    elements = np.array([g.images for g in G.enumerate()])
     orbits = stabilizer_orbits(G, 0)
     choices = UNIONS_165 if degree == 165 else [
         [i for i in range(len(orbits)) if mask >> i & 1]
@@ -308,7 +309,7 @@ def test_orbits_leave_elements_unenumerated():
     assert G.stabilizer(7).order == 48
     assert G._elements is None
     M = PermGroup(11, M11_GENS)
-    assert M.stabilizer(0).squares_subgroup().order == 360
+    assert M.stabilizer(0).derived_subgroup().order == 360
     assert M._elements is None
 
 
@@ -366,6 +367,12 @@ def test_group_layer_matches_naive(case):
         for x in range(n):
             assert ([g.images for g in G.stabilizer(x).enumerate()]
                     == sorted(g for g in closure if g[x] == x))
+        # G' against <[x, s] : x in G, s in gens>, whose oracle lists G:
+        # a bound of 5040 elements (S7) keeps each example under 0.1 s
+        if order <= 5040:
+            D = G.derived_subgroup()
+            assert ({g.images for g in D.enumerate()}
+                    == derived_subgroup_naive(gens, n))
         mp.setattr(groups, "DEFAULT_CAP", order - 1)
         with pytest.raises(OrderExceedsCap):
             PermGroup(n, gens).enumerate()
@@ -376,7 +383,7 @@ def test_group_layer_matches_naive(case):
     assert G.point_orbits() == orbits
     assert G.set_orbit(delta) == set_orbit_naive(gens, n, delta)
 
-    hs = [G.elements[pick % order].images for pick in picks]
+    hs = [G.enumerate()[pick % order].images for pick in picks]
     for hgens in (hs[:1], hs):
         H = PermGroup(n, hgens)
         with pytest.MonkeyPatch.context() as mp:
@@ -440,7 +447,7 @@ def test_induced_matches_naive(case):
         B = G.induced(blocks, Perm.apply_set)
         assert [g.images for g in B.generators] == want
 
-    for g in G.elements:
+    for g in G.enumerate():
         assert g.order() == perm_order_naive(g.images)
         assert g.cycle_type() == cycle_type_naive(g.images)
 
@@ -522,16 +529,15 @@ def _listed(*args):
 
 @pytest.mark.parametrize("G, subgroup, images", [
     # M11 on the cosets of the A6 in a point stabilizer, |A6| = 360
-    (m11(), lambda G: G.stabilizer(0).squares_subgroup(), M11_22_IMAGES),
+    (m11(), lambda G: G.stabilizer(0).derived_subgroup(), M11_22_IMAGES),
     # S9 on the cosets of S8, |S8| = 40320
     (PermGroup(9, [Perm.from_cycles(9, [tuple(range(9))]), Perm.from_cycles(9, [(0, 1)])]),
      lambda G: G.stabilizer(8),
      [(8, 0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 4, 5, 6, 8, 7)]),
 ], ids=["m11-on-A6", "S9-on-S8"])
 def test_coset_action_lists_no_element(monkeypatch, G, subgroup, images):
-    H = subgroup(G)
     monkeypatch.setattr(groups, "_element_rows", _listed)
-    A = G.coset_action(H)
+    A = G.coset_action(subgroup(G))
     assert [g.images for g in A.generators] == images
     assert A.order == G.order           # both actions are faithful
 
@@ -548,20 +554,32 @@ def test_coset_action_on_far_apart_points():
     assert A.degree == 3
 
 
-def test_squares_subgroup_keeps_few_generators():
-    # the A6 in M11's point stabilizer: each kept square is new to the
-    # closure of those before it, and the elements come with the group
-    H = m11().stabilizer(0).squares_subgroup()
-    assert H.order == 360 and len(H.generators) <= 4
-    assert H.elements == PermGroup(11, H.generators).elements
+def test_m11_degree22_lists_no_element(monkeypatch):
+    # the shipped degree-22 action, built afresh: M10, its derived A6 and
+    # the coset action all read chains
+    m11_degree.cache_clear()
+    monkeypatch.setattr(groups, "_element_rows", _listed)
+    assert [g.images for g in m11_degree(22).generators] == M11_22_IMAGES
+
+
+def test_derived_subgroup_keeps_few_generators():
+    # the A6 in M11's point stabilizer M10: each kept commutator or
+    # conjugate is new to the closure of those before it, and M10's
+    # generators normalize what they generate
+    M = m11().stabilizer(0)
+    H = M.derived_subgroup()
+    assert H.order == 360
     assert [g.images for g in H.generators] == [
-        (0, 1, 2, 5, 10, 9, 3, 8, 4, 6, 7), (0, 1, 3, 2, 6, 8, 4, 10, 5, 9, 7),
-        (0, 2, 1, 3, 10, 6, 5, 8, 7, 9, 4)]
+        (0, 10, 8, 5, 4, 6, 9, 7, 1, 3, 2), (0, 7, 2, 10, 9, 5, 8, 6, 1, 3, 4)]
+    assert PermGroup(11, H.generators[:1]).order < H.order
+    for s in M.generators:
+        s_inv = Perm(sorted(range(11), key=s.images.__getitem__))
+        assert all(s_inv * h * s in H for h in H.generators)
 
 
 def test_m11_degree22_action():
     G = m11()
-    H = G.stabilizer(0).squares_subgroup()
+    H = G.stabilizer(0).derived_subgroup()
     assert H.order == 360
     A = G.coset_action(H)
     assert A.degree == 22
@@ -575,14 +593,14 @@ def test_m11_involutions_cycle_type():
     # for every one of them
     g = m11().element_of_order(2)
     assert g.cycle_type() == ((1, 3), (2, 4))   # 3 fixed points, four 2-cycles
-    involutions = [h for h in m11().elements if h.order() == 2]
+    involutions = [h for h in m11().enumerate() if h.order() == 2]
     assert len(involutions) == 165
     assert {h.cycle_type() for h in involutions} == {g.cycle_type()}
 
 
 def test_m11_order11_subgroups():
     # 1440 elements of order 11, ten to each cyclic subgroup
-    assert sum(h.order() == 11 for h in m11().elements) == 1440
+    assert sum(h.order() == 11 for h in m11().enumerate()) == 1440
     assert PermGroup(11, [m11().element_of_order(11)]).order == 11
 
 
