@@ -5,17 +5,16 @@ derived actions, and elements of a given order. Three routines carry
 everything:
 
 - ``_closure``, one breadth-first search over the generators, gives a
-  point orbit, the orbit lengths the chain checks against its cap, and the
-  coset representatives, from the generators alone. Set orbits, the one
-  search whose objects are large, run the same search in numpy instead
-  (``PermGroup.set_orbit``): each layer is a 0/1 array of sets, and its
-  images under every generator are one gather.
+  point orbit and the coset representatives, from the generators alone.
+  Set orbits, the one search whose objects are large, run the same search
+  in numpy instead (``PermGroup.set_orbit``): each layer is a 0/1 array of
+  sets, and its images under every generator are one gather.
 - ``_schreier_sims``, incremental Schreier-Sims, gives a base and, per
   level, strong generators and one representative per orbit point. A group
   keeps one chain, based at each level at the least point it moves: the
   order is the product of its orbit lengths, membership is sifting, coset
   labels descend it once, and the elements are the transversal products,
-  built in numpy. A point stabilizer is level 1 of a chain based there.
+  built in numpy. Level 1 gives point stabilizers, other points relabelled.
 - ``PermGroup.induced(objects, act)`` gives the generators acting on the
   positions of a list of objects they permute: the action on k-subsets, and
   that of an automorphism group on a design's blocks (``orbitmat``).
@@ -210,10 +209,10 @@ def _inv(g: tuple) -> tuple:
 
 
 def _least_moved(n: int, gens) -> int:
-    return next((x for x in range(n) if any(g[x] != x for g in gens)), 0)
+    return next(x for x in range(n) if any(g[x] != x for g in gens))
 
 
-def _schreier_sims(n: int, gens, first: int) -> list:
+def _schreier_sims(n: int, gens) -> list:
     """Stabilizer chain of the group the image tuples gens generate, by
     incremental Schreier-Sims (Sims 1970; Seress 2003, ch. 4).
 
@@ -221,37 +220,40 @@ def _schreier_sims(n: int, gens, first: int) -> list:
     of b_0..b_{i-1}, and U_i maps each point x of the orbit of b_i under G_i
     to one u in G_i with b_i^u = x. Every element is one product
     u_{k-1}...u_1 u_0, one u_i from each U_i, so the order is the product of
-    the |U_i|. The base starts at first, and every later level at the least
-    point its opening residue moves, so its orbit has 2 points or more and
-    the recursion is at most 1 + log2(DEFAULT_CAP) levels deep.
+    the |U_i|. Each b_i is the least point G_i moves, so the b_i increase,
+    every orbit has 2 points or more and the recursion is at most
+    1 + log2(DEFAULT_CAP) levels deep.
 
-    add(i, g) puts g in S_i, rebuilds U_i, and sends every Schreier
-    generator u s (u')^-1 of level i, u' the representative of x^s, that
-    does not sift through the deeper levels to add(i + 1, residue). When
-    u s = u', as on every edge of U_i's BFS tree, that generator is the
-    identity and is skipped unsifted. The product of the orbit lengths is a
-    lower bound on the order, so OrderExceedsCap is raised as soon as it
-    passes DEFAULT_CAP, before that orbit's transversal is made.
+    add(i, g) opens a new level i at b, the least point g moves, if there is
+    no level i or b < b_i; it starts with the old S_i, whose level fixes b
+    and so stays a level of a subgroup of the new G_{i+1}. Then g joins S_i,
+    U_i is rebuilt, and every Schreier generator u s (u')^-1 of level i, u'
+    the representative of x^s, that does not sift through the deeper levels
+    goes to add(i + 1, residue); when u s = u', as on every edge of U_i's
+    BFS tree, it is the identity and is skipped unsifted. The product of the
+    orbit lengths is a lower bound on the order, so U_i's search raises
+    OrderExceedsCap before the representative that takes it past
+    DEFAULT_CAP is made.
     """
     cap = DEFAULT_CAP
     ident = tuple(range(n))
     levels = []
 
     def add(i, g):
-        if i == len(levels):
-            b = _least_moved(n, [g]) if i else first
-            levels.append((b, [], {}))
+        b = _least_moved(n, [g])
+        if i == len(levels) or b < levels[i][0]:
+            levels.insert(i, (b, list(levels[i][1]) if i < len(levels) else [], {}))
         b, S, _ = levels[i]
         S.append(g)
         others = prod(len(U) for j, (_, _, U) in enumerate(levels) if j != i)
-        if others * len(_closure(b, S, lambda x, s: s[x])) > cap:
-            raise OrderExceedsCap(f"group order exceeds cap {cap}")
         U = {b: ident}
         queue = [b]
         for x in queue:
             for s in S:
                 y = s[x]
                 if y not in U:
+                    if others * (len(U) + 1) > cap:
+                        raise OrderExceedsCap(f"group order exceeds cap {cap}")
                     U[y] = _mul(U[x], s)
                     queue.append(y)
         levels[i] = (b, S, U)
@@ -321,18 +323,10 @@ class PermGroup:
     # -- enumeration --------------------------------------------------------
 
     def _stabilizer_chain(self) -> list:
-        """The one chain a group keeps: level i is level 0 of a chain of G_i
-        (G_0 = G; that call checks the cap) based at b_i, the least point G_i
-        moves. Its level 1 generates G_{i+1}, and its later levels are kept
-        while their base points are least too. So the b_i increase, G_i fixes
-        every point below b_i, and there are at most log2(DEFAULT_CAP) levels."""
+        """The one chain a group keeps, built by one ``_schreier_sims`` pass:
+        each base point is the least point its level moves."""
         if self._chain is None:
-            n, gens, levels = self.degree, [g.images for g in self.generators], []
-            while chain := _schreier_sims(n, gens, _least_moved(n, gens)):
-                while chain and chain[0][0] == _least_moved(n, chain[0][1]):
-                    levels.append(chain.pop(0))
-                gens = chain[0][1] if chain else []
-            self._chain = levels
+            self._chain = _schreier_sims(self.degree, [g.images for g in self.generators])
         return self._chain
 
     def enumerate(self) -> tuple:
@@ -380,15 +374,20 @@ class PermGroup:
         return len(self.orbit_of(0)) == self.degree if self.degree else True
 
     def stabilizer(self, point: int) -> "PermGroup":
-        """G_point, generated by level 1 of a chain based at point: the kept
-        chain if point is its first base point (0, for a transitive group),
-        else ``_schreier_sims(n, gens, point)``. Nothing is listed. A point
-        outside 0..degree-1 is a ValueError, a non-integer a TypeError."""
-        gens, point = [g.images for g in self.generators], _point(self.degree, point)
-        levels = (self._stabilizer_chain() if point == _least_moved(self.degree, gens)
-                  else _schreier_sims(self.degree, gens, point))
-        strong = levels[1][1] if len(levels) > 1 else []
-        return PermGroup(self.degree, map(_perm, strong))
+        """G_point without listing: level 1 of the kept chain for b_0, the
+        least point the group moves; for any other moved point, the same for
+        the group relabelled by the transposition (0 point), relabelled
+        back; for a fixed point, the group itself. A point outside
+        0..degree-1 is a ValueError, a non-integer a TypeError."""
+        n, point = self.degree, _point(self.degree, point)
+        if all(g.images[point] == point for g in self.generators):
+            return self
+        if point > _least_moved(n, [g.images for g in self.generators]):
+            t = Perm.from_cycles(n, [(0, point)])
+            G0 = PermGroup(n, [t * g * t for g in self.generators]).stabilizer(0)
+            return PermGroup(n, [t * h * t for h in G0.generators])
+        levels = self._stabilizer_chain()
+        return PermGroup(n, map(_perm, levels[1][1] if len(levels) > 1 else []))
 
     def set_orbit(self, delta) -> list:
         """Distinct images of the set delta of integer points under the group,
@@ -506,7 +505,7 @@ class PermGroup:
         return D
 
     def __repr__(self):
-        n = len(self._elements) if self._elements is not None else "?"
+        n = self.order if self._chain is not None else "?"
         return f"PermGroup(degree={self.degree}, gens={len(self.generators)}, order={n})"
 
 

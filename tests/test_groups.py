@@ -47,10 +47,8 @@ def assert_least_point_chain(G):
     """G's kept chain: each base point is the least point its level moves,
     so the base points strictly increase, each level's strong generators fix
     every point below its base point, and every orbit has 2 points or more;
-    its depth is bounded by the cap. Every chain _schreier_sims builds from
-    one first point has the same order and, past its first level, orbits of
-    2 points or more."""
-    n, gens = G.degree, [g.images for g in G.generators]
+    its depth is bounded by the cap. The stabilizer of every point, read
+    from the chain or from a relabelled group's, passes orbit-stabilizer."""
     levels = G._stabilizer_chain()
     bases = [b for b, _, _ in levels]
     assert bases == sorted(set(bases))
@@ -58,11 +56,8 @@ def assert_least_point_chain(G):
         assert all(s[x] == x for s in S for x in range(b))
         assert b in U and len(U) >= 2
     assert len(levels) <= 1 + math.log2(groups.DEFAULT_CAP)
-    for first in range(n):
-        chain = groups._schreier_sims(n, gens, first)
-        assert all(len(U) >= 2 for _, _, U in chain[1:])
-        assert len(chain) <= 1 + math.log2(groups.DEFAULT_CAP)
-        assert math.prod(len(U) for _, _, U in chain) == G.order
+    for x in range(G.degree):
+        assert len(G.orbit_of(x)) * G.stabilizer(x).order == G.order
 
 
 def test_perm_basics():
@@ -118,6 +113,22 @@ def test_trivial_group():
 
 def test_m11_order():
     assert m11().order == 7920
+
+
+def test_repr_shows_the_order_of_a_built_chain():
+    # the order once showed only after enumerate(); repr builds no chain,
+    # so it cannot raise, even for a group past the cap
+    G = m11()
+    assert repr(G) == "PermGroup(degree=11, gens=2, order=?)"
+    assert G._chain is None
+    assert G.order == 7920
+    assert repr(G) == "PermGroup(degree=11, gens=2, order=7920)"
+    assert G._elements is None
+    n = 12
+    S12 = PermGroup(n, [Perm.from_cycles(n, [tuple(range(n))]), Perm.from_cycles(n, [(0, 1)])])
+    with pytest.raises(OrderExceedsCap):
+        S12.order
+    assert repr(S12) == "PermGroup(degree=12, gens=2, order=?)"
 
 
 def test_membership_of_another_degree_is_false():
@@ -354,6 +365,8 @@ A8_GENS = [(1, 2, 0) + tuple(range(3, 8)), (0,) + tuple(range(2, 8)) + (1,)]
 # <(0 1), (3 4), (1 2)>: its kept chain once had the base 0, 3, 1, and
 # level 1's generators moved points 1 and 2
 @example((5, [(1, 0, 2, 3, 4), (0, 1, 2, 4, 3), (0, 2, 1, 3, 4)], {1, 3}, (5, 17)))
+# <(3 4), (0 1 2)>: the second generator opens a level ahead of level 0
+@example((5, [(0, 1, 2, 4, 3), (1, 2, 0, 3, 4)], {0, 3}, (2, 5)))
 def test_group_layer_matches_naive(case):
     n, gens, delta, picks = case
     closure = group_closure_naive(gens, n)
@@ -402,13 +415,33 @@ def test_group_layer_matches_naive(case):
 def test_chain_levels_are_as_many_as_the_base_needs():
     # an explicit base 0, 1, ..., n-1 once nested one call per base point
     # between a generator's moved points, past the interpreter's recursion
-    # limit; every later level now opens at a point its residue moves
+    # limit; every level now opens at the least point it moves
     n = 3000
-    gens = [Perm.from_cycles(n, [c]).images for c in [(0, 1), (n - 2, n - 1)]]
-    for first, bases in [(0, [0, n - 2]), (1500, [1500, 0, n - 2]), (n - 1, [n - 1, 0])]:
-        levels = groups._schreier_sims(n, gens, first)
-        assert [b for b, _, _ in levels] == bases
-        assert math.prod(len(U) for _, _, U in levels) == 4
+    G = PermGroup(n, [Perm.from_cycles(n, [c]) for c in [(0, 1), (n - 2, n - 1)]])
+    assert [b for b, _, _ in G._stabilizer_chain()] == [0, n - 2]
+    assert G.order == 4
+    assert [G.stabilizer(x).order for x in (0, 1500, n - 1)] == [2, 4, 2]
+
+
+def test_chain_is_built_by_one_schreier_sims_call(monkeypatch):
+    # the kept chain was once rebuilt from the first level whose base point
+    # was not the least point it moves: S9 took 7 calls, M11's actions 2-3
+    calls = []
+    real = groups._schreier_sims
+
+    def schreier_sims(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groups, "_schreier_sims", schreier_sims)
+    n = 9
+    S9 = [Perm.from_cycles(n, [tuple(range(n))]), Perm.from_cycles(n, [(0, 1)])]
+    cases = [(n, S9, math.factorial(n))] + [
+        (degree, m11_degree(degree).generators, 7920) for degree in sorted(M11_ELEMENT_DIGESTS)]
+    for degree, gens, order in cases:
+        calls.clear()
+        assert PermGroup(degree, gens).order == order
+        assert len(calls) == 1, degree
 
 
 @st.composite
