@@ -1,9 +1,9 @@
 """Golden corpus of CLI runs on the shipped M11 actions.
 
-``write_fixtures`` writes the design and subgroup files the corpus refers
-to; ``run`` executes one argv in-process and returns (exit code, sha256 of
-stdout, first line of stderr), with the fixture directory written as
-``{tmp}`` so the record does not depend on where the files live.
+``write_fixtures`` writes the design, subgroup and generator files the
+corpus refers to; ``run`` executes one argv in-process and returns (exit
+code, sha256 of stdout, first line of stderr), with the fixture directory
+written as ``{tmp}`` so the record does not depend on where the files live.
 
 Record the corpus from a known-good tree with
 
@@ -24,6 +24,7 @@ import tempfile
 from pathlib import Path
 
 from socodes.cli import main
+from socodes.constructions import from_incidence_binary, from_incidence_q
 from socodes.designs import format_design_text, from_group_action
 from socodes.groups import Perm, PermGroup, format_group_text
 from socodes.m11 import m11_degree
@@ -83,6 +84,12 @@ FIXEDSPLIT_RUNS = (
     ("d66_01", "c3_66", (3, 9)),
 )
 
+# (design, field order) of the incidence codes whose generators ``analyze``
+# re-reads: d11_1's code over q = 3 settles in GF(9), d22_2's over q = 5
+# in GF(25)
+GENERATORS = (*(("d11_1", q) for q in (2, 3, 4, 5)),
+              *(("d22_2", q) for q in (2, 3, 4, 5, 9)))
+
 
 def write_fixtures(tmp) -> None:
     tmp = Path(tmp)
@@ -99,6 +106,10 @@ def write_fixtures(tmp) -> None:
     # a transposition of two points of m11:22: not an automorphism
     swap = Perm.from_cycles(22, [(1, 2)])
     (tmp / "swap_22.grp").write_text(format_group_text(PermGroup(22, [swap])))
+    for des, q in GENERATORS:
+        D = from_group_action(m11_degree(DESIGNS[des][0]), 0, DESIGNS[des][1])
+        rep = from_incidence_binary(D) if q == 2 else from_incidence_q(D, q)
+        (tmp / f"{des}_q{q}.mat").write_text(rep.code.generator.to_text())
 
 
 def _des(name):
@@ -193,6 +204,9 @@ def corpus() -> list:
         p = next(d for d in range(2, t + 1) if t % d == 0)
         runs.append(["orbitmat", "build", _des(des), _grp(grp)])
         runs.append(["orbitmat", "split", _des(des), _grp(grp), "--q", str(p)])
+    # stored generators read back by analyze
+    for des, q in GENERATORS:
+        runs.append(["analyze", "{tmp}/" + f"{des}_q{q}.mat", *BUDGET])
     return runs
 
 
