@@ -19,14 +19,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from socodes.groups import PermGroup, format_group_text
-from socodes.m11 import m11_natural
+from socodes.m11 import m11_degree
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "socodes" / "data" / "m11_12.grp"
 
 
 def derive() -> str:
     """Text of the degree-12 group file, derived from the natural action."""
-    G = m11_natural()
+    G = m11_degree(11)
     assert G.order == 7920
 
     x = G.element_of_order(11)

@@ -200,12 +200,13 @@ def cmd_orbitmat(args) -> int:
     # split
     p = prime_power(args.q)[0]
     alpha = _alpha_for(H, p)
-    fs = fixed_split(D, H, p, alpha)
+    om1, om2 = fixed_split(D, H, p, alpha)
+    (f2, f1), (m, n) = om1.shape, om2.shape
     # a part with no columns is its header alone: its rows would be blank
     _emit(format_records([
-        (f"fixed-split p={p} alpha={alpha} f1={fs.f1} f2={fs.f2} n={fs.n} m={fs.m}",),
-        ("OM1", fs.f2, fs.f1), *(fs.om1.tolist() if fs.f1 else ()),
-        ("OM2", fs.m, fs.n), *(fs.om2.tolist() if fs.n else ())]), args.out)
+        (f"fixed-split p={p} alpha={alpha} f1={f1} f2={f2} n={n} m={m}",),
+        ("OM1", f2, f1), *(om1.tolist() if f1 else ()),
+        ("OM2", m, n), *(om2.tolist() if n else ())]), args.out)
     return 0
 
 

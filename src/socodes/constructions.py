@@ -44,6 +44,7 @@ from .fields import Field, field_for_order
 from .groups import PermGroup
 from .matrices import GFMatrix, bordered
 from .orbitmat import BadOrbitProfile, build, fixed_split
+from .records import _integers
 
 
 class NotWSO(ValueError):
@@ -229,21 +230,15 @@ def from_orbitmatrix_binary(D: Design, H: PermGroup) -> ConstructionReport:
     return _finish(src, tag, field_for_order(2), left, right, OM.entries)
 
 
-def _om_profile_q(point_sizes, block_sizes) -> int:
-    """The single orbit length w shared by every point and block orbit."""
-    sizes = {int(s) for s in point_sizes} | {int(s) for s in block_sizes}
-    if len(sizes) != 1:
-        raise BadOrbitProfile(f"orbit lengths {sorted(sizes)} are not uniform")
-    return sizes.pop()
-
-
 def from_orbitmatrix_q(D: Design, H: PermGroup, q: int) -> ConstructionReport:
     """Bordered orbit-matrix code over GF(q)/GF(q^2); every point and block
     orbit must share one length w, which enters the right border -w*d."""
     F = field_for_order(q)
     prof, name = _constant_profile(D, F.p, binary=False)
     OM = build(D, H)
-    w = _om_profile_q(OM.point_orbit_sizes, OM.block_orbit_sizes)
+    if not (w := OM.w):
+        sizes = {*OM.point_orbit_sizes.tolist(), *OM.block_orbit_sizes.tolist()}
+        raise BadOrbitProfile(f"orbit lengths {sorted(sizes)} are not uniform")
     tag = _om_tag_q(prof.dispatch_case(), w, F.p)
     left, right = _borders(prof.a, prof.d, w, F.p)
     src = f"{name}, orbit matrix {OM.m}x{OM.n}, w={w}"
@@ -256,16 +251,16 @@ def from_orbitmatrix_q(D: Design, H: PermGroup, q: int) -> ConstructionReport:
 def _fixed(D: Design, H: PermGroup, q: int, alpha: int, binary: bool):
     F = field_for_order(q)
     p = F.p
-    if not 1 <= alpha <= F.l:
+    if not 1 <= (alpha := _integers(alpha, "alpha")) <= F.l:
         raise ValueError(f"alpha must lie in 1..{F.l} for GF({q})")
     prof, name = _constant_profile(D, p, binary)
-    fs = fixed_split(D, H, p, alpha)
+    om1, om2 = fixed_split(D, H, p, alpha)
     tag = f"T3.{prof.dispatch_case()}.fix" + ("" if binary else ".q")
     base = f"{name}, fixed split"
-    rep1 = _finish(f"{base}, OM1 {fs.f2}x{fs.f1}", tag, F,
-                   *_borders(prof.a, prof.d, 1, p), fs.om1)
-    rep2 = _finish(f"{base}, OM2 {fs.m}x{fs.n}", tag, F,
-                   *_borders(prof.a, prof.d, fs.plength, p), fs.om2)
+    rep1 = _finish(f"{base}, OM1 {om1.shape[0]}x{om1.shape[1]}", tag, F,
+                   *_borders(prof.a, prof.d, 1, p), om1)
+    rep2 = _finish(f"{base}, OM2 {om2.shape[0]}x{om2.shape[1]}", tag, F,
+                   *_borders(prof.a, prof.d, p ** alpha, p), om2)
     return rep1, rep2
 
 

@@ -304,7 +304,12 @@ def prime_power(q: int) -> tuple:
     raise ValueError(f"{q} is not a prime power")
 
 
-@cache
 def field_for_order(q: int) -> Field:
-    """GF(q) for a prime power q up to ORDER_CAP, built once per order."""
+    """GF(q) for a prime power q up to ORDER_CAP, built once per order; q is
+    read as an int before the cache, so every integer type finds that field."""
+    return _field_of_order(_integers(q, "field order"))
+
+
+@cache
+def _field_of_order(q: int) -> Field:
     return Field(*prime_power(q))

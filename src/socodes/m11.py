@@ -23,25 +23,20 @@ def _load(name: str) -> PermGroup:
 
 
 @lru_cache(maxsize=None)
-def m11_natural() -> PermGroup:
-    return _load("m11_11.grp")
-
-
-@lru_cache(maxsize=None)
 def m11_degree(n: int) -> PermGroup:
     """The transitive M11 action of the given degree."""
     if n == 11:
-        return m11_natural()
+        return _load("m11_11.grp")
     if n == 12:
         return _load("m11_12.grp")
     if n == 22:
-        G = m11_natural()
+        G = m11_degree(11)
         return G.coset_action(G.stabilizer(0).derived_subgroup())
     if n == 55:
-        return m11_natural().action_on_ksubsets(2)
+        return m11_degree(11).action_on_ksubsets(2)
     if n == 66:
         return m11_degree(12).action_on_ksubsets(2)
     if n == 165:
-        return m11_natural().action_on_ksubsets(3)
+        return m11_degree(11).action_on_ksubsets(3)
     raise ValueError(f"no built-in M11 action of degree {n}; "
                      f"supported: {DEGREES} (110/132/144 need user subgroup files)")

@@ -6,21 +6,21 @@ double-counting identity ties the entries back to raw block intersections;
 build checks that identity in exact integers before it returns, so every
 orbit matrix is a certificate, not an assumption.
 
-fixed_split carves the orbit matrix of a group with orbit lengths in
-{1, p^alpha} into the fixed part OM1 (fixed blocks x fixed points) and the
-moving part OM2. The text format writes an orbit matrix with its orbit
-lengths for the CLI.
+OrbitMatrix.w is the one rule for the common orbit length: the length every
+point and block orbit shares, else 0. fixed_split checks that a group's
+orbit lengths lie in {1, p^alpha} and returns two corners of the orbit
+matrix: OM1 (fixed blocks x fixed points) and OM2 (moving blocks x moving
+point orbits); their shapes are the counts f2 x f1 and m x n. The text
+format writes an orbit matrix with its orbit lengths and w for the CLI.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .designs import Design, validate
 from .groups import NotInvariant, Perm, PermGroup
-from .records import format_records
+from .records import _integers, format_records
 
 
 class NotAnAutomorphismGroup(ValueError):
@@ -67,22 +67,14 @@ class OrbitMatrix:
     def block_orbit_sizes(self) -> np.ndarray:
         return np.array([len(o) for o in self.block_orbits], dtype=np.int64)
 
+    @property
+    def w(self) -> int:
+        """The length every point and block orbit shares, else 0."""
+        sizes = {len(o) for o in self.point_orbits + self.block_orbits}
+        return sizes.pop() if len(sizes) == 1 else 0
+
     def __repr__(self):
         return f"OrbitMatrix(m={self.m}, n={self.n})"
-
-
-@dataclass(frozen=True)
-class FixedSplit:
-    """Orbit matrix of an orbit-length-{1, p^alpha} action, cut into the
-    fixed-by-fixed corner OM1 and the moving-by-moving corner OM2."""
-
-    om1: np.ndarray  # f2 x f1, entries in {0,1}
-    om2: np.ndarray  # m x n, entries in [0, p^alpha]
-    f1: int
-    f2: int
-    n: int
-    m: int
-    plength: int  # p^alpha
 
 
 def build(D: Design, H: PermGroup) -> OrbitMatrix:
@@ -140,11 +132,11 @@ def _certify(M: np.ndarray, OM: OrbitMatrix) -> None:
             f"{lhs[s, t]} != {rhs[s, t]}")
 
 
-def fixed_split(D: Design, H: PermGroup, p: int, alpha: int) -> FixedSplit:
-    """Split the orbit matrix of an action whose point and block orbits all
-    have length 1 or p^alpha into OM1 (fixed x fixed) and OM2 (moving x
-    moving)."""
-    plength = p ** alpha
+def fixed_split(D: Design, H: PermGroup, p: int, alpha: int) -> tuple:
+    """(OM1, OM2): the fixed-by-fixed and moving-by-moving corners of the
+    orbit matrix of an action whose point and block orbits all have length
+    1 or p^alpha; fixed orbits sort first, so OM1 leads and OM2 trails."""
+    plength = _integers(p, "p") ** _integers(alpha, "alpha")
     OM = build(D, H)
     for kind, sizes in (("point", OM.point_orbit_sizes),
                         ("block", OM.block_orbit_sizes)):
@@ -154,12 +146,7 @@ def fixed_split(D: Design, H: PermGroup, p: int, alpha: int) -> FixedSplit:
                 f"{kind} orbit lengths {sorted(bad)} outside {{1, {plength}}}")
     f1 = int((OM.point_orbit_sizes == 1).sum())
     f2 = int((OM.block_orbit_sizes == 1).sum())
-    n = OM.n - f1
-    m = OM.m - f2
-    return FixedSplit(
-        om1=OM.entries[:f2, :f1].copy(),
-        om2=OM.entries[f2:, f1:].copy(),
-        f1=f1, f2=f2, n=n, m=m, plength=plength)
+    return OM.entries[:f2, :f1], OM.entries[f2:, f1:]
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +155,6 @@ def fixed_split(D: Design, H: PermGroup, p: int, alpha: int) -> FixedSplit:
 
 
 def format_orbit_matrix_text(OM: OrbitMatrix) -> str:
-    sizes = set(OM.point_orbit_sizes.tolist()) | set(OM.block_orbit_sizes.tolist())
-    w = sizes.pop() if len(sizes) == 1 else 0
-    return format_records([(OM.m, OM.n, w, "|", *OM.block_orbit_sizes.tolist(),
+    return format_records([(OM.m, OM.n, OM.w, "|", *OM.block_orbit_sizes.tolist(),
                              "|", *OM.point_orbit_sizes.tolist()),
                            *OM.entries.tolist()])

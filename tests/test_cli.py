@@ -176,12 +176,12 @@ def test_design_and_orbitmat_read_p_without_building_a_field(capsys, c6_files,
                                                              d2210, inv22):
     """Only the characteristic is needed, so GF(2^14) is never built."""
     _, des = c6_files
-    before = fields.field_for_order.cache_info()
+    before = fields._field_of_order.cache_info()
     with mock.patch.object(fields, "Field", side_effect=AssertionError("built")):
         assert run(capsys, "design", "search", "m11:11", "--q", "16384")[0] == 0
         assert run(capsys, "design", "classify", des, "--q", "16384")[0] == 0
         assert run(capsys, "orbitmat", "split", d2210, inv22, "--q", "16384")[0] == 0
-    after = fields.field_for_order.cache_info()
+    after = fields._field_of_order.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 

@@ -17,7 +17,7 @@ from socodes import designs
 from socodes.analysis import Exact, is_self_orthogonal, min_distance
 from socodes.constructions import (
     ConstructionReport, NonConstantProfile, NotWSO,
-    _borders, _om_profile_binary, _om_profile_q, _om_tag_binary, _om_tag_q,
+    _borders, _om_profile_binary, _om_tag_binary, _om_tag_q,
     from_fixed_split_binary, from_fixed_split_q, from_incidence_binary,
     from_incidence_q, from_orbitmatrix_binary, from_orbitmatrix_q)
 from socodes.designs import (Design, WSOProfile, from_group_action,
@@ -26,7 +26,7 @@ from socodes.fields import field_for_order
 from socodes.groups import Perm, PermGroup
 from socodes.m11 import m11_degree
 from socodes.matrices import GFMatrix
-from socodes.orbitmat import BadOrbitProfile
+from socodes.orbitmat import BadOrbitProfile, OrbitMatrix
 
 from oracles import gram_naive, min_distance_naive, null_space_naive, rank_naive
 from strategies import small_transitive_groups
@@ -486,13 +486,22 @@ def test_om_q2_matches_binary():
 
 
 def test_om_profile_q_selector():
-    assert _om_profile_q([3, 3, 3], [3, 3]) == 3
-    with pytest.raises(BadOrbitProfile):
-        _om_profile_q([3, 3], [3, 1])
-    with pytest.raises(BadOrbitProfile):
-        _om_profile_q([2, 4], [2])
-    with pytest.raises(BadOrbitProfile):
-        _om_profile_q([2, 2], [4, 4])  # block length != point length
+    """OrbitMatrix.w is the one common orbit length, 0 when the lengths
+    differ; from_orbitmatrix_q rejects a 0 naming the lengths."""
+    def w(point_sizes, block_sizes):
+        def orbits(sizes):
+            points = iter(range(sum(sizes)))
+            return [[next(points) for _ in range(s)] for s in sizes]
+        entries = np.zeros((len(block_sizes), len(point_sizes)))
+        return OrbitMatrix(entries, orbits(point_sizes), orbits(block_sizes)).w
+
+    assert w([3, 3, 3], [3, 3]) == 3
+    assert w([3, 3], [3, 1]) == 0
+    assert w([2, 4], [2]) == 0
+    assert w([2, 2], [4, 4]) == 0  # block length != point length
+    with pytest.raises(BadOrbitProfile,
+                       match=r"^orbit lengths \[1, 3\] are not uniform$"):
+        from_orbitmatrix_q(FANO3, chunks(7, 3, 1), 3)
 
 
 def branch_q_om(a, d, w, p):

@@ -239,12 +239,13 @@ def test_congruence_synthetic_mod3_all_zero():
 def test_fixed_split_profile_22():
     G = m11_degree(22)
     D = from_group_action(G, 0, (2,))
-    fs = fixed_split(D, involution(G), 2, 1)
-    assert (fs.f1, fs.n, fs.f2, fs.m) == (6, 8, 3, 4)
-    assert fs.f1 + 2 * fs.n == 22
-    assert fs.f2 + 2 * fs.m == 11
-    assert set(np.unique(fs.om1).tolist()) <= {0, 1}
-    assert fs.om2.max() <= 2
+    om1, om2 = fixed_split(D, involution(G), 2, 1)
+    (f2, f1), (m, n) = om1.shape, om2.shape
+    assert (f1, n, f2, m) == (6, 8, 3, 4)
+    assert f1 + 2 * n == 22
+    assert f2 + 2 * m == 11
+    assert set(np.unique(om1).tolist()) <= {0, 1}
+    assert om2.max() <= 2
 
 
 def test_fixed_split_matches_full_orbit_matrix():
@@ -252,17 +253,20 @@ def test_fixed_split_matches_full_orbit_matrix():
     D = from_group_action(G, 0, (2,))
     H = involution(G)
     OM = build(D, H)
-    fs = fixed_split(D, H, 2, 1)
-    assert np.array_equal(fs.om1, OM.entries[:fs.f2, :fs.f1])
-    assert np.array_equal(fs.om2, OM.entries[fs.f2:, fs.f1:])
+    om1, om2 = fixed_split(D, H, 2, 1)
+    f2, f1 = om1.shape
+    assert np.array_equal(om1, OM.entries[:f2, :f1])
+    assert np.array_equal(om2, OM.entries[f2:, f1:])
+    # the two corners are views of one orbit matrix, not copies
+    assert om1.base is not None and om1.base is om2.base
 
 
 def test_fixed_split_trivial_group():
     D = Design(4, [(0, 1), (2, 3)])
-    fs = fixed_split(D, trivial(4), 2, 1)
-    assert (fs.f1, fs.f2, fs.n, fs.m) == (4, 2, 0, 0)
-    assert np.array_equal(fs.om1, D.incidence)
-    assert fs.om2.size == 0
+    om1, om2 = fixed_split(D, trivial(4), 2, 1)
+    assert om1.shape + om2.shape == (2, 4, 0, 0)  # (f2, f1, m, n)
+    assert np.array_equal(om1, D.incidence)
+    assert om2.size == 0
 
 
 def test_fixed_split_bad_profile():
@@ -271,9 +275,9 @@ def test_fixed_split_bad_profile():
 
 
 def test_fixed_split_length_three_orbits():
-    fs = fixed_split(SYN12, SYN12_GROUP, 3, 1)
-    assert (fs.f1, fs.f2, fs.n, fs.m) == (0, 0, 4, 3)
-    assert np.array_equal(fs.om2, SYN12_OM)
+    om1, om2 = fixed_split(SYN12, SYN12_GROUP, 3, 1)
+    assert om1.shape + om2.shape == (0, 0, 3, 4)  # (f2, f1, m, n)
+    assert np.array_equal(om2, SYN12_OM)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,15 @@ from hypothesis import given, settings, strategies as st
 
 from strategies import NON_INTEGERS, small_transitive_groups
 from socodes import cli
+from socodes.constructions import from_fixed_split_q, from_incidence_q, from_orbitmatrix_q
 from socodes.designs import (Design, format_design_text, from_group_action,
                              intersection_profile, parse_design_text, wso_search)
 from socodes.fields import ORDER_CAP, Field, field_for_order, prime_power
 from socodes.groups import (DEGREE_CAP, INDEX_CAP, KSUBSET_CAP, DegreeTooLarge,
-                            Perm, format_group_text, parse_group_text)
+                            Perm, PermGroup, format_group_text, parse_group_text)
 from socodes.m11 import m11_degree
 from socodes.matrices import COLS_CAP, GFMatrix
+from socodes.orbitmat import fixed_split
 from socodes.records import format_records, read_records
 
 BIG = 2 ** 64
@@ -278,6 +280,19 @@ def test_matrix_text_round_trip(q, rows, cols, seed):
 F9 = field_for_order(9)
 M11 = m11_degree(11)
 PAIRS = Design(11, M11.set_orbit((0, 1)))
+FANO = Design(7, [(0, 1, 2), (0, 3, 4), (1, 4, 5), (2, 3, 5),
+                  (0, 5, 6), (1, 3, 6), (2, 4, 6)])
+C3 = PermGroup(7, [Perm.from_cycles(7, [(0, 1, 2), (3, 4, 5)])])
+C1 = PermGroup(7, [])
+
+
+def _texts(reports):
+    # reports and corners compare by value: their codes and arrays have no ==
+    return [r.to_text() for r in reports]
+
+
+def _corners(om1, om2):
+    return om1.tolist(), om2.tolist()
 
 # every entry point that reads an integer argument, as a call of that one
 # argument, with a Python int the entry point accepts there
@@ -295,6 +310,13 @@ INTEGER_ARGUMENTS = {
     "from_group_action": (lambda x: from_group_action(M11, 0, (x,)), 1),
     "intersection_profile": (lambda x: intersection_profile(PAIRS, x), 2),
     "wso_search": (lambda x: wso_search(M11, 0, x), 2),
+    "field_for_order": (field_for_order, 9),
+    "from_incidence_q": (lambda x: _texts([from_incidence_q(FANO, x)]), 4),
+    "from_orbitmatrix_q": (lambda x: _texts([from_orbitmatrix_q(FANO, C1, x)]), 3),
+    "from_fixed_split_q.q": (lambda x: _texts(from_fixed_split_q(FANO, C3, x, 1)), 3),
+    "from_fixed_split_q.alpha": (lambda x: _texts(from_fixed_split_q(FANO, C3, 3, x)), 1),
+    "fixed_split.p": (lambda x: _corners(*fixed_split(FANO, C3, x, 1)), 3),
+    "fixed_split.alpha": (lambda x: _corners(*fixed_split(FANO, C3, 3, x)), 1),
 }
 
 
@@ -307,6 +329,11 @@ def test_integer_arguments_are_integers_or_type_error(name):
     for integer in (np.int64, np.int32, np.uint8, bool):
         if integer is not bool or n == 1:
             assert call(integer(n)) == call(n)
+
+
+def test_field_for_order_keeps_one_field_per_order():
+    # an order is read as an int before the cache, so np.int64(9) finds GF(9)
+    assert field_for_order(np.int64(9)) is field_for_order(9)
 
 
 def test_from_cycles_reads_every_point_before_using_it():
