@@ -207,6 +207,14 @@ def corpus() -> list:
     # stored generators read back by analyze
     for des, q in GENERATORS:
         runs.append(["analyze", "{tmp}/" + f"{des}_q{q}.mat", *BUDGET])
+    # the degree-165 action: the largest set orbits a run develops, and the
+    # 165-block design file written from a development's blocks
+    runs += [
+        ["group", "info", "m11:165"],
+        ["group", "orbits", "m11:165"],
+        ["design", "build", "m11:165", "1,3,5"],
+        ["design", "search", "m11:165"],
+    ]
     return runs
 
 
