@@ -1,19 +1,19 @@
 """1-designs: validation, parameters, intersection profiles, and
 developments of base blocks under transitive group actions.
 
-A 1-(v,k,r) design here is a point count plus an ordered sequence of blocks
-(sorted point tuples), together with the b x v 0/1 incidence matrix it
-builds once and holds read-only; everything that counts on a design reads
-that matrix. A design is built from one flat int64 array of all its points
-and the block lengths: one sort within blocks, the range and repeat checks
-as array tests, one fancy-indexed store for the incidence. Blocks may
-repeat; a repeated pair intersects in k points.
+A 1-(v,k,r) design here is a point count and the read-only b x v 0/1
+incidence matrix of an ordered block sequence: everything that counts on a
+design reads that matrix, and its blocks (sorted point tuples) are read
+back from it. A design is built from its blocks, or from a 2-D array of
+equal-size blocks such as a set orbit, as one flat int64 array of points:
+a sort within blocks only when one is out of order, the range and repeat
+checks as array tests, one fancy-indexed store for the incidence. Blocks
+may repeat; a repeated pair intersects in k points.
 ``validate`` returns (k, r) and ``parameters`` names the design
 "1-(v,k,r)" from it; every printed design name comes from ``parameters``.
 ``from_group_action`` and ``wso_search`` develop an orbit union through
-one routine, ``_develop``. A development is stored as its set orbit gives
-it (sorted, equal-length blocks of distinct points in range), without the
-re-parse and re-checks, then validated. The four-residue profile (k mod p,
+one routine, ``_develop``: the constructor on its set orbit, then validate.
+The four-residue profile (k mod p,
 common intersection residue) drives every construction theorem
 downstream; it reduces the Gram mod p in place and tests the off-diagonal
 residues by min and max, with the diagonal set to one pair's residue.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, islice
 
 import numpy as np
@@ -67,51 +68,52 @@ CASE_NAMES = {
 
 
 class Design:
-    """Point count v, an ordered block sequence (sorted tuples of integer
-    points) and their read-only 0/1 int64 incidence matrix, b x v."""
-
-    __slots__ = ("v", "blocks", "incidence")
+    """Point count v and the read-only 0/1 int64 incidence matrix, b x v, of
+    blocks given as point collections or as the rows of a 2-D integer array;
+    blocks reads them back as sorted tuples."""
 
     def __init__(self, v: int, blocks):
         v = _integers(v, "point count")
         if v < 0:
             raise ValueError(f"negative point count {v}")
-        blocks = [tuple(blk) for blk in blocks]
+        if isinstance(blocks, np.ndarray) and blocks.ndim == 2:
+            sizes = np.full(len(blocks), blocks.shape[1])
+            points = _integers(blocks, "points").ravel()
+        else:
+            blocks = [tuple(blk) for blk in blocks]
+            sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+            points = _points(blocks, v, int(sizes.sum()))
         b = len(blocks)
-        sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=b)
         block_of = np.repeat(np.arange(b), sizes)
-        points = _points(blocks, v, int(sizes.sum()))
-        points = points[np.lexsort((points, block_of))]
+        same = block_of[1:] == block_of[:-1]
+        if (points[1:] < points[:-1])[same].any():
+            points = points[np.lexsort((points, block_of))]
         # block_of is ascending, so the first hit of each test is its first block
         outside = block_of[(points < 0) | (points >= v)]
-        repeats = block_of[1:][(points[1:] == points[:-1]) & (block_of[1:] == block_of[:-1])]
+        repeats = block_of[1:][(points[1:] == points[:-1]) & same]
         if outside.size or repeats.size:
             i = min(outside[:1].tolist() + repeats[:1].tolist())
             t = tuple(sorted(map(int, blocks[i])))
             if outside.size and outside[0] == i:
                 raise ValueError(f"block {t} outside point range [0,{v})")
             raise ValueError(f"block {t} repeats a point")
-        flat = iter(points.tolist())
-        self._store(v, tuple(tuple(islice(flat, k)) for k in sizes.tolist()),
-                    block_of, points)
-
-    def _store(self, v: int, blocks: tuple, rows, points) -> None:
-        """Keep v and blocks, and the incidence with a 1 at each (rows[i],
-        points[i]); past INCIDENCE_CAP it raises before the incidence is
-        allocated."""
-        b = len(blocks)
         if b * max(b, v) > INCIDENCE_CAP:
             raise ValueError(f"{b} blocks on {v} points: b * max(b, v) "
                              f"exceeds {INCIDENCE_CAP}")
         self.v = v
-        self.blocks = blocks
         self.incidence = np.zeros((b, v), dtype=np.int64)
-        self.incidence[rows, points] = 1
+        self.incidence[block_of, points] = 1
         self.incidence.setflags(write=False)
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """Sorted tuples of Python ints, read back from the incidence once."""
+        points = iter(np.nonzero(self.incidence)[1].tolist())
+        return tuple(tuple(islice(points, k)) for k in self.incidence.sum(axis=1).tolist())
 
     @property
     def b(self) -> int:
-        return len(self.blocks)
+        return self.incidence.shape[0]
 
     def __eq__(self, other):
         return (isinstance(other, Design) and self.v == other.v
@@ -125,17 +127,6 @@ class Design:
             return f"Design({parameters(self)}, b={self.b})"
         except ValueError:
             return f"Design(v={self.v}, b={self.b})"
-
-
-def _design(v: int, blocks) -> Design:
-    """A Design of blocks already known to be sorted, equal-length tuples of
-    distinct Python ints in [0, v), as a set orbit gives them; unchecked but
-    for INCIDENCE_CAP."""
-    blocks = tuple(blocks)
-    D = Design.__new__(Design)
-    D._store(v, blocks, np.arange(len(blocks))[:, None],
-             np.array(blocks, dtype=np.int64))
-    return D
 
 
 def _points(blocks: list, v: int, count: int) -> np.ndarray:
@@ -159,7 +150,7 @@ def _block_size(D: Design) -> int:
 
 def validate(D: Design) -> tuple:
     """Confirm constant block size and constant replication; return (k, r)."""
-    if not D.blocks:
+    if not D.b:
         raise NotOneDesign("design has no blocks")
     k = _block_size(D)
     rs = np.unique(D.incidence.sum(axis=0))
@@ -248,7 +239,7 @@ def _develop(G: PermGroup, orbits, orbit_choice) -> Design:
         raise DeltaEmpty("empty base block")
     if len(pts) == G.degree:
         raise DeltaIsOmega("base block is the whole point set")
-    D = _design(G.degree, G.set_orbit(tuple(sorted(pts))))
+    D = Design(G.degree, G.set_orbit(tuple(sorted(pts))))
     validate(D)
     return D
 

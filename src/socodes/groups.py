@@ -8,7 +8,8 @@ everything:
   point orbit and the coset representatives, from the generators alone.
   Set orbits, the one search whose objects are large, run the same search
   in numpy instead (``PermGroup.set_orbit``): each layer is a 0/1 array of
-  sets, and its images under every generator are one gather.
+  sets, its images under every generator are one gather, and the orbit is
+  a point array, one ascending row per set, as ``Design`` takes it.
 - ``_schreier_sims``, incremental Schreier-Sims, gives a base and, per
   level, strong generators and one representative per orbit point. A group
   keeps one chain, based at each level at the least point it moves: the
@@ -389,9 +390,10 @@ class PermGroup:
         levels = self._stabilizer_chain()
         return PermGroup(n, map(_perm, levels[1][1] if len(levels) > 1 else []))
 
-    def set_orbit(self, delta) -> list:
+    def set_orbit(self, delta) -> np.ndarray:
         """Distinct images of the set delta of integer points under the group,
-        as a sorted list of sorted tuples, found from the generators alone.
+        found from the generators alone, as an int64 array: one ascending row
+        per image, rows in lexicographic order; the empty set gives [[]].
 
         A breadth-first search by layers on 0/1 indicator rows: the image
         of a set under g is its row gathered by g's inverse, one gather for
@@ -402,7 +404,7 @@ class PermGroup:
         n = self.degree
         points = _integers(delta, "points", -1)
         if not points.size:
-            return [()]
+            return np.zeros((1, 0), dtype=np.int64)
         if not 0 <= points.min() <= points.max() < n:
             raise ValueError(f"set {sorted(points.tolist())} is not within 0..{n - 1}")
         start = np.zeros((1, n), dtype=bool)
@@ -420,7 +422,7 @@ class PermGroup:
                     fresh.append(i)
             layers.append(images[fresh])
         sets = np.nonzero(np.concatenate(layers))[1].reshape(-1, np.count_nonzero(start))
-        return list(map(tuple, sets[np.lexsort(sets.T[::-1])].tolist()))
+        return sets[np.lexsort(sets.T[::-1])].astype(np.int64, copy=False)
 
     # -- derived actions ----------------------------------------------------
 

@@ -9,26 +9,26 @@ action on 2-subsets of 12 points.  Results are cached per process.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from importlib import resources
 
 from .groups import PermGroup, parse_group_text
+from .records import _integers
 
 DEGREES = (11, 12, 22, 55, 66, 165)
 
 
-def _load(name: str) -> PermGroup:
-    text = resources.files("socodes.data").joinpath(name).read_text(encoding="utf-8")
-    return parse_group_text(text)
-
-
-@lru_cache(maxsize=None)
 def m11_degree(n: int) -> PermGroup:
-    """The transitive M11 action of the given degree."""
-    if n == 11:
-        return _load("m11_11.grp")
-    if n == 12:
-        return _load("m11_12.grp")
+    """The transitive M11 action of degree n, built once per degree; n is
+    read as an int before the cache, so every integer type finds it."""
+    return _m11_of_degree(_integers(n, "degree"))
+
+
+@cache
+def _m11_of_degree(n: int) -> PermGroup:
+    if n in (11, 12):
+        data = resources.files("socodes.data")
+        return parse_group_text((data / f"m11_{n}.grp").read_text(encoding="utf-8"))
     if n == 22:
         G = m11_degree(11)
         return G.coset_action(G.stabilizer(0).derived_subgroup())

@@ -135,8 +135,13 @@ def _certify(M: np.ndarray, OM: OrbitMatrix) -> None:
 def fixed_split(D: Design, H: PermGroup, p: int, alpha: int) -> tuple:
     """(OM1, OM2): the fixed-by-fixed and moving-by-moving corners of the
     orbit matrix of an action whose point and block orbits all have length
-    1 or p^alpha; fixed orbits sort first, so OM1 leads and OM2 trails."""
-    plength = _integers(p, "p") ** _integers(alpha, "alpha")
+    1 or p^alpha, p at least 2 and alpha at least 1; fixed orbits sort
+    first, so OM1 leads and OM2 trails."""
+    if (p := _integers(p, "p")) < 2:
+        raise ValueError(f"p={p} must be at least 2")
+    if (alpha := _integers(alpha, "alpha")) < 1:
+        raise ValueError(f"alpha={alpha} must be at least 1")
+    plength = p ** alpha
     OM = build(D, H)
     for kind, sizes in (("point", OM.point_orbit_sizes),
                         ("block", OM.block_orbit_sizes)):

@@ -180,10 +180,10 @@ def _random_designs(H: PermGroup, v: int, rng, want: int, tries: int = 80):
             break
         k = rng.randrange(1, v)
         first = H.set_orbit(tuple(sorted(rng.sample(range(v), k))))
-        blocks = tuple(first)
+        blocks = tuple(map(tuple, first.tolist()))
         if rng.random() < 0.5:
             more = H.set_orbit(tuple(sorted(rng.sample(range(v), k))))
-            blocks = tuple(sorted(set(blocks) | set(more)))
+            blocks = tuple(sorted(set(blocks) | set(map(tuple, more.tolist()))))
         if not 2 <= len(blocks) <= 30 or blocks in seen:
             continue
         seen.add(blocks)

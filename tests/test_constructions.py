@@ -866,7 +866,7 @@ def random_valid_designs(H, v, rng, want=3, tries=30):
         for _ in range(int(rng.integers(1, 4))):
             picks = rng.choice(v, size=k, replace=False)
             orb = H.set_orbit(tuple(sorted(int(x) for x in picks)))
-            blocks.extend(b for b in orb if b not in blocks)
+            blocks.extend(b for b in map(tuple, orb.tolist()) if b not in blocks)
         if len(blocks) < 2 or len(blocks) > 24:
             continue
         counts = np.zeros(v, dtype=int)

@@ -277,14 +277,14 @@ def test_from_group_action_negative_index_rejected():
 @settings(max_examples=60, deadline=None)
 @given(small_transitive_groups(), st.data())
 def test_development_equals_checked_design(G, data):
-    # a development must be the design the checked constructor builds from
-    # the same set orbit: blocks, incidence bytes and parameters
+    # a development must be the design the constructor builds from the same
+    # set orbit's rows given as tuples: blocks, incidence bytes and parameters
     orbits = stabilizer_orbits(G, 0)
     choice = data.draw(st.lists(st.integers(0, len(orbits) - 1), min_size=1,
                                 max_size=len(orbits) - 1, unique=True))
     delta = tuple(sorted(x for i in choice for x in orbits[i]))
     got = from_group_action(G, 0, choice)
-    want = Design(G.degree, G.set_orbit(delta))
+    want = Design(G.degree, map(tuple, G.set_orbit(delta).tolist()))
     assert got.v == want.v and got.blocks == want.blocks
     assert got.incidence.dtype == np.int64 and not got.incidence.flags.writeable
     assert got.incidence.shape == want.incidence.shape
@@ -368,6 +368,25 @@ def test_wso_search_matches_plain_search(G, p):
     got = [(h.orbit_choice, list(h.design.blocks), h.profile.a, h.profile.d)
            for h in wso_search(G, 0, p)]
     assert got == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_transitive_groups().filter(lambda G: len(stabilizer_orbits(G, 0)) <= 8),
+       st.sampled_from([2, 3, 5]))
+def test_wso_search_hits_are_closed_under_complement(G, p):
+    # the complementary union develops the complementary blocks, and two
+    # complements of k-sets meet in v - 2k + |X & Y| points
+    v, n_orbits = G.degree, len(stabilizer_orbits(G, 0))
+    hits = {h.orbit_choice: h for h in wso_search(G, 0, p)}
+    for choice, hit in hits.items():
+        rest = tuple(i for i in range(n_orbits) if i not in choice)
+        assert rest in hits, (choice, p)
+        other, k = hits[rest], validate(hit.design)[0]
+        assert validate(other.design)[0] == v - k
+        assert (other.profile.a, other.profile.d) == \
+            ((v - k) % p, (v - 2 * k + hit.profile.d) % p)
+        assert ({frozenset(range(v)).difference(blk) for blk in hit.design.blocks}
+                == set(map(frozenset, other.design.blocks)))
 
 
 @pytest.mark.parametrize("p", [1, 0, -2])
@@ -454,19 +473,25 @@ def test_design_text_rejects_bad_index():
     # each message shows the block as a sorted tuple
     ([(5, 1)], "block (1, 5) outside point range [0,3)"),
     ([(1, 0, 0)], "block (0, 0, 1) repeats a point"),
+    # a repeat is found after the sort within the block
+    ([(0, 1, 2), (1, 0, 1)], "block (0, 1, 1) repeats a point"),
     ([(2, -1)], "block (-1, 2) outside point range [0,3)"),
     # the first offending block in input order is the one reported
     ([(0, 1), (2, 2), (0, 7)], "block (2, 2) repeats a point"),
     ([(0, 1), (9, 0), (1, 1)], "block (0, 9) outside point range [0,3)"),
     # within one block the range check comes before the repeat check
     ([(0, 1), (4, 4, 2)], "block (2, 4, 4) outside point range [0,3)"),
+    ([(0, 1, 2), (4, 4, 2)], "block (2, 4, 4) outside point range [0,3)"),
     # the point checks come before the size cap
     ([(0,)] * 2000 + [(3,)], "block (3,) outside point range [0,3)"),
 ])
 def test_design_rejects_first_bad_block(blocks, message):
-    with pytest.raises(ValueError) as e:
-        Design(3, blocks)
-    assert str(e.value) == message
+    # equal-size blocks are checked the same way given as one 2-D array
+    forms = [blocks, np.array(blocks)] if len(set(map(len, blocks))) == 1 else [blocks]
+    for form in forms:
+        with pytest.raises(ValueError) as e:
+            Design(3, form)
+        assert str(e.value) == message
 
 
 @pytest.mark.parametrize("bad", NON_INTEGERS)
@@ -474,6 +499,8 @@ def test_design_rejects_non_integer_points(bad):
     # a float would otherwise be truncated: (0.5, 1) -> (0, 1), v = 0.5 -> 0
     with pytest.raises(TypeError, match="^points must be integral$"):
         Design(3, [(0, 2), (bad, 1)])
+    with pytest.raises(TypeError, match="^points must be integral$"):
+        Design(3, np.array([(0, 2), (bad, 1)]))
     with pytest.raises(TypeError, match="^point count must be integral$"):
         Design(bad, [])
 
@@ -485,23 +512,39 @@ def test_design_accepts_numpy_integers_and_bools():
     with pytest.raises(ValueError) as e:
         Design(3, [(0,), (np.uint64(2 ** 64 - 1), 1), (2 ** 70,)])
     assert str(e.value) == "block (1, 18446744073709551615) outside point range [0,3)"
+    # an array of any integer dtype, unsorted rows sorted; uint64 past int64
+    # is outside the range, and a float dtype is not integral
+    A = Design(3, np.array([[2, 0], [1, 2]], dtype=np.uint8))
+    assert A.blocks == ((0, 2), (1, 2))
+    assert all(type(x) is int for blk in A.blocks for x in blk)
+    with pytest.raises(ValueError) as e:
+        Design(3, np.array([[0, 1], [2 ** 64 - 1, 1]], dtype=np.uint64))
+    assert str(e.value) == "block (1, 18446744073709551615) outside point range [0,3)"
+    with pytest.raises(TypeError, match="^points must be integral$"):
+        Design(3, np.array([[0.0, 1.0]]))
 
 
 def test_design_cap_message():
-    with pytest.raises(ValueError) as e:
-        Design(3, [(0,)] * 2000)
-    assert str(e.value) == (f"2000 blocks on 3 points: b * max(b, v) "
-                            f"exceeds {INCIDENCE_CAP}")
+    for blocks in ([(0,)] * 2000, np.zeros((2000, 1), dtype=np.int64)):
+        with pytest.raises(ValueError) as e:
+            Design(3, blocks)
+        assert str(e.value) == (f"2000 blocks on 3 points: b * max(b, v) "
+                                f"exceeds {INCIDENCE_CAP}")
 
 
 def test_design_size_capped_before_incidence():
     n = isqrt(INCIDENCE_CAP)
     assert Design(n, [(i,) for i in range(n)]).incidence.shape == (n, n)
+    assert Design(n, np.arange(n)[:, None]).incidence.shape == (n, n)
     assert Design(INCIDENCE_CAP, [(0,)]).b == 1
     with pytest.raises(ValueError, match=f"{n + 1} blocks on {n + 1} points"):
         Design(n + 1, [(i,) for i in range(n + 1)])
+    with pytest.raises(ValueError, match=f"{n + 1} blocks on {n + 1} points"):
+        Design(n + 1, np.arange(n + 1)[:, None])
     with pytest.raises(ValueError, match=f"2 blocks on {INCIDENCE_CAP} points"):
         Design(INCIDENCE_CAP, [(0,), (1,)])
+    with pytest.raises(ValueError, match=f"2 blocks on {INCIDENCE_CAP} points"):
+        Design(INCIDENCE_CAP, np.array([[0], [1]]))
     for v, blocks in ((-3, []), (-1, [(0,)])):
         with pytest.raises(ValueError, match=f"negative point count {v}"):
             Design(v, blocks)

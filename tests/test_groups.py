@@ -18,6 +18,7 @@ from oracles import (coset_action_naive, cycle_type_naive, derived_subgroup_naiv
                      group_closure_naive, induced_naive, perm_order_naive,
                      set_orbit_naive)
 from strategies import NON_INTEGERS, small_transitive_groups
+import socodes.m11
 from socodes import groups
 from socodes.designs import stabilizer_orbits
 from socodes.groups import (
@@ -232,14 +233,22 @@ def test_points_outside_the_degree_are_value_errors():
     assert G.stabilizer(np.int64(10)).order == 720
 
 
+def _rows(orbit):
+    """A set orbit, checked to be a 2-D int64 array, as the sorted list of
+    sorted tuples the oracles give."""
+    assert orbit.dtype == np.int64 and orbit.ndim == 2
+    return list(map(tuple, orbit.tolist()))
+
+
 def test_set_orbit_toys():
     triv = PermGroup(4, [])
-    assert triv.set_orbit({0, 1}) == [(0, 1)]
+    assert _rows(triv.set_orbit({0, 1})) == [(0, 1)]
     assert set_stabilizer_order(triv, {0, 1}) == 1
     C3 = PermGroup(3, [Perm((1, 2, 0))])
-    assert C3.set_orbit({0}) == [(0,), (1,), (2,)]
+    assert _rows(C3.set_orbit({0})) == [(0,), (1,), (2,)]
     assert set_stabilizer_order(C3, {0}) == 1
-    assert C3.set_orbit(()) == [()]
+    assert C3.set_orbit(()).shape == (1, 0)
+    assert _rows(C3.set_orbit(())) == [()]
 
 
 def test_set_orbit_sizes_divide_group_order():
@@ -263,7 +272,7 @@ def groups_and_sets(draw):
 def test_set_orbit_matches_closure(case):
     n, gens, delta = case
     G = PermGroup(n, [Perm(g) for g in gens])
-    orbit = G.set_orbit(delta)
+    orbit = _rows(G.set_orbit(delta))
     assert orbit == set_orbit_naive(gens, n, delta)
     assert len(orbit) * set_stabilizer_order(G, delta) == G.order
 
@@ -272,7 +281,7 @@ def test_set_orbit_m11_matches_closure():
     G = m11()
     gens = [g.images for g in M11_GENS]
     for delta in [(), (0,), (0, 1), (0, 1, 3), (2, 5, 7, 9, 10)]:
-        orbit = G.set_orbit(delta)
+        orbit = _rows(G.set_orbit(delta))
         assert orbit == set_orbit_naive(gens, 11, delta)
         assert len(orbit) * set_stabilizer_order(G, delta) == 7920
 
@@ -299,7 +308,7 @@ def test_set_orbit_at_benchmark_sizes(degree):
         for mask in range(1, 2 ** len(orbits))]
     for choice in choices:
         delta = set().union(*(orbits[i] for i in choice))
-        orbit = G.set_orbit(delta)
+        orbit = _rows(G.set_orbit(delta))
         assert orbit == _set_orbit_by_elements(elements, delta), (degree, choice)
 
 
@@ -314,7 +323,8 @@ def test_orbits_leave_elements_unenumerated():
     G = PermGroup(165, m11_degree(165).generators)
     assert G.orbit_of(0) == tuple(range(165))
     assert len(G.set_orbit((0, 1, 2))) == 3960
-    assert G.set_orbit(()) == [()]
+    assert G.set_orbit(()).shape == (1, 0)
+    assert _rows(G.set_orbit(())) == [()]
     # point stabilizers come from the chain's first level, not from a list
     assert sorted(map(len, stabilizer_orbits(G, 0))) == [1, 8, 12, 24, 24, 24, 24, 48]
     assert G.stabilizer(7).order == 48
@@ -394,7 +404,7 @@ def test_group_layer_matches_naive(case):
         assert {p for p in itertools.permutations(range(n)) if Perm(p) in G} == closure
     orbits = sorted({tuple(sorted({g[x] for g in closure})) for x in range(n)})
     assert G.point_orbits() == orbits
-    assert G.set_orbit(delta) == set_orbit_naive(gens, n, delta)
+    assert _rows(G.set_orbit(delta)) == set_orbit_naive(gens, n, delta)
 
     hs = [G.enumerate()[pick % order].images for pick in picks]
     for hgens in (hs[:1], hs):
@@ -454,7 +464,7 @@ def induced_cases(draw):
     blocks = []
     for _ in range(draw(st.integers(1, 3))):
         delta = draw(st.sets(st.integers(0, G.degree - 1), min_size=1))
-        blocks += G.set_orbit(delta) * draw(st.integers(1, 2))
+        blocks += _rows(G.set_orbit(delta)) * draw(st.integers(1, 2))
     blocks = draw(st.permutations(blocks))
     if draw(st.booleans()):
         blocks = blocks[:-1]
@@ -590,7 +600,7 @@ def test_coset_action_on_far_apart_points():
 def test_m11_degree22_lists_no_element(monkeypatch):
     # the shipped degree-22 action, built afresh: M10, its derived A6 and
     # the coset action all read chains
-    m11_degree.cache_clear()
+    socodes.m11._m11_of_degree.cache_clear()
     monkeypatch.setattr(groups, "_element_rows", _listed)
     assert [g.images for g in m11_degree(22).generators] == M11_22_IMAGES
 

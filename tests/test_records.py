@@ -304,13 +304,15 @@ INTEGER_ARGUMENTS = {
     "GFMatrix.identity": (lambda x: GFMatrix.identity(F9, 2, scale=x), 1),
     "Design.v": (lambda x: Design(x, [(0,)]), 1),
     "Design.blocks": (lambda x: Design(2, [(0, x)]), 1),
+    "Design.blocks.array": (lambda x: Design(2, np.array([(0, x)])), 1),
     "Perm": (lambda x: Perm([x, 0, 2]), 1),
     "Perm.from_cycles": (lambda x: Perm.from_cycles(3, [(0, x)]), 1),
-    "PermGroup.set_orbit": (lambda x: M11.set_orbit((0, x)), 1),
+    "PermGroup.set_orbit": (lambda x: M11.set_orbit((0, x)).tolist(), 1),
     "from_group_action": (lambda x: from_group_action(M11, 0, (x,)), 1),
     "intersection_profile": (lambda x: intersection_profile(PAIRS, x), 2),
     "wso_search": (lambda x: wso_search(M11, 0, x), 2),
     "field_for_order": (field_for_order, 9),
+    "m11_degree": (m11_degree, 11),
     "from_incidence_q": (lambda x: _texts([from_incidence_q(FANO, x)]), 4),
     "from_orbitmatrix_q": (lambda x: _texts([from_orbitmatrix_q(FANO, C1, x)]), 3),
     "from_fixed_split_q.q": (lambda x: _texts(from_fixed_split_q(FANO, C3, x, 1)), 3),
@@ -334,6 +336,27 @@ def test_integer_arguments_are_integers_or_type_error(name):
 def test_field_for_order_keeps_one_field_per_order():
     # an order is read as an int before the cache, so np.int64(9) finds GF(9)
     assert field_for_order(np.int64(9)) is field_for_order(9)
+
+
+@pytest.mark.parametrize("p, alpha, message", [
+    (1, 1, "p=1 must be at least 2"), (0, 1, "p=0 must be at least 2"),
+    (-3, 1, "p=-3 must be at least 2"), (-3, 0, "p=-3 must be at least 2"),
+    (3, 0, "alpha=0 must be at least 1"), (3, -1, "alpha=-1 must be at least 1"),
+])
+def test_fixed_split_reads_p_and_alpha_in_range(p, alpha, message):
+    # these once reached the orbit-length check: lengths outside {1, 0} for
+    # p = 0, outside {1, 0.3333333333333333} for alpha = -1
+    with pytest.raises(ValueError) as e:
+        fixed_split(FANO, C3, p, alpha)
+    assert (type(e.value), str(e.value)) == (ValueError, message)
+
+
+def test_m11_degree_keeps_one_action_per_degree():
+    # a degree is read as an int before the cache, so np.int64(22) finds the
+    # coset action already built and 11.0 is no second key for M11
+    assert m11_degree(np.int64(22)) is m11_degree(22)
+    with pytest.raises(TypeError, match="^degree must be integral$"):
+        m11_degree(11.0)
 
 
 def test_from_cycles_reads_every_point_before_using_it():
