@@ -473,17 +473,18 @@ def test_design_text_rejects_bad_index():
     # each message shows the block as a sorted tuple
     ([(5, 1)], "block (1, 5) outside point range [0,3)"),
     ([(1, 0, 0)], "block (0, 0, 1) repeats a point"),
-    # a repeat is found after the sort within the block
-    ([(0, 1, 2), (1, 0, 1)], "block (0, 1, 1) repeats a point"),
     ([(2, -1)], "block (-1, 2) outside point range [0,3)"),
     # the first offending block in input order is the one reported
     ([(0, 1), (2, 2), (0, 7)], "block (2, 2) repeats a point"),
     ([(0, 1), (9, 0), (1, 1)], "block (0, 9) outside point range [0,3)"),
     # within one block the range check comes before the repeat check
     ([(0, 1), (4, 4, 2)], "block (2, 4, 4) outside point range [0,3)"),
-    ([(0, 1, 2), (4, 4, 2)], "block (2, 4, 4) outside point range [0,3)"),
     # the point checks come before the size cap
     ([(0,)] * 2000 + [(3,)], "block (3,) outside point range [0,3)"),
+    # the same precedence for equal-size blocks, which also run as an array
+    ([(0, 1, 2), (4, 4, 2)], "block (2, 4, 4) outside point range [0,3)"),
+    # a repeat is found after the sort within the block
+    ([(0, 1, 2), (1, 0, 1)], "block (0, 1, 1) repeats a point"),
 ])
 def test_design_rejects_first_bad_block(blocks, message):
     # equal-size blocks are checked the same way given as one 2-D array

@@ -353,10 +353,8 @@ def test_fixed_split_reads_p_and_alpha_in_range(p, alpha, message):
 
 def test_m11_degree_keeps_one_action_per_degree():
     # a degree is read as an int before the cache, so np.int64(22) finds the
-    # coset action already built and 11.0 is no second key for M11
+    # coset action already built instead of building a second one
     assert m11_degree(np.int64(22)) is m11_degree(22)
-    with pytest.raises(TypeError, match="^degree must be integral$"):
-        m11_degree(11.0)
 
 
 def test_from_cycles_reads_every_point_before_using_it():
