@@ -13,10 +13,16 @@ may repeat; a repeated pair intersects in k points.
 "1-(v,k,r)" from it; every printed design name comes from ``parameters``.
 ``from_group_action`` and ``wso_search`` develop an orbit union through
 one routine, ``_develop``: the constructor on its set orbit, then validate.
-The four-residue profile (k mod p,
-common intersection residue) drives every construction theorem
-downstream; it reduces the Gram mod p in place and tests the off-diagonal
-residues by min and max, with the diagonal set to one pair's residue.
+``wso_search`` counts before it develops: the intersection numbers of the
+stabilizer orbits give every union's intersection sizes with its images,
+so only the unions with one residue mod p are developed, and each hit's
+profile is checked against the counted one.
+The four-residue profile (k mod p, common intersection residue) drives
+every construction theorem downstream; it reduces the Gram mod p in place
+and tests the off-diagonal residues by min and max, with the diagonal set
+to one pair's residue. Constant block sizes and replication are min-max
+tests too; ``np.unique`` only builds an error text, since its first call
+in a process imports ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .groups import DEGREE_CAP, NotTransitive, PermGroup
+from .groups import DEGREE_CAP, NotTransitive, PermGroup, _transversal
 from .records import _integers, format_records, read_records
 
 
@@ -53,6 +59,8 @@ class TooManyOrbitCombinations(RuntimeError):
 
 
 MAX_ORBIT_COMBINATIONS = 2 ** 20
+# orbit unions whose intersection numbers wso_search counts in one product
+UNION_CHUNK = 2 ** 11
 
 # the most entries b * max(b, v) a design may hold: its b x v incidence and
 # the b x b Gram of its intersection profile (1024 blocks on 1024 points)
@@ -142,9 +150,9 @@ def _points(blocks: list, v: int, count: int) -> np.ndarray:
 
 def _block_size(D: Design) -> int:
     """The one block size of a design with blocks, from the row sums."""
-    sizes = np.unique(D.incidence.sum(axis=1))
-    if sizes.size != 1:
-        raise NonConstantBlockSize(f"block sizes {sizes.tolist()}")
+    sizes = D.incidence.sum(axis=1)
+    if sizes.min() != sizes.max():
+        raise NonConstantBlockSize(f"block sizes {np.unique(sizes).tolist()}")
     return int(sizes[0])
 
 
@@ -153,9 +161,9 @@ def validate(D: Design) -> tuple:
     if not D.b:
         raise NotOneDesign("design has no blocks")
     k = _block_size(D)
-    rs = np.unique(D.incidence.sum(axis=0))
-    if rs.size != 1:
-        raise NotOneDesign(f"replication counts {rs.tolist()}")
+    rs = D.incidence.sum(axis=0)
+    if not rs.size or rs.min() != rs.max():
+        raise NotOneDesign(f"replication counts {np.unique(rs).tolist()}")
     if rs[0] == 0:
         raise NotOneDesign("isolated points")
     return k, int(rs[0])
@@ -260,19 +268,59 @@ class SearchHit:
 
 def wso_search(G: PermGroup, alpha: int, p: int = 2) -> list:
     """All proper nonempty orbit unions whose development has a constant
-    intersection residue mod p, in ascending bitmask order."""
+    intersection residue mod p, in ascending bitmask order.
+
+    The unions are counted before any is developed. Let x_s be the least
+    point of stabilizer orbit O_s and t_s a group element taking alpha to
+    x_s; T[s, i, j] = |O_i ∩ O_j^{t_s}| are intersection numbers of the
+    group's coherent configuration (Higman 1970). A union Delta with
+    indicator m meets its image under t_s in lambda_s = m^T T[s] m points,
+    and every pair of blocks of its development meets as Delta meets some
+    Delta^{t_s}: t_s fixes Delta exactly when lambda_s = |Delta|, and the
+    union is a hit when the other lambda_s agree mod p. The lambda_s of
+    UNION_CHUNK unions at a time are one float64 product and one einsum,
+    exact since every value is at most v. Only the hits are developed, and
+    each developed profile must be the predicted (|Delta| mod p, residue).
+    """
+    if (p := _integers(p, "p")) < 2:
+        raise ValueError(f"p={p} must be at least 2")
     if not G.is_transitive():
         raise NotTransitive("search needs a transitive action")
     orbits = stabilizer_orbits(G, alpha)
-    if 2 ** len(orbits) > MAX_ORBIT_COMBINATIONS:
+    r, n = len(orbits), G.degree
+    if 2 ** r > MAX_ORBIT_COMBINATIONS:
         raise TooManyOrbitCombinations(
-            f"2^{len(orbits)} orbit unions exceed the cap {MAX_ORBIT_COMBINATIONS}")
+            f"2^{r} orbit unions exceed the cap {MAX_ORBIT_COMBINATIONS}")
+    label = np.empty(n, dtype=np.int64)
+    for i, orb in enumerate(orbits):
+        label[list(orb)] = i
+    reps = _transversal(n, [g.images for g in G.generators], alpha,
+                        [orb[0] for orb in orbits])
+    # T[s, i, j] counts the y with label[t_s(y)] = i and label[y] = j;
+    # laid out as [i, s * r + j] so that M @ T sums over i
+    T = np.stack([np.bincount(label[t] * r + label, minlength=r * r) for t in reps])
+    T = T.reshape(r, r, r).transpose(1, 0, 2).reshape(r, r * r).astype(np.float64)
+    sizes = np.array([len(orb) for orb in orbits], dtype=np.float64)
+    bits = 1 << np.arange(r)
     hits = []
-    for mask in range(1, 2 ** len(orbits) - 1):
-        choice = tuple(i for i in range(len(orbits)) if mask >> i & 1)
-        D = _develop(G, orbits, choice)
-        prof = intersection_profile(D, p)
-        if prof.constant:
+    for start in range(1, 2 ** r - 1, UNION_CHUNK):
+        masks = np.arange(start, min(start + UNION_CHUNK, 2 ** r - 1))
+        M = ((masks[:, None] & bits) != 0).astype(np.float64)
+        lam = np.einsum("nsj,nj->ns", (M @ T).reshape(-1, r, r), M).astype(np.int64)
+        k = (M @ sizes).astype(np.int64)
+        moved = lam != k[:, None]
+        resid = lam % p
+        lo = resid.min(axis=1, where=moved, initial=np.iinfo(np.int64).max)
+        hi = resid.max(axis=1, where=moved, initial=-1)
+        for u in np.flatnonzero(lo == hi).tolist():
+            choice = tuple(np.flatnonzero(M[u]).tolist())
+            D = _develop(G, orbits, choice)
+            prof = intersection_profile(D, p)
+            want = (int(k[u]) % p, int(lo[u]))
+            if (prof.a, prof.d) != want:
+                raise ArithmeticError(
+                    f"orbit union {choice}: developed profile (a, d) = "
+                    f"{(prof.a, prof.d)}, predicted {want}")
             hits.append(SearchHit(choice, D, prof))
     return hits
 

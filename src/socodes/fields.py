@@ -267,9 +267,11 @@ class Field:
         # least coefficient tuple (primary key = coefficient of degree 0)
         order = np.lexsort(tuple(self._digits[:, i] for i in range(self.l - 1, -1, -1)))
         squares = self.mul(order, order)
-        vals, first = np.unique(squares, return_index=True)
+        first = np.full(self.q, self.q)
+        np.minimum.at(first, squares, np.arange(self.q))
+        found = first < self.q
         table = np.full(self.q, -1, dtype=np.int64)
-        table[vals] = order[first]
+        table[found] = order[first[found]]
         return table
 
     def is_square(self, x) -> bool:

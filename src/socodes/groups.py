@@ -10,6 +10,8 @@ everything:
   in numpy instead (``PermGroup.set_orbit``): each layer is a 0/1 array of
   sets, its images under every generator are one gather, and the orbit is
   a point array, one ascending row per set, as ``Design`` takes it.
+  ``_transversal`` runs it once from a point with a Schreier vector and
+  multiplies out only the elements that reach the points asked for.
 - ``_schreier_sims``, incremental Schreier-Sims, gives a base and, per
   level, strong generators and one representative per orbit point. A group
   keeps one chain, based at each level at the least point it moves: the
@@ -17,8 +19,7 @@ everything:
   labels descend it once, and the elements are the transversal products,
   built in numpy. Level 1 gives point stabilizers, other points relabelled.
 - ``PermGroup.induced(objects, act)`` gives the generators acting on the
-  positions of a list of objects they permute: the action on k-subsets, and
-  that of an automorphism group on a design's blocks (``orbitmat``).
+  positions of a list of objects they permute: the action on k-subsets.
 
 Only ``enumerate`` and ``element_of_order`` list elements; orbits, order,
 membership, stabilizers, coset labels and the derived subgroup read a chain.
@@ -189,6 +190,40 @@ def _closure(start, gens, act) -> set:
                     new.append(y)
         frontier = new
     return seen
+
+
+def _transversal(n: int, gens, alpha: int, targets) -> np.ndarray:
+    """One element per target x that maps alpha to x, as a row of images.
+
+    One breadth-first search from alpha over the image tuples gens keeps a
+    Schreier vector: the parent point and generator index of each point
+    reached. Only the targets' elements are multiplied out, each along its
+    path back to alpha; every target must lie in alpha's orbit.
+    """
+    parent, via = {alpha: alpha}, {}
+    frontier = [alpha]
+    while frontier:
+        new = []
+        for x in frontier:
+            for i, g in enumerate(gens):
+                y = g[x]
+                if y not in parent:
+                    parent[y], via[y] = x, i
+                    new.append(y)
+        frontier = new
+    table = np.array(gens, dtype=np.int64).reshape(len(gens), n)
+    out = np.empty((len(targets), n), dtype=np.int64)
+    for row, x in zip(out, targets):
+        path = []
+        while x != alpha:
+            path.append(via[x])
+            x = parent[x]
+        t = np.arange(n)
+        for i in reversed(path):
+            # first t, then the generator: (t g)[y] = g[t[y]]
+            t = table[i][t]
+        row[:] = t
+    return out
 
 
 def _perm(images: tuple) -> Perm:

@@ -99,13 +99,19 @@ class GFMatrix:
         of c, so only the columns c.. are updated; over GF(2) every nonzero
         factor is 1 and adding codes is XOR, so clearing is one in-place XOR.
         One boolean mask of column c per pivot gives both the pivot row (its
-        first nonzero at or after r) and the rows to clear.
+        first nonzero at or after r) and the rows to clear. Leading columns
+        0..t-1 equal to the identity's, as in an identity-bordered generator,
+        are t pivots with nothing to clear: the loop starts at row and
+        column t.
         """
         F = self.field
         R = self.a.copy()
-        pivots = []
-        r = 0
-        for c in range(self.cols):
+        m = min(self.rows, self.cols)
+        unit = (R[:, :m] == np.eye(self.rows, m, dtype=np.int64)).all(axis=0)
+        t = int(unit.cumprod().sum())
+        pivots = list(range(t))
+        r = t
+        for c in range(t, self.cols):
             if r == self.rows:
                 break
             nonzero = R[:, c] != 0

@@ -3,8 +3,16 @@
 The orbit matrix records a[s][j] = number of points of point orbit j on a
 block of block orbit s. Every row of an orbit matrix sums to k, and a
 double-counting identity ties the entries back to raw block intersections;
-build checks that identity in exact integers before it returns, so every
-orbit matrix is a certificate, not an assumption.
+build checks that identity before it returns, so every orbit matrix is a
+certificate, not an assumption.
+
+build reads only the incidence. Each generator's block action comes from
+the incidence's columns gathered by its inverse, packed to bytes and
+matched to the design's packed rows by stable sorts, so the c-th copy of a
+repeated block goes to the c-th copy of its image. The counts, their
+constancy on each block orbit and the certificate are float64 products
+with orbit-indicator matrices, exact because every value is at most
+b * k <= INCIDENCE_CAP.
 
 OrbitMatrix.w is the one rule for the common orbit length: the length every
 point and block orbit shares, else 0. fixed_split checks that a group's
@@ -16,10 +24,12 @@ format writes an orbit matrix with its orbit lengths and w for the CLI.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .designs import Design, validate
-from .groups import NotInvariant, Perm, PermGroup
+from .groups import Perm, PermGroup
 from .records import _integers, format_records
 
 
@@ -77,6 +87,40 @@ class OrbitMatrix:
         return f"OrbitMatrix(m={self.m}, n={self.n})"
 
 
+def _block_action(D: Design, H: PermGroup) -> list:
+    """One int array per generator of H: block i goes to block images[i].
+
+    The image of each block is its incidence row gathered by the
+    generator's inverse; the rows are packed to bytes and each image is
+    looked up among the design's packed rows by sorting both stably, so the
+    c-th copy of a repeated block goes to the c-th copy of its image.
+    Raises NotAnAutomorphismGroup naming the first generator with an image
+    that is not a block, or not one with as many copies.
+    """
+    M = D.incidence != 0
+    rows = np.packbits(M, axis=1)
+    order = np.lexsort(rows.T[::-1])
+    out = []
+    for g in H.generators:
+        images = np.packbits(M[:, np.argsort(g.images)], axis=1)
+        image_order = np.lexsort(images.T[::-1])
+        if not np.array_equal(images[image_order], rows[order]):
+            raise NotAnAutomorphismGroup(
+                f"generator {g!r} does not map blocks to blocks")
+        perm = np.empty(D.b, dtype=np.int64)
+        perm[image_order] = order
+        out.append(perm)
+    return out
+
+
+def _indicator(orbits, size: int) -> np.ndarray:
+    """The float64 0/1 matrix, len(orbits) x size, of orbit membership."""
+    Q = np.zeros((len(orbits), size))
+    Q[np.repeat(np.arange(len(orbits)), [len(orb) for orb in orbits]),
+      list(chain.from_iterable(orbits))] = 1
+    return Q
+
+
 def build(D: Design, H: PermGroup) -> OrbitMatrix:
     """Orbit matrix of D under H. H must act on D's points and map blocks
     to blocks (checked per generator); orbits are sorted fixed-first, then
@@ -85,25 +129,20 @@ def build(D: Design, H: PermGroup) -> OrbitMatrix:
     if H.degree != D.v:
         raise NotAnAutomorphismGroup(
             f"group degree {H.degree} != point count {D.v}")
-    try:
-        block_group = H.induced(D.blocks, Perm.apply_set)
-    except NotInvariant as e:
-        raise NotAnAutomorphismGroup(
-            f"generator {e.generator!r} does not map blocks to blocks") from None
-
+    block_group = PermGroup(D.b, [Perm(p.tolist()) for p in _block_action(D, H)])
     point_orbits = sorted(H.point_orbits(), key=_orbit_sort_key)
     block_orbits = sorted(block_group.point_orbits(), key=_orbit_sort_key)
 
-    M = D.incidence
-    P = np.zeros((D.v, len(point_orbits)), dtype=np.int64)
-    for j, orb in enumerate(point_orbits):
-        P[list(orb), j] = 1
-    counts = M @ P  # per-block orbit counts, b x n
+    # float64 products are exact: every count is at most b * k <= 2^20
+    M = D.incidence.astype(np.float64)
+    counts = M @ _indicator(point_orbits, D.v).T  # per-block orbit counts, b x n
     entries = counts[[orb[0] for orb in block_orbits]]
-    for s, orb in enumerate(block_orbits):
-        if not (counts[list(orb)] == entries[s]).all():
-            raise IllDefinedEntry(
-                f"block orbit {s} has non-constant point-orbit counts")
+    Q = _indicator(block_orbits, D.b)
+    bad = (Q.T @ entries != counts).any(axis=1)
+    if bad.any():
+        raise IllDefinedEntry(
+            f"block orbit {(Q @ bad).argmax()} has non-constant point-orbit counts")
+    entries = entries.astype(np.int64)
     OM = OrbitMatrix(entries, point_orbits, block_orbits)
     _certify(M, OM)
     return OM
@@ -112,10 +151,12 @@ def build(D: Design, H: PermGroup) -> OrbitMatrix:
 def _certify(M: np.ndarray, OM: OrbitMatrix) -> None:
     """Raise IllDefinedEntry unless sum_j (b_t/v_j) a[s][j] a[t][j] = sum
     over the blocks x' of orbit t of |x ∩ x'|, x the rep of s, for all (s,t).
-    In int64 on the incidence M (values below b*k): r[t][j] = b_t a[t][j] /
-    v_j, the blocks of orbit t through a point of orbit j, must be integral;
-    then a r^T = M[reps] S^T, S = Q M the block-orbit sums of M's rows."""
-    S = np.stack([M[list(orb)].sum(axis=0) for orb in OM.block_orbits])
+    On the incidence M (values at most b*k, exact in float64):
+    r[t][j] = b_t a[t][j] / v_j, the blocks of orbit t through a point of
+    orbit j, must be integral; then a r^T = M[reps] S^T, S = Q M the
+    block-orbit sums of M's rows, Q the block-orbit indicator."""
+    M = np.asarray(M, dtype=np.float64)
+    S = _indicator(OM.block_orbits, len(M)) @ M
     num, sizes = OM.block_orbit_sizes[:, None] * OM.entries, OM.point_orbit_sizes
     r, rem = np.divmod(num, sizes)
     if rem.any():
@@ -123,8 +164,8 @@ def _certify(M: np.ndarray, OM: OrbitMatrix) -> None:
         raise IllDefinedEntry(
             f"replication b_t*a[t][j]/v_j = {num[t, j]}/{sizes[j]} is not "
             f"an integer at ({t},{j})")
-    lhs = OM.entries @ r.T
-    rhs = M[[orb[0] for orb in OM.block_orbits]] @ S.T
+    lhs = (OM.entries.astype(np.float64) @ r.T).astype(np.int64)
+    rhs = (M[[orb[0] for orb in OM.block_orbits]] @ S.T).astype(np.int64)
     if (lhs != rhs).any():
         s, t = np.argwhere(lhs != rhs)[0]
         raise IllDefinedEntry(

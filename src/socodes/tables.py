@@ -14,6 +14,7 @@ stays at Unknown, so the harness never walks a 2^66 message space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from .analysis import DEFAULT_BUDGET, Exact, min_distance
@@ -35,8 +36,12 @@ class Table:
     budget: int = DEFAULT_BUDGET
 
 
-def _hits(degree: int):
-    return wso_search(m11_degree(degree), 0, 2)
+@cache
+def _hits(degree: int) -> tuple:
+    """The mod-2 search of the degree's action, once per process: t1-small,
+    t8, t13 and t16 share the 66-point hits, t1-small and t12 the 22-point
+    ones. Each hit's design is read-only."""
+    return tuple(wso_search(m11_degree(degree), 0, 2))
 
 
 def _cyclic_part(G: PermGroup, order: int) -> PermGroup:

@@ -540,3 +540,25 @@ def test_reproduce_t8_passes(capsys):
     code, out, _ = run(capsys, "reproduce", "t8")
     assert code == 0
     assert out.splitlines()[-1] == "PASS t8"
+
+
+_NO_MASKED_ARRAYS = """
+import contextlib, io, sys
+from socodes.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["design", "build", "m11:22", "2", "--out", sys.argv[1]]) == 0
+    assert main(["reproduce", "t12"]) == 0
+    assert main(["code", "from-design", sys.argv[1], "--q", "3"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_passing_checks_do_not_import_numpy_ma(tmp_path):
+    # the first np.unique of a process imports numpy.ma, 12-25 ms on a
+    # 2-vCPU host; checks that pass must not pay it, so only error texts
+    # call np.unique. A fresh process keeps other tests' imports out.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS,
+                          str(tmp_path / "d.des")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import validate_naive, wso_search_naive
+from socodes import designs
 from socodes.designs import (
     INCIDENCE_CAP,
     Design,
@@ -22,6 +23,7 @@ from socodes.designs import (
     NonConstantBlockSize,
     NotOneDesign,
     TooManyOrbitCombinations,
+    WSOProfile,
     format_design_text,
     from_group_action,
     intersection_profile,
@@ -368,6 +370,30 @@ def test_wso_search_matches_plain_search(G, p):
     got = [(h.orbit_choice, list(h.design.blocks), h.profile.a, h.profile.d)
            for h in wso_search(G, 0, p)]
     assert got == want
+
+
+def test_wso_search_regular_c12_matches_plain_search(monkeypatch):
+    # a trivial stabilizer: all 4,094 proper nonempty subsets are unions,
+    # and only the hits are developed
+    G = cyclic(12)
+    developed = []
+    set_orbit = G.set_orbit
+    monkeypatch.setattr(G, "set_orbit", lambda delta: developed.append(delta)
+                        or set_orbit(delta))
+    want = wso_search_naive([g.images for g in G.generators], 12, 2)
+    got = [(h.orbit_choice, list(h.design.blocks), h.profile.a, h.profile.d)
+           for h in wso_search(G, 0, 2)]
+    assert got == want
+    assert len(developed) == len(want) == 262
+
+
+def test_wso_search_checks_the_predicted_profile(monkeypatch):
+    # a developed profile that is not the counted one is an internal fault
+    monkeypatch.setattr(designs, "intersection_profile",
+                        lambda D, p: WSOProfile(p, 1, 1))
+    with pytest.raises(ArithmeticError, match=r"^orbit union \(0,\): developed "
+                       r"profile \(a, d\) = \(1, 1\), predicted \(1, 0\)$"):
+        wso_search(m11_degree(22), 0, 2)
 
 
 @settings(max_examples=30, deadline=None)

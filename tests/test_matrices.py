@@ -174,6 +174,26 @@ def test_rref_matches_oracle(q, rows, cols, rank_cap, seed):
     assert R.a.shape == (len(want_pivots), cols)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([GF2, GF3, GF4, GF9]), st.integers(0, 8), st.integers(0, 8),
+       st.integers(0, 8), st.integers(0, 10 ** 6))
+def test_rref_with_identity_prefix_matches_oracle(field, rows, extra, t, seed):
+    # columns 0..t-1 equal the identity's (t = rows is a full identity
+    # border) and the rest are random; a zeroed row sometimes cuts the
+    # prefix short
+    rng = np.random.default_rng(seed)
+    t = min(t, rows)
+    M = rng.integers(0, field.q, (rows, t + extra))
+    M[:, :t] = np.eye(rows, t, dtype=np.int64)
+    if rng.random() < 0.3 and rows:
+        M[rng.integers(rows)] = 0
+    R, pivots = GFMatrix(field, M).rref()
+    want_rows, want_pivots = oracles.rref_naive(M.tolist(), field.p, field.l, field.modulus)
+    assert pivots == tuple(want_pivots)
+    assert R.a.tolist() == want_rows
+    assert R.a.shape == (len(want_pivots), t + extra)
+
+
 @pytest.mark.parametrize("field, x", [(GF2, 1), (GF3, 2), (GF9, 5)])
 def test_rref_swaps_and_clears_above_the_pivot(field, x):
     r0 = np.array([x, 1, 0, 1, 0, x])

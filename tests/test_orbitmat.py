@@ -10,8 +10,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import count_identity_naive, orbit_matrix_naive
+from socodes import orbitmat
 from socodes.designs import Design, from_group_action, wso_search
 from socodes.groups import Perm, PermGroup
 from socodes.m11 import m11_degree
@@ -25,6 +28,7 @@ from socodes.orbitmat import (
     fixed_split,
     format_orbit_matrix_text,
 )
+from strategies import small_transitive_groups
 
 # 1-(12,4,3), invariant under (0,1,2)(3,4,5)(6,7,8)(9,10,11); k = 4 and all
 # pairwise intersections are 1 mod 3
@@ -73,6 +77,58 @@ def test_not_an_automorphism_group():
     H = PermGroup(4, [Perm.from_cycles(4, [(1, 2)])])
     with pytest.raises(NotAnAutomorphismGroup):
         build(D, H)
+
+
+def test_repeated_block_with_fewer_copies_of_its_image():
+    # (0 1)(2 3) keeps the multiset; (1 2) sends both copies of {0,1} to
+    # the one {0,2}, so it is the generator named
+    D = Design(4, [(0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (1, 3)])
+    H = PermGroup(4, [Perm.from_cycles(4, [(0, 1), (2, 3)]),
+                      Perm.from_cycles(4, [(1, 2)])])
+    with pytest.raises(NotAnAutomorphismGroup,
+                       match=r"^generator Perm\(1 2\) does not map blocks to blocks$"):
+        build(D, H)
+
+
+def test_constancy_check_fires_on_a_wrong_block_action(monkeypatch):
+    # blocks 0 and 3 of SYN12 meet the point orbits as [2,1,1,0] and
+    # [1,1,0,2]; a block action that swaps them puts both in one orbit,
+    # the last in fixed-first order
+    monkeypatch.setattr(orbitmat, "_block_action",
+                        lambda D, H: [np.array([3, 1, 2, 0, 4, 5, 6, 7, 8])])
+    with pytest.raises(IllDefinedEntry, match=r"^block orbit 7 has "
+                       r"non-constant point-orbit counts$"):
+        build(SYN12, SYN12_GROUP)
+
+
+@st.composite
+def invariant_designs(draw):
+    """(design, subgroup): up to three developments of equal-size base
+    blocks under a small transitive group, some repeated, in a random
+    block order, and the subgroup of up to two random elements."""
+    G = draw(small_transitive_groups())
+    n = G.degree
+    k = draw(st.integers(1, n))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        base = draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k))
+        blocks += G.set_orbit(sorted(base)).tolist() * draw(st.integers(1, 2))
+    blocks = draw(st.permutations(blocks))
+    gens = draw(st.lists(st.sampled_from(G.enumerate()), max_size=2))
+    return Design(n, blocks), PermGroup(n, gens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(invariant_designs())
+def test_build_matches_oracle_with_repeated_blocks(case):
+    D, H = case
+    OM = build(D, H)
+    want = orbit_matrix_naive(D.v, D.blocks, [g.images for g in H.generators])
+    entries, point_orbits, block_orbits = want
+    assert OM.entries.tolist() == entries
+    assert [sorted(o) for o in OM.point_orbits] == point_orbits
+    assert [sorted(o) for o in OM.block_orbits] == block_orbits
+    assert count_identity_naive(D.blocks, *want)
 
 
 def test_build_m11_involution_shape_and_order():
