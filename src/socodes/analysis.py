@@ -79,28 +79,22 @@ class LinearCode:
     Exact by min_distance, which keeps a 1 x n codeword of weight d as the
     witness."""
 
-    __slots__ = ("field", "generator", "d", "witness", "_echelon")
+    __slots__ = ("field", "generator", "d", "witness")
 
     def __init__(self, generator: GFMatrix):
         self.field = generator.field
         self.generator = generator
         self.d = Unknown()
         self.witness = None
-        self._echelon = None
 
     @property
     def n(self) -> int:
         return self.generator.cols
 
     def basis(self) -> GFMatrix:
-        """Canonical (RREF) basis of the row space."""
-        return self._rref()[0]
-
-    def _rref(self):
-        """The RREF basis and its pivot columns, computed once."""
-        if self._echelon is None:
-            self._echelon = self.generator.rref()
-        return self._echelon
+        """Canonical (RREF) basis of the row space, which the generator
+        keeps."""
+        return self.generator.rref()[0]
 
     @property
     def k(self) -> int:
@@ -129,7 +123,7 @@ def is_self_dual(C: LinearCode) -> bool:
 def _information_sets(C: LinearCode):
     """Yield (G_j, r_j) for disjoint information sets, ranks never rising;
     G_1 is the RREF basis."""
-    B, pivots = C._rref()
+    B, pivots = C.generator.rref()
     yield B.a, len(pivots)
     rest = sorted(set(range(C.n)) - set(pivots))
     while rest:
@@ -221,9 +215,10 @@ def min_distance(C: LinearCode, budget: int = DEFAULT_BUDGET):
     if C.field.q ** C.k > budget:
         return Unknown()
     d, word = _lightest_word(C)
+    if (weight := np.count_nonzero(word)) != d:
+        raise AssertionError(f"witness of weight {weight} claimed as weight {d}")
     B = C.basis()
-    if (np.count_nonzero(word) != d
-            or not B.row_space_equals(GFMatrix(C.field, np.vstack([B.a, word])))):
-        raise AssertionError(f"witness of weight {d} fails its re-check")
+    if not B.row_space_equals(GFMatrix(C.field, np.vstack([B.a, word]))):
+        raise AssertionError(f"witness of weight {d} is not in the row space")
     C.witness, C.d = GFMatrix(C.field, word[None, :]), Exact(d)
     return C.d

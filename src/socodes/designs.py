@@ -11,6 +11,9 @@ checks as array tests, one fancy-indexed store for the incidence. Blocks
 may repeat; a repeated pair intersects in k points.
 ``validate`` returns (k, r) and ``parameters`` names the design
 "1-(v,k,r)" from it; every printed design name comes from ``parameters``.
+A design is immutable, so it keeps its (k, r) and one intersection profile
+per p: ``validate`` and ``intersection_profile`` do their work once per
+design, and a failed validation is never kept.
 ``from_group_action`` and ``wso_search`` develop an orbit union through
 one routine, ``_develop``: the constructor on its set orbit, then validate.
 ``wso_search`` counts before it develops: the intersection numbers of the
@@ -112,6 +115,9 @@ class Design:
         self.incidence = np.zeros((b, v), dtype=np.int64)
         self.incidence[block_of, points] = 1
         self.incidence.setflags(write=False)
+        # the design is immutable: validate's (k, r) and one profile per p
+        self._kr = None
+        self._profiles = {}
 
     @cached_property
     def blocks(self) -> tuple:
@@ -157,16 +163,20 @@ def _block_size(D: Design) -> int:
 
 
 def validate(D: Design) -> tuple:
-    """Confirm constant block size and constant replication; return (k, r)."""
-    if not D.b:
-        raise NotOneDesign("design has no blocks")
-    k = _block_size(D)
-    rs = D.incidence.sum(axis=0)
-    if not rs.size or rs.min() != rs.max():
-        raise NotOneDesign(f"replication counts {np.unique(rs).tolist()}")
-    if rs[0] == 0:
-        raise NotOneDesign("isolated points")
-    return k, int(rs[0])
+    """Confirm constant block size and constant replication; return (k, r).
+    The design keeps (k, r) after the first success; a failure raises on
+    every call."""
+    if D._kr is None:
+        if not D.b:
+            raise NotOneDesign("design has no blocks")
+        k = _block_size(D)
+        rs = D.incidence.sum(axis=0)
+        if not rs.size or rs.min() != rs.max():
+            raise NotOneDesign(f"replication counts {np.unique(rs).tolist()}")
+        if rs[0] == 0:
+            raise NotOneDesign("isolated points")
+        D._kr = k, int(rs[0])
+    return D._kr
 
 
 def parameters(D: Design) -> str:
@@ -204,12 +214,15 @@ def intersection_profile(D: Design, p: int) -> WSOProfile:
     """Classify all C(b,2) pairwise intersection sizes mod p.
 
     The Gram matrix M M^T is formed in float64 (BLAS; exact, since every
-    count is at most v) and reduced as int64. p is at least 2.
+    count is at most v) and reduced as int64. p is at least 2. The design
+    keeps the profile for each p.
     """
     if (p := _integers(p, "p")) < 2:
         raise ValueError(f"p={p} must be at least 2")
     if D.b < 2:
         raise ValueError("need at least two blocks for an intersection profile")
+    if p in D._profiles:
+        return D._profiles[p]
     k = _block_size(D)
     M = D.incidence.astype(np.float64)
     R = (M @ M.T).astype(np.int64)
@@ -218,10 +231,12 @@ def intersection_profile(D: Design, p: int) -> WSOProfile:
     np.fill_diagonal(R, R[0, 1])
     a = k % p
     if R.min() != R.max():
-        return WSOProfile(p, a, None, None)
-    d = int(R[0, 1])
-    case = CASE_NAMES[(a, d)] if p == 2 else None
-    return WSOProfile(p, a, d, case)
+        prof = WSOProfile(p, a, None, None)
+    else:
+        d = int(R[0, 1])
+        prof = WSOProfile(p, a, d, CASE_NAMES[(a, d)] if p == 2 else None)
+    D._profiles[p] = prof
+    return prof
 
 
 # ---------------------------------------------------------------------------

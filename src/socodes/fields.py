@@ -27,6 +27,12 @@ operation allocates anything of size q^2, nor an l x l matrix for each of
 the q elements. ``matrices`` and ``analysis`` call ``dot`` and the element
 operations and never see a digit or a table.
 
+The public element operations check that every code they are given lies in
+[0, q). Row elimination (``GFMatrix.rref``) runs on two private kernels
+instead, ``_scale`` (x*c) and ``_sub_mul`` (x - c*y), which read the same
+tables without that check: a ``GFMatrix`` has validated its codes once, and
+the kernels only ever produce codes.
+
 The canonical square root and the default modulus are both defined by
 lexicographic order on ascending-degree coefficient tuples, which keeps every
 downstream generator matrix byte-reproducible.
@@ -247,17 +253,27 @@ class Field:
             return self._out((a + b) % self.p)
         return self._out(((self._digits[a] + self._digits[b]) % self.p) @ self._powers)
 
-    def neg(self, x):
-        return self.mul(self.p - 1, x)
-
     def mul(self, x, y):
-        return self._out(self._exp[self._log[self._codes(x)] + self._log[self._codes(y)]])
+        return self._out(self._scale(self._codes(x), self._codes(y)))
 
     def inv(self, x):
         a = self._codes(x)
         if np.any(a == 0):
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self._out(self._exp[self.q - 1 - self._log[a]])
+
+    # -- elimination kernels: on codes the caller has already checked --------
+
+    def _scale(self, x, c):
+        """x * c for code arrays (or ints) x and c, broadcast; unchecked."""
+        return self._exp[self._log[x] + self._log[c]]
+
+    def _sub_mul(self, x, c, y):
+        """x - c*y for code arrays x, c and y, broadcast; unchecked. Over
+        GF(p) every term is below p^2 < 2^28, so int64 holds it."""
+        if self.l == 1:
+            return (x - c * y) % self.p
+        return ((self._digits[x] - self._digits[self._scale(c, y)]) % self.p) @ self._powers
 
     # -- squares ------------------------------------------------------------
 

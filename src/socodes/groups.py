@@ -5,11 +5,13 @@ derived actions, and elements of a given order. Three routines carry
 everything:
 
 - ``_closure``, one breadth-first search over the generators, gives a
-  point orbit and the coset representatives, from the generators alone.
-  Set orbits, the one search whose objects are large, run the same search
-  in numpy instead (``PermGroup.set_orbit``): each layer is a 0/1 array of
-  sets, its images under every generator are one gather, and the orbit is
-  a point array, one ascending row per set, as ``Design`` takes it.
+  point orbit and the coset representatives, from the generators alone;
+  ``point_orbits`` runs the same search as one pass over all the points,
+  on their images in the generators' tuples. Set orbits, the one search
+  whose objects are large, run the same search in numpy instead
+  (``PermGroup.set_orbit``): each layer is a 0/1 array of sets, its
+  images under every generator are one gather, and the orbit is a point
+  array, one ascending row per set, as ``Design`` takes it.
   ``_transversal`` runs it once from a point with a Schreier vector and
   multiplies out only the elements that reach the points asked for.
 - ``_schreier_sims``, incremental Schreier-Sims, gives a base and, per
@@ -23,6 +25,8 @@ everything:
 
 Only ``enumerate`` and ``element_of_order`` list elements; orbits, order,
 membership, stabilizers, coset labels and the derived subgroup read a chain.
+``element_of_order`` walks each listed element's cycles only until one
+has a length that does not divide the order asked for.
 
 Points are 0-based everywhere internally; the group file format uses the
 1-based convention of the literature and is converted at the I/O boundary.
@@ -165,9 +169,6 @@ class Perm:
     def __hash__(self):
         return hash(self.images)
 
-    def __lt__(self, other):
-        return self.images < other.images
-
     def __repr__(self):
         cyc = self.cycles()
         if not cyc:
@@ -242,6 +243,25 @@ def _inv(g: tuple) -> tuple:
     for i, x in enumerate(g):
         out[x] = i
     return tuple(out)
+
+
+def _has_order(g: tuple, t: int) -> bool:
+    """Whether the permutation g has order t, the lcm of its cycle lengths;
+    the scan stops at the first cycle whose length does not divide t."""
+    seen = bytearray(len(g))
+    order = 1
+    for start in range(len(g)):
+        if seen[start]:
+            continue
+        length, x = 0, start
+        while not seen[x]:
+            seen[x] = 1
+            x = g[x]
+            length += 1
+        if t % length:
+            return False
+        order = lcm(order, length)
+    return order == t
 
 
 def _least_moved(n: int, gens) -> int:
@@ -396,14 +416,22 @@ class PermGroup:
                                      lambda x, g: g.images[x])))
 
     def point_orbits(self) -> list:
-        done = set()
+        """Sorted point tuples of every orbit, ordered by least point: one
+        breadth-first pass over all points."""
+        gens = [g.images for g in self.generators]
+        seen = bytearray(self.degree)
         orbits = []
         for x in range(self.degree):
-            if x in done:
+            if seen[x]:
                 continue
-            orb = self.orbit_of(x)
-            done.update(orb)
-            orbits.append(orb)
+            seen[x] = 1
+            orb = [x]
+            for y in orb:
+                for g in gens:
+                    if not seen[z := g[y]]:
+                        seen[z] = 1
+                        orb.append(z)
+            orbits.append(tuple(sorted(orb)))
         return orbits
 
     def is_transitive(self) -> bool:
@@ -522,7 +550,7 @@ class PermGroup:
     def element_of_order(self, t: int):
         """First element of order t in sorted element order, or None."""
         for g in self.enumerate():
-            if g.order() == t:
+            if _has_order(g.images, t):
                 return g
         return None
 

@@ -6,6 +6,13 @@ Products go through ``Field.dot``; element codes and integer lifts are the
 field's business. A field is fixed by its order, so the ``rows cols q``
 header of the text format names the field exactly. Everything is pure:
 operations return new matrices.
+
+A matrix is immutable, so ``rref`` eliminates once per matrix: it keeps
+its (RREF, pivots), and an RREF it returns is its own RREF. Leading
+columns that are a scaled identity, the left border of every construction
+over GF(q), are scaled in one vector operation; the pivot loop runs on the
+field's unchecked elimination kernels, since the constructor has already
+checked every code.
 """
 
 from __future__ import annotations
@@ -41,6 +48,9 @@ class GFMatrix:
         a.setflags(write=False)
         self.field = field
         self.a = a
+        # rref's (RREF, pivots), and the pivots of a matrix that is an RREF
+        self._echelon = None
+        self._pivots = None
 
     # -- constructors -------------------------------------------------------
 
@@ -92,23 +102,37 @@ class GFMatrix:
     # -- elimination --------------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form and its pivot columns.
+        """Reduced row echelon form and its pivot columns, computed once.
 
         The RREF is the canonical basis of the row space: equal row spaces
-        give byte-identical results. At pivot (r, c) rows r.. are zero left
-        of c, so only the columns c.. are updated; over GF(2) every nonzero
-        factor is 1 and adding codes is XOR, so clearing is one in-place XOR.
-        One boolean mask of column c per pivot gives both the pivot row (its
-        first nonzero at or after r) and the rows to clear. Leading columns
-        0..t-1 equal to the identity's, as in an identity-bordered generator,
-        are t pivots with nothing to clear: the loop starts at row and
-        column t.
+        give byte-identical results. A matrix keeps its (RREF, pivots), and
+        the RREF it returns is marked as reduced, so its own ``rref`` returns
+        itself; the mark is its pivots, not a reference to itself, so no
+        matrix is part of a reference cycle.
+
+        Leading columns 0..t-1 whose one nonzero lies on the diagonal, as
+        in a generator [c*I | M | e*1], are t pivots with nothing to clear:
+        their rows are scaled by the inverse diagonal at once (c = 1 leaves
+        them as they are) and the loop starts at row and column t. At pivot
+        (r, c) rows r.. are zero left of c, so only the columns c.. are
+        updated; over GF(2) every nonzero factor is 1 and adding codes is
+        XOR, so clearing is one in-place XOR. One boolean mask of column c
+        per pivot gives both the pivot row (its first nonzero at or after r)
+        and the rows to clear. The entries are codes the constructor
+        checked, so the loop runs on the field's unchecked kernels.
         """
+        if self._pivots is not None:
+            return self, self._pivots
+        if self._echelon is not None:
+            return self._echelon
         F = self.field
         R = self.a.copy()
         m = min(self.rows, self.cols)
-        unit = (R[:, :m] == np.eye(self.rows, m, dtype=np.int64)).all(axis=0)
-        t = int(unit.cumprod().sum())
+        diag = R.diagonal()
+        lone = (diag != 0) & (np.count_nonzero(R[:, :m], axis=0) == 1)
+        t = int(lone.cumprod().sum())
+        if (diag[:t] != 1).any():
+            R[:t] = F._scale(R[:t], F.inv(diag[:t])[:, None])
         pivots = list(range(t))
         r = t
         for c in range(t, self.cols):
@@ -125,18 +149,19 @@ class GFMatrix:
             nonzero[pr] = False
             lead = int(R[r, c])
             if lead != 1:
-                R[r, c:] = F.mul(R[r, c:], F.inv(lead))
+                R[r, c:] = F._scale(R[r, c:], F.inv(lead))
             if not nonzero.any():
-                pass  # e.g. an identity border: no rows to clear
+                pass  # e.g. a column of the identity: no rows to clear
             elif F.q == 2:
                 R[nonzero, c:] ^= R[r, c:]
             else:
-                # x - c*r as x + (-c)*r: negate the column, not the product
-                R[nonzero, c:] = F.add(R[nonzero, c:],
-                                       F.mul(F.neg(R[nonzero, c, None]), R[r, c:]))
+                R[nonzero, c:] = F._sub_mul(R[nonzero, c:], R[nonzero, c, None], R[r, c:])
             pivots.append(c)
             r += 1
-        return GFMatrix(F, R[:r]), tuple(pivots)
+        E, pivots = GFMatrix(F, R[:r]), tuple(pivots)
+        E._pivots = pivots
+        self._echelon = E, pivots
+        return self._echelon
 
     def row_space_equals(self, other: "GFMatrix") -> bool:
         return self.rref()[0] == other.rref()[0]

@@ -130,6 +130,27 @@ def test_min_distance_keeps_a_witness():
     assert repr(Exact(4)) == "Exact(value=4)" and str(Exact(4)) == "4"
 
 
+# [5, 2, 2]_3: the second row is the one word of weight 2 up to scalars
+FIVE = GFMatrix(GF3, [[1, 1, 1, 1, 1], [0, 0, 0, 1, 1]])
+
+
+def test_min_distance_rejects_a_witness_of_another_weight(monkeypatch):
+    # a codeword of weight 5 handed back as the lightest, weight 2
+    monkeypatch.setattr(analysis, "_lightest_word", lambda C: (2, FIVE.a[0]))
+    with pytest.raises(AssertionError, match=r"^witness of weight 5 claimed as weight 2$"):
+        min_distance(code(FIVE))
+
+
+def test_min_distance_rejects_a_witness_outside_the_code(monkeypatch):
+    # a word of the claimed weight 2 that is no codeword
+    word = np.array([1, 1, 0, 0, 0])
+    monkeypatch.setattr(analysis, "_lightest_word", lambda C: (2, word))
+    C = code(FIVE)
+    with pytest.raises(AssertionError, match=r"^witness of weight 2 is not in the row space$"):
+        min_distance(C)
+    assert C.witness is None and C.d == Unknown()
+
+
 def test_min_distance_stops_once_the_bound_reaches_the_lightest_word():
     """[I | I | I] over GF(2), k = 4, has d = 3 and three information sets
     of rank 4. After the weight-1 messages on G_1 alone the bound is

@@ -54,6 +54,26 @@ def test_validate_four_cycle():
     assert D.b == 4
 
 
+def test_a_design_keeps_its_validation_and_one_profile_per_p(monkeypatch):
+    # each validation or profile computed reads the block sizes once; a
+    # kept one reads nothing, and a failed validation is never kept
+    calls = []
+    real = designs._block_size
+    monkeypatch.setattr(designs, "_block_size", lambda D: calls.append(D) or real(D))
+    D = Design(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert validate(D) == validate(D) == (2, 2) and parameters(D) == "1-(4,2,2)"
+    assert len(calls) == 1
+    prof = intersection_profile(D, 2)
+    assert intersection_profile(D, 2) is prof and intersection_profile(D, np.int64(2)) is prof
+    assert len(calls) == 2
+    assert intersection_profile(D, 3) == WSOProfile(3, 2, None) and len(calls) == 3
+    bad = Design(3, [(0, 1), (0, 2)])
+    for _ in range(2):
+        with pytest.raises(NotOneDesign, match="replication counts"):
+            validate(bad)
+    assert len(calls) == 5
+
+
 def test_validate_nonconstant_block_size():
     D = Design(3, [(0, 1), (0, 1, 2)])
     with pytest.raises(NonConstantBlockSize):

@@ -92,7 +92,11 @@ def test_mul_matches_naive_oracle_exhaustive():
                          for b in range(q)] for a in range(q)])
         assert np.array_equal(F.mul(xs[:, None], xs), mul), (p, l)
         assert np.array_equal(F.add(xs[:, None], xs), add), (p, l)
-        assert np.array_equal(F.neg(xs), [oracles.field_neg_naive(a, p, l) for a in xs])
+        sub = np.array([[oracles.field_sub_naive(a, b, p, l)
+                         for b in range(q)] for a in range(q)])
+        # rref's unchecked kernels: x * c and x - c*y
+        assert np.array_equal(F._scale(xs[:, None], xs), mul), (p, l)
+        assert np.array_equal(F._sub_mul(xs[:, None], 1, xs), sub), (p, l)
         inv = np.argmax(mul[1:] == 1, axis=1)
         assert np.array_equal(F.inv(xs[1:]), inv), (p, l)
         with pytest.raises(ZeroDivisionError):
@@ -113,7 +117,8 @@ def test_field_axioms_exhaustive():
         assert np.array_equal(F.mul(a, F.add(b, c)), F.add(F.mul(a, b), F.mul(a, c)))
         assert np.array_equal(F.add(xs, 0), xs)
         assert np.array_equal(F.mul(xs, 1), xs)
-        assert np.array_equal(F.add(xs, F.neg(xs)), np.zeros(F.q, dtype=xs.dtype))
+        neg = [oracles.field_neg_naive(x, p, l) for x in xs]
+        assert np.array_equal(F.add(xs, neg), np.zeros(F.q, dtype=xs.dtype))
         nz = xs[1:]
         assert np.array_equal(F.mul(nz, F.inv(nz)), np.ones(F.q - 1, dtype=xs.dtype))
 
@@ -215,7 +220,7 @@ def test_out_of_range_codes_raise():
             for x in (bad, arr):
                 for call in (lambda: F.add(x, 1), lambda: F.add(1, x),
                              lambda: F.mul(x, 1), lambda: F.mul(1, x),
-                             lambda: F.neg(x), lambda: F.inv(x),
+                             lambda: F.inv(x),
                              lambda: F.sqrt(x), lambda: F.is_square(x)):
                     with pytest.raises(ValueError, match="out of range"):
                         call()
@@ -351,9 +356,11 @@ def test_elementwise_ops_match_oracles(args):
         assert np.shape(out) == xb.shape
         for idx in np.ndindex(xb.shape):
             assert np.asarray(out)[idx] == oracle(int(xb[idx]), int(yb[idx])), (F, op)
-    out = F.neg(x)
-    if np.ndim(x) == 0:
-        assert type(out) is int
-    assert np.shape(out) == np.shape(x)
-    for idx in np.ndindex(np.shape(x)):
-        assert np.asarray(out)[idx] == oracles.field_neg_naive(int(np.asarray(x)[idx]), p, l)
+    # rref's kernel x - c*y, here x - y*x
+    out = F._sub_mul(x, y, x)
+    xb, yb = np.broadcast_arrays(x, y)
+    assert np.shape(out) == xb.shape
+    for idx in np.ndindex(xb.shape):
+        a, b = int(xb[idx]), int(yb[idx])
+        want = oracles.field_sub_naive(a, oracles.field_mul_naive(b, a, p, l, F.modulus), p, l)
+        assert np.asarray(out)[idx] == want, F

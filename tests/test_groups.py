@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (coset_action_naive, cycle_type_naive, derived_subgroup_naive,
-                     group_closure_naive, induced_naive, perm_order_naive,
-                     set_orbit_naive)
+from oracles import (_orbits_naive, coset_action_naive, cycle_type_naive,
+                     derived_subgroup_naive, group_closure_naive, induced_naive,
+                     perm_order_naive, set_orbit_naive)
 from strategies import NON_INTEGERS, small_transitive_groups
 import socodes.m11
 from socodes import groups
@@ -360,6 +360,14 @@ def small_groups(draw):
     return n, [tuple(g) for g in gens], delta, picks
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_groups())
+def test_point_orbits_match_naive(case):
+    n, gens, _, _ = case
+    want = sorted(tuple(orb) for orb in _orbits_naive(gens, n))
+    assert PermGroup(n, gens).point_orbits() == want
+
+
 S8_GENS = [tuple(range(1, 8)) + (0,), (1, 0) + tuple(range(2, 8))]
 A8_GENS = [(1, 2, 0) + tuple(range(3, 8)), (0,) + tuple(range(2, 8)) + (1,)]
 
@@ -639,6 +647,15 @@ def test_m11_involutions_cycle_type():
     involutions = [h for h in m11().enumerate() if h.order() == 2]
     assert len(involutions) == 165
     assert {h.cycle_type() for h in involutions} == {g.cycle_type()}
+
+
+@pytest.mark.parametrize("degree", [11, 12, 22, 55, 66, 165])
+def test_element_of_order_is_the_first_listed_of_that_order(degree):
+    G = m11_degree(degree)
+    orders = [g.order() for g in G.enumerate()]
+    for t in range(13):
+        want = next((g for g, o in zip(G.enumerate(), orders) if o == t), None)
+        assert G.element_of_order(t) == want, t
 
 
 def test_m11_order11_subgroups():

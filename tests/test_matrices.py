@@ -1,8 +1,11 @@
 """Dense exact linear algebra over GF(p^l): rank, Gram, borders."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from socodes.fields import Field, field_for_order
 from socodes.matrices import GFMatrix, bordered
@@ -13,6 +16,7 @@ GF2 = Field(2)
 GF3 = Field(3)
 GF4 = Field(2, 2)
 GF9 = Field(3, 2)
+GF25 = field_for_order(25)
 
 
 def rank(M) -> int:
@@ -174,24 +178,63 @@ def test_rref_matches_oracle(q, rows, cols, rank_cap, seed):
     assert R.a.shape == (len(want_pivots), cols)
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from([GF2, GF3, GF4, GF9]), st.integers(0, 8), st.integers(0, 8),
-       st.integers(0, 8), st.integers(0, 10 ** 6))
-def test_rref_with_identity_prefix_matches_oracle(field, rows, extra, t, seed):
-    # columns 0..t-1 equal the identity's (t = rows is a full identity
-    # border) and the rest are random; a zeroed row sometimes cuts the
-    # prefix short
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([GF2, GF3, GF4, GF9, GF25]), st.integers(0, 8), st.integers(0, 8),
+       st.integers(0, 8), st.integers(1, 24), st.booleans(), st.integers(0, 10 ** 6))
+@example(GF3, 4, 3, 4, 2, False, 1)
+@example(GF9, 5, 2, 5, 7, False, 2)
+@example(GF25, 3, 4, 3, 22, False, 3)
+@example(GF25, 5, 3, 4, 11, True, 4)
+def test_rref_with_identity_prefix_matches_oracle(field, rows, extra, t, scale, below, seed):
+    # columns 0..t-1 equal c times the identity's, c = 1 or not (t = rows
+    # is a full border [c*I | M]), and the rest are random; a zeroed row
+    # sometimes cuts the prefix short, and so does a second nonzero below
+    # the diagonal of a prefix column, which the prefix must not skip
     rng = np.random.default_rng(seed)
     t = min(t, rows)
+    c = 1 + (scale - 1) % (field.q - 1)
     M = rng.integers(0, field.q, (rows, t + extra))
-    M[:, :t] = np.eye(rows, t, dtype=np.int64)
+    M[:, :t] = c * np.eye(rows, t, dtype=np.int64)
     if rng.random() < 0.3 and rows:
         M[rng.integers(rows)] = 0
+    if below and 0 < t and 1 < rows:
+        j = int(rng.integers(min(t, rows - 1)))
+        M[rng.integers(j + 1, rows), j] = rng.integers(1, field.q)
     R, pivots = GFMatrix(field, M).rref()
     want_rows, want_pivots = oracles.rref_naive(M.tolist(), field.p, field.l, field.modulus)
     assert pivots == tuple(want_pivots)
     assert R.a.tolist() == want_rows
     assert R.a.shape == (len(want_pivots), t + extra)
+
+
+def test_rref_of_an_rref_is_itself(monkeypatch):
+    M = bordered(rand_matrix(GF25, 4, 6, 3), left=22, right=11)
+    E, pivots = M.rref()
+    assert M.rref()[0] is E and M.rref()[1] == pivots == (0, 1, 2, 3)
+
+    def eliminate(*args):
+        raise AssertionError("an RREF was eliminated again")
+
+    monkeypatch.setattr(Field, "_scale", eliminate)
+    monkeypatch.setattr(Field, "_sub_mul", eliminate)
+    assert E.rref()[0] is E and E.rref()[1] == pivots
+    # a copy is not marked, but its unit identity prefix needs no kernel
+    assert GFMatrix(GF25, E.a).rref() == (E, pivots)
+
+
+def test_rref_forms_no_reference_cycle():
+    # with the collector off only reference counts free a matrix, so one
+    # kept alive by a cycle through its RREF would outlive its last name
+    gc.disable()
+    try:
+        M = rand_matrix(GF9, 4, 7, 5)
+        E, _ = M.rref()
+        E.rref()
+        alive = [weakref.ref(M), weakref.ref(E)]
+        del M, E
+        assert [ref() for ref in alive] == [None, None]
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("field, x", [(GF2, 1), (GF3, 2), (GF9, 5)])
@@ -202,7 +245,8 @@ def test_rref_swaps_and_clears_above_the_pivot(field, x):
     # r1 - r0 is zero in columns 0 and 1, so column 1's pivot is r2, found
     # below its row and swapped up, and r0 is nonzero there; column 2 is
     # zero; the last two rows are dependent, so the rank is 3 of 5 rows
-    M = np.stack([r0, r1, r2, field.add(r0, r2), field.add(r1, field.neg(r0))])
+    minus_r0 = [oracles.field_neg_naive(int(x), field.p, field.l) for x in r0]
+    M = np.stack([r0, r1, r2, field.add(r0, r2), field.add(r1, minus_r0)])
     R, pivots = GFMatrix(field, M).rref()
     want_rows, want_pivots = oracles.rref_naive(M.tolist(), field.p, field.l, field.modulus)
     assert pivots == tuple(want_pivots)
