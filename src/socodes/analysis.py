@@ -7,11 +7,11 @@ large minimum distance", 2006). The budget still counts q^k: if q^k fits
 it, the answer is Exact, else Unknown. No probabilistic shortcuts, so every
 reported distance is a certificate.
 
-* Information sets. Row-reducing the basis on the columns not yet used as
-  pivots, ``[G_rest | G]`` in one call, gives generator matrices G_1, G_2,
-  ... of the same code, G_j the identity on its own pivot columns I_j and
-  of rank r_j = |I_j| there. The I_j are disjoint and r_1 = k; the sets
-  stop when no remaining column adds rank.
+* Information sets. Row-reducing the basis with the columns not yet used
+  as pivots placed first, and putting the columns back in order, gives
+  generator matrices G_1, G_2, ... of the same code, G_j the identity on
+  its own pivot columns I_j and of rank r_j = |I_j| there. The I_j are
+  disjoint and r_1 = k; the sets stop when no remaining column adds rank.
 * Enumeration. For w = 1, 2, ... every message of weight w is encoded
   against each G_j with ``Field.dot``, in chunks of at most ``_CHUNK``
   codeword entries. Over GF(q), q > 2, only messages whose first nonzero
@@ -33,8 +33,9 @@ reported distance is a certificate.
   4 and the Gram matrix is zero (then the code is doubly even). Both are
   checked on the code, not assumed.
 * Witness. Before Exact(d) is returned, the kept word is re-checked: its
-  weight is d, and stacking it under the basis leaves the row space
-  unchanged. It stays on the code as ``LinearCode.witness``.
+  weight is d, and it equals its entries on the basis's pivot columns
+  times the RREF basis, which holds exactly for the words of the row
+  space. It stays on the code as ``LinearCode.witness``.
 """
 
 from __future__ import annotations
@@ -122,16 +123,20 @@ def is_self_dual(C: LinearCode) -> bool:
 
 def _information_sets(C: LinearCode):
     """Yield (G_j, r_j) for disjoint information sets, ranks never rising;
-    G_1 is the RREF basis."""
+    G_1 is the RREF basis. Each later G_j is the RREF of the basis with its
+    columns in the order rest + others, put back in column order."""
     B, pivots = C.generator.rref()
     yield B.a, len(pivots)
     rest = sorted(set(range(C.n)) - set(pivots))
     while rest:
-        R, piv = GFMatrix(C.field, np.hstack([B.a[:, rest], B.a])).rref()
+        order = rest + sorted(set(range(C.n)) - set(rest))
+        R, piv = GFMatrix._unchecked(C.field, B.a[:, order]).rref()
         r = bisect_left(piv, len(rest))
         if r == 0:
             return
-        yield R.a[:, len(rest):], r
+        G = np.empty_like(R.a)
+        G[:, order] = R.a
+        yield G, r
         used = {rest[c] for c in piv[:r]}
         rest = [c for c in rest if c not in used]
 
@@ -217,8 +222,10 @@ def min_distance(C: LinearCode, budget: int = DEFAULT_BUDGET):
     d, word = _lightest_word(C)
     if (weight := np.count_nonzero(word)) != d:
         raise AssertionError(f"witness of weight {weight} claimed as weight {d}")
-    B = C.basis()
-    if not B.row_space_equals(GFMatrix(C.field, np.vstack([B.a, word]))):
+    # an RREF is the identity on its pivots, so a codeword is the sum of its
+    # pivot entries times the basis rows
+    B, pivots = C.generator.rref()
+    if not np.array_equal(word, C.field.dot(word[None, list(pivots)], B.a)[0]):
         raise AssertionError(f"witness of weight {d} is not in the row space")
     C.witness, C.d = GFMatrix(C.field, word[None, :]), Exact(d)
     return C.d

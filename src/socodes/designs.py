@@ -115,9 +115,11 @@ class Design:
         self.incidence = np.zeros((b, v), dtype=np.int64)
         self.incidence[block_of, points] = 1
         self.incidence.setflags(write=False)
-        # the design is immutable: validate's (k, r) and one profile per p
+        # the design is immutable: validate's (k, r), one profile per p and
+        # orbitmat.build's orbit matrix per tuple of group generators
         self._kr = None
         self._profiles = {}
+        self._orbit_matrices = {}
 
     @cached_property
     def blocks(self) -> tuple:

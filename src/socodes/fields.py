@@ -10,13 +10,21 @@ All Field operations accept plain ints or numpy arrays of codes and
 broadcast; scalar in, scalar out.
 
 Only ``Field`` knows this encoding. Within it, ``Field.dot`` is the only
-matrix-product kernel: one float64 (BLAS) matmul over GF(p) of base-p digit
-rows against the l x l multiplication matrices of the regular
-representation, each a combination of the l powers of the modulus's
-companion matrix, reduced mod p; the exact integer sums are then reduced
-mod p (the method of Dumas, Gautier and Pernet, "Finite field linear
-algebra subroutines", ISSAC 2002). It is exact while K*l*(p - 1)^2 < 2^53
-for an inner dimension K; ``dot`` checks that first, and every matrix under
+matrix-product kernel, one or more float64 (BLAS) matmuls. Over GF(p) it
+multiplies the codes and reduces the exact integer sums mod p (the method
+of Dumas, Gautier and Pernet, "Finite field linear algebra subroutines",
+ISSAC 2002). For l >= 2 it uses Kronecker substitution (Dumas, Fousse and
+Salvy, "Simultaneous modular reduction and Kronecker substitution for small
+finite fields", J. Symbolic Comput. 46, 2011): a group of s digits
+d_0..d_{s-1} of a code packs into the one float sum d_j * 2^(e*j), so one
+product of packed floats holds the 2s - 1 coefficient sums of a product of
+polynomials in separate e-bit fields. They are unpacked with int64 shifts
+and masks, x^l .. x^(2l-2) are folded back with the modulus, and the
+digits are reduced mod p. Over an inner dimension K each field is at most
+K*s*(p - 1)^2, so e is its bit length, and the packed sums stay exact while
+(2s - 1)*e <= 53. ``dot`` takes the widest such s <= l and makes one
+product per pair of digit groups; s = 1 needs only K*(p - 1)^2 < 2^53,
+which ``dot`` checks before it converts anything, and every matrix under
 ``matrices.COLS_CAP`` and ``ORDER_CAP`` stays below 2^49. ``add`` adds
 base-p digits (integers mod p when l = 1), and the lexicographic order of
 canonical square roots reads digits. Products and inverses are index
@@ -124,6 +132,18 @@ def default_modulus(p: int, l: int) -> tuple:
     raise AssertionError("no irreducible polynomial of degree %d over GF(%d)" % (l, p))
 
 
+def _packing(K: int, l: int, p: int) -> tuple:
+    """(s, e): the widest digit group s <= l whose packed product sums,
+    2s - 1 fields of e = bitlen(K*s*(p - 1)^2) bits, fit float64's 53; s = 1
+    fits whenever K*(p - 1)^2 < 2^53."""
+    s = l
+    while True:
+        e = max(1, (K * s * (p - 1) ** 2).bit_length())
+        if s == 1 or (2 * s - 1) * e <= 53:
+            return s, e
+        s -= 1
+
+
 class Field:
     """GF(p^l), reduced modulo ``default_modulus(p, l)``.
 
@@ -141,24 +161,13 @@ class Field:
         self.q = p ** l
         self.modulus = default_modulus(p, l)
 
-        # digits[x] = coefficient vector of code x, fdigits its float64 copy
-        # for dot; powers = (1, p, p^2, ...)
+        # digits[x] = coefficient vector of code x; powers = (1, p, p^2, ...)
         codes = np.arange(self.q, dtype=np.int64)
         self._powers = p ** np.arange(l, dtype=np.int64)
         self._digits = (codes[:, None] // self._powers) % p
-        self._fdigits = self._digits.astype(np.float64)
-        self._fdigits.setflags(write=False)
-
-        # xpow[j] = C^j for the companion matrix C of the modulus, acting on
-        # digit rows: digits(a * x^j) = digits(a) @ xpow[j]. Only dot reads
-        # them, as float64, and the primitive-element search below calls dot.
-        companion = np.zeros((l, l), dtype=np.int64)
-        companion[:-1, 1:] = np.eye(l - 1, dtype=np.int64)
-        companion[-1] = np.negative(self.modulus[:l]) % p
-        xpow = [np.eye(l, dtype=np.int64)]
-        for _ in range(l - 1):
-            xpow.append(xpow[-1] @ companion % p)
-        self._xpow = np.stack(xpow).astype(np.float64)
+        # x^l = fold . (1, x, ..., x^(l-1)); dot reads it, and the
+        # primitive-element search below calls dot
+        self._fold = np.negative(np.array(self.modulus[:l], dtype=np.int64)) % p
 
         # exp[i] = g^i for a primitive element g, doubled so that
         # log[x] + log[y] needs no reduction mod q - 1; log[0] = 2(q - 1)
@@ -220,30 +229,50 @@ class Field:
         """Matrix product of code arrays of shapes (m, K) and (K, n), as int64.
 
         The entries must already be codes in [0, q); they are not checked.
-        One float64 matmul over GF(p), exact because every entry of it is a
-        sum of K*l products of digits, each at most (p - 1)^2, and float64
-        holds every integer below 2^53. Under COLS_CAP and ORDER_CAP the sum
-        stays below 2^49; past 2^53 this raises AssertionError before it
-        converts anything.
+        Every coefficient of an entry is a sum of at most K*l products of
+        digits, each at most (p - 1)^2. Over GF(p) one float64 matmul holds
+        the exact sums; for l >= 2 each matmul multiplies packed digit
+        groups (see the module docstring). Past K*(p - 1)^2 >= 2^53 this
+        raises AssertionError before it converts anything.
         """
         (m, K), n, p, l = np.shape(a), np.shape(b)[1], self.p, self.l
-        if K * l * (p - 1) ** 2 >= 2 ** 53:
-            raise AssertionError(f"sums of {K * l} products over GF({p}) "
+        if K * (p - 1) ** 2 >= 2 ** 53:
+            raise AssertionError(f"sums of {K} products over GF({p}) "
                                  "are not exact in float64")
         if l == 1:
-            prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+            # the sums are exact integers: reduce them as int64, whose % is
+            # many times faster than float fmod on large values
+            out = (np.asarray(a, dtype=np.float64)
+                   @ np.asarray(b, dtype=np.float64)).astype(np.int64)
+            np.remainder(out, p, out=out)
+            return out
+        s, e = _packing(K, l, p)
+        # pack[g][x]: digits g*s .. g*s + s - 1 of code x, 2^e apart
+        weights = 2.0 ** (e * np.arange(s))
+        pack = [self._digits[:, j:j + s] @ weights[:min(s, l - j)]
+                for j in range(0, l, s)]
+        A, B = [t[a] for t in pack], [t[b] for t in pack]
+        shifts = e * np.arange(2 * s - 1)[:, None, None]
+        mask = (1 << e) - 1
+        if len(pack) == 1:
+            # every product the constructions make; it needs no zeroed
+            # buffer, whose first touch costs more than the matmul at 331^3
+            c = (A[0] @ B[0]).astype(np.int64) >> shifts & mask
         else:
-            # a's entries as digit rows, b's entries as their multiplication
-            # matrices sum_j b_j C^j (regular representation), reduced mod p
-            mats = np.tensordot(self._fdigits[b], self._xpow, axes=1)  # (K, n, l, l)
-            np.fmod(mats, p, out=mats)
-            rhs = mats.transpose(0, 2, 1, 3).reshape(K * l, n * l)
-            prod = self._fdigits[a].reshape(m, K * l) @ rhs
-        # the sums are exact integers: reduce them as int64, whose % is
-        # many times faster than float fmod on large values
-        out = prod.astype(np.int64)
-        np.remainder(out, p, out=out)
-        return out if l == 1 else out.reshape(m, n, l) @ self._powers
+            # c[t] sums the coefficients of x^t; a short last group leaves
+            # the top of c zero
+            c = np.zeros((2 * len(pack) * s - 1, m, n), dtype=np.int64)
+            for g, Ag in enumerate(A):
+                for h, Bh in enumerate(B):
+                    v = (Ag @ Bh).astype(np.int64)
+                    c[(g + h) * s:(g + h + 2) * s - 1] += v >> shifts & mask
+        for t in range(len(c) - 1, l - 1, -1):
+            c[t - l:t] += self._fold[:, None, None] * (c[t] % p)
+        out = c[l - 1] % p
+        for t in range(l - 2, -1, -1):
+            out *= p
+            out += c[t] % p
+        return out
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -7,6 +7,11 @@ field's business. A field is fixed by its order, so the ``rows cols q``
 header of the text format names the field exactly. Everything is pure:
 operations return new matrices.
 
+The public constructor checks every code it is given. A matrix that a field
+kernel makes, a product, a Gram matrix, an RREF, a lift ``from_int`` or a
+``bordered`` generator, holds codes by construction and is wrapped by the
+private ``_unchecked`` instead.
+
 A matrix is immutable, so ``rref`` eliminates once per matrix: it keeps
 its (RREF, pivots), and an RREF it returns is its own RREF. Leading
 columns that are a scaled identity, the left border of every construction
@@ -35,22 +40,39 @@ def _scalar_code(field: Field, x) -> int:
     return x
 
 
+def _rows(entries) -> np.ndarray:
+    """entries as a 2-D int64 array of rows; no rows at all give (0, 0)."""
+    a = _integers(np.array(entries), "matrix entries")
+    if a.ndim == 0:
+        raise ValueError("matrix entries must be rows, not a scalar")
+    if a.ndim != 2:
+        a = a.reshape(a.shape[0], -1) if a.size else a.reshape(0, 0)
+    return a
+
+
 class GFMatrix:
 
     def __init__(self, field: Field, entries):
-        a = _integers(np.array(entries), "matrix entries")
-        if a.ndim == 0:
-            raise ValueError("matrix entries must be rows, not a scalar")
-        if a.ndim != 2:
-            a = a.reshape(a.shape[0], -1) if a.size else a.reshape(0, 0)
+        a = _rows(entries)
         if a.size and (a.min() < 0 or a.max() >= field.q):
             raise ValueError(f"entries outside [0,{field.q})")
+        self._store(field, a)
+
+    def _store(self, field: Field, a: np.ndarray) -> None:
         a.setflags(write=False)
         self.field = field
         self.a = a
         # rref's (RREF, pivots), and the pivots of a matrix that is an RREF
         self._echelon = None
         self._pivots = None
+
+    @classmethod
+    def _unchecked(cls, field: Field, a: np.ndarray) -> "GFMatrix":
+        """A matrix of the 2-D int64 codes a, which a field kernel made and
+        nothing else holds: the constructor's range check is skipped."""
+        M = cls.__new__(cls)
+        M._store(field, a)
+        return M
 
     # -- constructors -------------------------------------------------------
 
@@ -61,7 +83,7 @@ class GFMatrix:
     @classmethod
     def from_int(cls, field: Field, entries) -> "GFMatrix":
         """Lift an ordinary integer matrix into the prime subfield."""
-        return cls(field, field.from_int(entries))
+        return cls._unchecked(field, _rows(field.from_int(entries)))
 
     # -- basics -------------------------------------------------------------
 
@@ -93,11 +115,13 @@ class GFMatrix:
             raise SpecMismatch("matrices over different fields")
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        return GFMatrix(self.field, self.field.dot(self.a, other.a))
+        return GFMatrix._unchecked(self.field, self.field.dot(self.a, other.a))
 
     def gram(self) -> "GFMatrix":
-        """M M^T: entry (i,j) is the standard inner product of rows i and j."""
-        return self @ self.transpose()
+        """M M^T: entry (i,j) is the standard inner product of rows i and j.
+        The transpose is a view of M's checked codes, so it is not checked
+        again."""
+        return self @ GFMatrix._unchecked(self.field, self.a.T)
 
     # -- elimination --------------------------------------------------------
 
@@ -158,13 +182,10 @@ class GFMatrix:
                 R[nonzero, c:] = F._sub_mul(R[nonzero, c:], R[nonzero, c, None], R[r, c:])
             pivots.append(c)
             r += 1
-        E, pivots = GFMatrix(F, R[:r]), tuple(pivots)
+        E, pivots = GFMatrix._unchecked(F, R[:r]), tuple(pivots)
         E._pivots = pivots
         self._echelon = E, pivots
         return self._echelon
-
-    def row_space_equals(self, other: "GFMatrix") -> bool:
-        return self.rref()[0] == other.rref()[0]
 
     # -- serialization ------------------------------------------------------
 
@@ -192,11 +213,12 @@ class GFMatrix:
 
 def bordered(M: GFMatrix, left=None, right=None) -> GFMatrix:
     """[left*I_b | M | right*1], omitting absent parts; b = rows of M."""
-    parts = []
+    b, cols = M.rows, M.cols
+    start = 0 if left is None else b
+    out = np.zeros((b, start + cols + (right is not None)), dtype=np.int64)
     if left is not None:
-        parts.append(GFMatrix.identity(M.field, M.rows, scale=left).a)
-    parts.append(M.a)
+        np.fill_diagonal(out, _scalar_code(M.field, left))
+    out[:, start:start + cols] = M.a
     if right is not None:
-        code = _scalar_code(M.field, right)
-        parts.append(np.full((M.rows, 1), code, dtype=np.int64))
-    return GFMatrix(M.field, np.hstack(parts))
+        out[:, -1] = _scalar_code(M.field, right)
+    return GFMatrix._unchecked(M.field, out)

@@ -6,7 +6,8 @@ double-counting identity ties the entries back to raw block intersections;
 build checks that identity before it returns, so every orbit matrix is a
 certificate, not an assumption.
 
-build reads only the incidence. Each generator's block action comes from
+build reads only the incidence, and a design keeps the orbit matrix it
+built for each tuple of generators. Each generator's block action comes from
 the incidence's columns gathered by its inverse, packed to bytes and
 matched to the design's packed rows by stable sorts, so the c-th copy of a
 repeated block goes to the c-th copy of its image. The counts, their
@@ -57,7 +58,8 @@ class OrbitMatrix:
     __slots__ = ("entries", "point_orbits", "block_orbits")
 
     def __init__(self, entries, point_orbits, block_orbits):
-        self.entries = np.asarray(entries, dtype=np.int64)
+        self.entries = np.array(entries, dtype=np.int64)
+        self.entries.setflags(write=False)
         self.point_orbits = tuple(tuple(o) for o in point_orbits)
         self.block_orbits = tuple(tuple(o) for o in block_orbits)
 
@@ -124,11 +126,14 @@ def _indicator(orbits, size: int) -> np.ndarray:
 def build(D: Design, H: PermGroup) -> OrbitMatrix:
     """Orbit matrix of D under H. H must act on D's points and map blocks
     to blocks (checked per generator); orbits are sorted fixed-first, then
-    by least element."""
+    by least element. The design keeps the orbit matrix of each generator
+    tuple it was built for, so a second call returns the same object."""
     validate(D)
     if H.degree != D.v:
         raise NotAnAutomorphismGroup(
             f"group degree {H.degree} != point count {D.v}")
+    if (OM := D._orbit_matrices.get(H.generators)) is not None:
+        return OM
     block_group = PermGroup(D.b, [Perm(p.tolist()) for p in _block_action(D, H)])
     point_orbits = sorted(H.point_orbits(), key=_orbit_sort_key)
     block_orbits = sorted(block_group.point_orbits(), key=_orbit_sort_key)
@@ -142,9 +147,9 @@ def build(D: Design, H: PermGroup) -> OrbitMatrix:
     if bad.any():
         raise IllDefinedEntry(
             f"block orbit {(Q @ bad).argmax()} has non-constant point-orbit counts")
-    entries = entries.astype(np.int64)
     OM = OrbitMatrix(entries, point_orbits, block_orbits)
     _certify(M, OM)
+    D._orbit_matrices[H.generators] = OM
     return OM
 
 

@@ -330,5 +330,5 @@ def test_criterion_11_self_dual_contract():
         assert rep.self_dual
         F = rep.field
         dual = null_space_naive(rep.code.generator.a.tolist(), F.p, F.l, F.modulus)
-        assert GFMatrix(F, dual).row_space_equals(rep.code.basis())
+        assert GFMatrix(F, dual).rref()[0] == rep.code.basis().rref()[0]
     _pass(11, f"{len(instances)} claimed self-dual codes verify C = C-dual")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from socodes import designs
+from socodes import constructions, designs
 from socodes.analysis import Exact, is_self_orthogonal, min_distance
 from socodes.constructions import (
     ConstructionReport, NonConstantProfile, NotWSO,
@@ -308,7 +308,7 @@ def test_om_binary_trivial_group_reduces_to_incidence():
     rep = from_orbitmatrix_binary(PAIRS, trivial(4))
     ri = from_incidence_binary(PAIRS)
     assert rep.theorem == "T3.1.bin"
-    assert rep.code.generator.row_space_equals(ri.code.generator)
+    assert rep.code.generator.rref()[0] == ri.code.generator.rref()[0]
 
 
 def test_om_binary_rejects_mixed_point_orbits():
@@ -482,7 +482,7 @@ def test_om_q2_matches_binary():
         rb = from_orbitmatrix_binary(D, H)
         rq = from_orbitmatrix_q(D, H, 2)
         assert rq.field.q == 2
-        assert rb.code.generator.row_space_equals(rq.code.generator)
+        assert rb.code.generator.rref()[0] == rq.code.generator.rref()[0]
 
 
 def test_om_profile_q_selector():
@@ -751,6 +751,43 @@ def test_fixed_q_rejects_nonconstant_profile():
 
 # ------------------------------------------------------- report contract
 
+# _finish's three self-checks, each handed a wrong value by one patched step
+
+
+def test_finish_rejects_a_generator_that_is_not_self_orthogonal(monkeypatch):
+    # SING3 takes [I | I]; a right border of 1 adds J to the zero Gram 2I
+    monkeypatch.setattr(constructions, "_borders",
+                        lambda a, d, w, p: (("-a", 1), ("-d", 1)))
+    with pytest.raises(ArithmeticError,
+                       match=r"^T2\.1\.3: generator rows are not self-orthogonal$"):
+        from_incidence_binary(SING3)
+
+
+def test_finish_rejects_an_identity_border_that_lost_rank(monkeypatch):
+    # REP2's two equal rows have rank 1 and a zero Gram; a left scalar of 0
+    # borders them with a zero block, which keeps both the Gram and the rank
+    monkeypatch.setattr(constructions, "_borders",
+                        lambda a, d, w, p: (("d", 0), None))
+    with pytest.raises(ArithmeticError,
+                       match=r"^T2\.1\.1: identity-bordered generator lost rank$"):
+        from_incidence_binary(REP2)
+
+
+def test_finish_rejects_a_claimed_self_duality_that_fails(monkeypatch):
+    # SING3's [I | I] is self-dual; one more zero column keeps the Gram and
+    # the rank, so only 2k = n fails
+    real = constructions.bordered
+
+    def widened(M, left=None, right=None):
+        return GFMatrix(M.field, np.hstack([real(M, left, right).a,
+                                            np.zeros((M.rows, 1), dtype=np.int64)]))
+
+    monkeypatch.setattr(constructions, "bordered", widened)
+    with pytest.raises(ArithmeticError,
+                       match=r"^T2\.1\.3: claimed self-duality does not hold$"):
+        from_incidence_binary(SING3)
+
+
 def test_each_entry_point_validates_its_design_once(monkeypatch):
     # one validation names the design and gates its profile; an orbit
     # matrix's build checks its own input once more
@@ -786,7 +823,7 @@ def test_report_text_block():
     assert lines[3] == "code [4,2,?]_5"
     M = GFMatrix.from_text("\n".join(lines[4:]))
     assert M.field.q == 5
-    assert M.row_space_equals(rep.code.generator)
+    assert M.rref()[0] == rep.code.generator.rref()[0]
     assert (M.a == rep.code.generator.a).all()
 
 
@@ -816,10 +853,10 @@ def test_self_dual_flag_matches_null_space():
 
     for rep in flagged:
         assert rep.self_dual
-        assert dual(rep).row_space_equals(rep.code.generator)
+        assert dual(rep).rref()[0] == rep.code.generator.rref()[0]
     unflagged = from_incidence_binary(TRI)
     assert not unflagged.self_dual
-    assert not dual(unflagged).row_space_equals(unflagged.code.generator)
+    assert dual(unflagged).rref()[0] != unflagged.code.generator.rref()[0]
 
 
 def brute_force_so(code):

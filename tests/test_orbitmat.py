@@ -93,12 +93,31 @@ def test_repeated_block_with_fewer_copies_of_its_image():
 def test_constancy_check_fires_on_a_wrong_block_action(monkeypatch):
     # blocks 0 and 3 of SYN12 meet the point orbits as [2,1,1,0] and
     # [1,1,0,2]; a block action that swaps them puts both in one orbit,
-    # the last in fixed-first order
+    # the last in fixed-first order; a fresh copy of SYN12 keeps no orbit
+    # matrix from an earlier build
     monkeypatch.setattr(orbitmat, "_block_action",
                         lambda D, H: [np.array([3, 1, 2, 0, 4, 5, 6, 7, 8])])
     with pytest.raises(IllDefinedEntry, match=r"^block orbit 7 has "
                        r"non-constant point-orbit counts$"):
-        build(SYN12, SYN12_GROUP)
+        build(Design(12, SYN12_BLOCKS), SYN12_GROUP)
+
+
+def test_a_design_keeps_one_orbit_matrix_per_generator_tuple():
+    D = Design(12, SYN12_BLOCKS)
+    OM = build(D, SYN12_GROUP)
+    # the same generators in a new group find the kept matrix
+    assert build(D, PermGroup(12, SYN12_GROUP.generators)) is OM
+    assert fixed_split(D, SYN12_GROUP, 3, 1)[1].base is OM.entries
+    other = build(D, trivial(12))
+    assert other is not OM and np.array_equal(other.entries, D.incidence)
+    with pytest.raises(ValueError, match="read-only"):
+        OM.entries[0, 0] = 5
+    # a failed build keeps nothing and fails again
+    H = PermGroup(12, [Perm.from_cycles(12, [(0, 1)])])
+    for _ in range(2):
+        with pytest.raises(NotAnAutomorphismGroup):
+            build(D, H)
+    assert list(D._orbit_matrices) == [SYN12_GROUP.generators, ()]
 
 
 @st.composite
