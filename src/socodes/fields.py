@@ -144,6 +144,15 @@ def _packing(K: int, l: int, p: int) -> tuple:
         s -= 1
 
 
+def _is_transpose(a, b) -> bool:
+    """Whether the array b is a view of the array a transposed: the same
+    data, shape and strides reversed."""
+    return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+            and a.dtype == b.dtype and b.shape == a.shape[::-1]
+            and b.strides == a.strides[::-1]
+            and b.__array_interface__["data"][0] == a.__array_interface__["data"][0])
+
+
 class Field:
     """GF(p^l), reduced modulo ``default_modulus(p, l)``.
 
@@ -227,6 +236,8 @@ class Field:
 
     def dot(self, a, b) -> np.ndarray:
         """Matrix product of code arrays of shapes (m, K) and (K, n), as int64.
+        When b is a view of a transposed (a Gram product, ``GFMatrix.gram``),
+        a is converted once and read both ways.
 
         The entries must already be codes in [0, q); they are not checked.
         Every coefficient of an entry is a sum of at most K*l products of
@@ -239,11 +250,13 @@ class Field:
         if K * (p - 1) ** 2 >= 2 ** 53:
             raise AssertionError(f"sums of {K} products over GF({p}) "
                                  "are not exact in float64")
+        gram = _is_transpose(a, b)
         if l == 1:
             # the sums are exact integers: reduce them as int64, whose % is
             # many times faster than float fmod on large values
-            out = (np.asarray(a, dtype=np.float64)
-                   @ np.asarray(b, dtype=np.float64)).astype(np.int64)
+            fa = np.asarray(a, dtype=np.float64)
+            fb = fa.T if gram else np.asarray(b, dtype=np.float64)
+            out = (fa @ fb).astype(np.int64)
             np.remainder(out, p, out=out)
             return out
         s, e = _packing(K, l, p)
@@ -251,7 +264,8 @@ class Field:
         weights = 2.0 ** (e * np.arange(s))
         pack = [self._digits[:, j:j + s] @ weights[:min(s, l - j)]
                 for j in range(0, l, s)]
-        A, B = [t[a] for t in pack], [t[b] for t in pack]
+        A = [t[a] for t in pack]
+        B = [Ag.T for Ag in A] if gram else [t[b] for t in pack]
         shifts = e * np.arange(2 * s - 1)[:, None, None]
         mask = (1 << e) - 1
         if len(pack) == 1:

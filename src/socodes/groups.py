@@ -21,12 +21,15 @@ everything:
   labels descend it once, and the elements are the transversal products,
   built in numpy. Level 1 gives point stabilizers, other points relabelled.
 - ``PermGroup.induced(objects, act)`` gives the generators acting on the
-  positions of a list of objects they permute: the action on k-subsets.
+  positions of a list of distinct objects they permute: the action on
+  k-subsets.
 
 Only ``enumerate`` and ``element_of_order`` list elements; orbits, order,
 membership, stabilizers, coset labels and the derived subgroup read a chain.
-``element_of_order`` walks each listed element's cycles only until one
-has a length that does not divide the order asked for.
+The listing is one sorted array of images, order x degree bytes up to
+degree 256, and a ``Perm`` is made only for an element that is read.
+``element_of_order`` walks each row's cycles only until one has a length
+that does not divide the order asked for.
 
 Points are 0-based everywhere internally; the group file format uses the
 1-based convention of the literature and is converted at the I/O boundary.
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
+from collections.abc import Sequence
 from itertools import combinations
 from math import comb, lcm, prod
 
@@ -348,11 +352,11 @@ def _element_rows(n: int, levels) -> np.ndarray:
     """All products of the transversals, one row of images per element,
     sorted lexicographically.
 
-    Rows take the smallest unsigned type that holds n - 1, one byte per
-    image up to degree 256, so that listing the elements costs little more
-    memory than the Perm objects it makes. On a kept chain, columns 0..b of
-    its last base point b tell every row apart, and no fewer do (the last
-    level fixes every point below b), so they are the sort keys.
+    This array is the listing ``enumerate`` keeps. Rows take the smallest
+    unsigned type that holds n - 1, one byte per image up to degree 256,
+    so the listing costs order x degree bytes. On a kept chain, columns
+    0..b of its last base point b tell every row apart, and no fewer do
+    (the last level fixes every point below b), so they are the sort keys.
     """
     dtype = np.min_scalar_type(max(n - 1, 0))
     rows = np.arange(n, dtype=dtype)[None, :]
@@ -362,6 +366,35 @@ def _element_rows(n: int, levels) -> np.ndarray:
     if levels:
         rows = rows[np.lexsort(rows[:, :levels[-1][0] + 1].T[::-1])]
     return rows
+
+
+def _row_lists(rows: np.ndarray, size: int):
+    """The rows of a 2-D array as lists of Python ints, converted size rows
+    at a time, so that no second copy of the whole array is held."""
+    for start in range(0, len(rows), size):
+        yield from rows[start:start + size].tolist()
+
+
+class _Elements(Sequence):
+    """A group's elements, read-only, over the sorted array of image rows
+    ``_element_rows`` builds; an element becomes a Perm when it is read."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i) -> Perm:
+        # numpy raises the IndexError past either end
+        return _perm(tuple(self.rows[operator.index(i)].tolist()))
+
+    def __iter__(self):
+        # 512 rows at a time: a whole-array tolist() would hold a second
+        # copy of every image as a Python list while the Perms are made
+        return (_perm(tuple(images)) for images in _row_lists(self.rows, 512))
 
 
 class PermGroup:
@@ -385,16 +418,14 @@ class PermGroup:
             self._chain = _schreier_sims(self.degree, [g.images for g in self.generators])
         return self._chain
 
-    def enumerate(self) -> tuple:
+    def enumerate(self) -> Sequence:
         """Every element, sorted by image tuple: the products of the kept
-        chain's transversals. Raises OrderExceedsCap above DEFAULT_CAP."""
+        chain's transversals, kept as one array of order x degree bytes (up
+        to degree 256). The same read-only sequence is returned on every
+        call; each Perm is made when it is read. Raises OrderExceedsCap
+        above DEFAULT_CAP before anything is listed."""
         if self._elements is None:
-            rows = _element_rows(self.degree, self._stabilizer_chain())
-            # 512 rows at a time: a whole-array tolist() would hold a second
-            # copy of every image as a Python list while the Perms are made
-            self._elements = tuple(_perm(tuple(images))
-                                   for start in range(0, len(rows), 512)
-                                   for images in rows[start:start + 512].tolist())
+            self._elements = _Elements(_element_rows(self.degree, self._stabilizer_chain()))
         return self._elements
 
     @property
@@ -490,24 +521,20 @@ class PermGroup:
     # -- derived actions ----------------------------------------------------
 
     def induced(self, objects, act) -> "PermGroup":
-        """Action of the generators on the positions of objects, where
-        act(g, x) is the image of x under g.
+        """Action of the generators on the positions of distinct objects,
+        where act(g, x) is the image of x under g.
 
-        The copies of a repeated object go to the copies of its image in
-        index order. Raises NotInvariant naming the first generator that
-        maps an object outside the list (or onto more copies than it has).
+        A repeated object is a ValueError. Raises NotInvariant naming the
+        first generator that maps an object outside the list.
         """
         objects = list(objects)
-        slots: dict = {}
+        position: dict = {}
         for i, x in enumerate(objects):
-            slots.setdefault(x, []).append(i)
+            if position.setdefault(x, i) != i:
+                raise ValueError(f"object {x!r} is repeated")
         gens = []
-        exhausted = iter(())
         for g in self.generators:
-            # each object's queue hands out its copies in index order; None
-            # marks an image that is not in the list or has no copy left
-            queues = {x: iter(idxs) for x, idxs in slots.items()}
-            images = [next(queues.get(act(g, x), exhausted), None) for x in objects]
+            images = [position.get(act(g, x)) for x in objects]
             if None in images:
                 raise NotInvariant(g)
             gens.append(Perm(images))
@@ -548,10 +575,13 @@ class PermGroup:
                                      for s in self.generators])
 
     def element_of_order(self, t: int):
-        """First element of order t in sorted element order, or None."""
-        for g in self.enumerate():
-            if _has_order(g.images, t):
-                return g
+        """The least element of order t in sorted element order, or None.
+
+        The listing's rows are read 8 at a time, since the first hit comes
+        early; only the element returned is made a Perm."""
+        for images in _row_lists(self.enumerate().rows, 8):
+            if _has_order(images, t):
+                return _perm(tuple(images))
         return None
 
     def derived_subgroup(self) -> "PermGroup":

@@ -262,6 +262,9 @@ def test_dot_matches_oracle(args):
     assert out.dtype == np.int64 and out.shape == (a.shape[0], b.shape[1])
     assert out.tolist() == oracles.matmul_naive(a.tolist(), b.T.tolist(),
                                                 F.p, F.l, F.modulus)
+    # a Gram product: b is a view of a transposed, and a is converted once
+    assert F.dot(a, a.T).tolist() == oracles.matmul_naive(a.tolist(), a.tolist(),
+                                                          F.p, F.l, F.modulus)
 
 
 def test_dot_exact_at_the_column_cap():

@@ -109,7 +109,7 @@ def test_cyclic_group_order():
 def test_trivial_group():
     G = PermGroup(4, [])
     assert G.order == 1
-    assert G.enumerate() == (Perm.identity(4),)
+    assert tuple(G.enumerate()) == (Perm.identity(4),)
 
 
 def test_m11_order():
@@ -163,7 +163,7 @@ def test_enumeration_cap(monkeypatch):
     with pytest.raises(OrderExceedsCap):
         PermGroup(3, []).enumerate()
     monkeypatch.setattr(groups, "DEFAULT_CAP", 1)
-    assert PermGroup(3, []).enumerate() == (Perm.identity(3),)
+    assert tuple(PermGroup(3, []).enumerate()) == (Perm.identity(3),)
 
 
 # sha256 of the little-endian uint16 image rows of each shipped action's
@@ -188,6 +188,53 @@ def test_m11_elements_from_chain_match_closure(degree):
     rows = np.asarray([g.images for g in G.enumerate()], dtype="<u2")
     assert hashlib.sha256(rows.tobytes()).hexdigest() == M11_ELEMENT_DIGESTS[degree]
     assert all(type(x) is int for x in G.enumerate()[-1].images)
+
+
+def test_listing_is_a_read_only_sequence():
+    G = PermGroup(11, M11_GENS)
+    elements = G.enumerate()
+    assert G.enumerate() is elements
+    assert len(elements) == 7920
+    assert elements[0] == Perm.identity(11)
+    assert elements[-1] == elements[7919] and elements[-7920] == elements[0]
+    for i in (7920, -7921):
+        with pytest.raises(IndexError):
+            elements[i]
+    assert list(elements) == [elements[i] for i in range(7920)]
+    assert all(type(x) is int for x in elements[-1].images)
+
+
+def test_listing_keeps_one_array_of_order_times_degree_bytes():
+    # the chain is built before the trace; a tuple of Perms once kept about
+    # 8.5 times the array's size and peaked at about 10 times
+    G = PermGroup(165, m11_degree(165).generators)
+    size = G.order * G.degree
+    tracemalloc.start()
+    try:
+        elements = G.enumerate()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(elements) == 7920
+    assert kept <= size + 64 * 1024, kept
+    assert peak <= 3 * size, peak
+
+
+def test_element_of_order_makes_only_the_perm_it_returns(monkeypatch):
+    # the listing itself makes none
+    G = PermGroup(165, m11_degree(165).generators)
+    made = []
+    real = groups._perm
+
+    def perm(images):
+        made.append(images)
+        return real(images)
+
+    monkeypatch.setattr(groups, "_perm", perm)
+    g = G.element_of_order(11)
+    assert g.order() == 11 and made == [g.images]
+    made.clear()
+    assert G.element_of_order(7) is None and made == []
 
 
 def test_over_cap_raises_before_listing():
@@ -464,16 +511,16 @@ def test_chain_is_built_by_one_schreier_sims_call(monkeypatch):
 
 @st.composite
 def induced_cases(draw):
-    """A small transitive group, a subset size k, and a list of point sets
-    made of whole set orbits, some of them repeated, in random order and
-    sometimes with its last set dropped."""
+    """A small transitive group, a subset size k, and a list of distinct
+    point sets made of whole set orbits, in random order and sometimes with
+    its last set dropped."""
     G = draw(small_transitive_groups())
     k = draw(st.integers(0, min(3, G.degree)))
-    blocks = []
+    blocks = {}
     for _ in range(draw(st.integers(1, 3))):
         delta = draw(st.sets(st.integers(0, G.degree - 1), min_size=1))
-        blocks += _rows(G.set_orbit(delta)) * draw(st.integers(1, 2))
-    blocks = draw(st.permutations(blocks))
+        blocks.update(dict.fromkeys(_rows(G.set_orbit(delta))))
+    blocks = draw(st.permutations(list(blocks)))
     if draw(st.booleans()):
         blocks = blocks[:-1]
     return G, k, blocks
@@ -503,13 +550,16 @@ def test_induced_matches_naive(case):
         assert g.cycle_type() == cycle_type_naive(g.images)
 
 
-def test_induced_repeated_objects_in_index_order():
-    # the copies of a repeated object go to the copies of its image in order
+def test_induced_rejects_repeated_objects():
+    # copies of a repeated object were once sent to the copies of its image
+    # in index order; objects are positions now, so a repeat is rejected
     G = PermGroup(3, [Perm((1, 2, 0))])
     blocks = [(0,), (1,), (0,), (2,), (1,), (2,)]
-    assert G.induced(blocks, Perm.apply_set).generators[0].images == (1, 3, 4, 0, 5, 2)
+    with pytest.raises(ValueError, match=r"^object \(0,\) is repeated$"):
+        G.induced(blocks, Perm.apply_set)
+    assert G.induced([(2,), (0,), (1,)], Perm.apply_set).generators[0].images == (1, 2, 0)
     with pytest.raises(NotInvariant, match=r"generator Perm\(0 1 2\)"):
-        G.induced(blocks[:-1], Perm.apply_set)
+        G.induced(blocks[:2], Perm.apply_set)
 
 
 def test_ksubset_action_s3():

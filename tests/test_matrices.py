@@ -1,6 +1,7 @@
 """Dense exact linear algebra over GF(p^l): rank, Gram, borders."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -69,6 +70,21 @@ def test_gram_symmetric():
         assert np.array_equal(G.a, G.a.T)
 
 
+def test_gram_converts_its_matrix_once():
+    # M M^T reads one float64 copy of M both ways; a second, transposed copy
+    # once added b x n x 8 bytes to the scratch of every Gram check
+    M = rand_matrix(GF2, 165, 331, 4)
+    b, n = M.a.shape
+    tracemalloc.start()
+    try:
+        G = M.gram()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G == M @ GFMatrix(GF2, M.a.T.copy())
+    assert peak <= 8 * (b * n + 2 * b * b) + 64 * 1024, peak
+
+
 # every proper extension field with q <= 81, degrees 2 through 6
 EXTENSION_FIELDS = [Field(p, l) for p in (2, 3, 5, 7) for l in range(2, 7) if p ** l <= 81]
 
@@ -84,6 +100,8 @@ def test_matmul_matches_naive():
             B = rand_matrix(field, inner, cols, 2)
             want = oracles.matmul_naive(A.a.tolist(), B.a.T.tolist(), p, l, m)
             assert (A @ B).a.tolist() == want, (field, rows, inner, cols)
+            gram = oracles.matmul_naive(A.a.tolist(), A.a.tolist(), p, l, m)
+            assert A.gram().a.tolist() == gram, (field, rows, inner)
     # operands that are all q - 1 fill every packed field of dot to its
     # largest sum, at the inner dimensions K on each side of the point where
     # the digit group s falls below l (None: any s < l); over GF(61^2) and
@@ -101,6 +119,7 @@ def test_matmul_matches_naive():
         # K terms of top * top sum to (K mod p) * top * top
         want = oracles.field_mul_naive(oracles.field_mul_naive(top, top, p, l, m), K % p, p, l, m)
         assert (A @ B).a.tolist() == [[want] * 3] * 2, (field, K)
+        assert A.gram().a.tolist() == [[want] * 2] * 2, (field, K)
 
 
 def _widest_full_group(field) -> int:
