@@ -47,6 +47,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .matrices import GFMatrix
+from .records import SelfCheckFailed
 
 DEFAULT_BUDGET = 2 ** 26
 # codeword entries per chunk of encoded messages
@@ -221,11 +222,11 @@ def min_distance(C: LinearCode, budget: int = DEFAULT_BUDGET):
         return Unknown()
     d, word = _lightest_word(C)
     if (weight := np.count_nonzero(word)) != d:
-        raise AssertionError(f"witness of weight {weight} claimed as weight {d}")
+        raise SelfCheckFailed(f"witness of weight {weight} claimed as weight {d}")
     # an RREF is the identity on its pivots, so a codeword is the sum of its
     # pivot entries times the basis rows
     B, pivots = C.generator.rref()
     if not np.array_equal(word, C.field.dot(word[None, list(pivots)], B.a)[0]):
-        raise AssertionError(f"witness of weight {d} is not in the row space")
+        raise SelfCheckFailed(f"witness of weight {d} is not in the row space")
     C.witness, C.d = GFMatrix(C.field, word[None, :]), Exact(d)
     return C.d

@@ -7,9 +7,12 @@ to a generator file or ``m11:<degree>`` for the shipped M11 actions.
 Exit codes: 0 ok, 1 usage or input-file problem, 2 mathematical
 precondition failure (wrong orbit profile, non-constant intersection
 residues, forced theorem mismatch, budget exceeded, ...), 3 table
-reproduction mismatch, 141 stdout closed before the output was written
-(``socodes ... | head -1``; 128 + SIGPIPE, as a shell reports a process a
-broken pipe ended), with nothing on stderr.
+reproduction mismatch, 4 failed self-check (a result contradicts the theory
+it rests on, so the program is at fault: a report's Gram, rank or
+self-duality, a searched design's predicted profile, a distance witness;
+one ``self-check failed:`` line on stderr), 141 stdout closed before the
+output was written (``socodes ... | head -1``; 128 + SIGPIPE, as a shell
+reports a process a broken pipe ended), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from .analysis import LinearCode, display, is_self_dual, is_self_orthogonal
 from .analysis import DEFAULT_BUDGET, min_distance
@@ -42,7 +46,7 @@ from .groups import PermGroup, format_group_text, parse_group_text
 from .m11 import DEGREES, m11_degree
 from .matrices import GFMatrix
 from .orbitmat import build, fixed_split, format_orbit_matrix_text
-from .records import format_records
+from .records import SelfCheckFailed, format_records
 from .tables import TABLES, check_table
 
 
@@ -286,7 +290,9 @@ def cmd_reproduce(args) -> int:
 _NO_ARTIFACT = {"group": ("info", "orbits"), "design": ("search", "classify")}
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The one parser of a process; parse_args keeps no state between calls."""
     top = _Parser(prog="socodes", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -372,6 +378,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
+    except SelfCheckFailed as e:
+        print(f"self-check failed: {e}", file=sys.stderr)
+        return 4
     except (ValueError, ArithmeticError, RuntimeError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

@@ -31,7 +31,7 @@ never extends, since squaring is a bijection there.
 Reports are hard-checked on the way out: the generator's gram matrix must
 vanish, identity-bordered generators must have full row rank, and claimed
 self-dualities must actually hold. Those are consequences of the theorems,
-so a failure raises ArithmeticError rather than returning a bad code.
+so a failure raises SelfCheckFailed rather than returning a bad code.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .fields import Field, field_for_order
 from .groups import PermGroup
 from .matrices import GFMatrix, bordered
 from .orbitmat import BadOrbitProfile, build, fixed_split
-from .records import _integers
+from .records import SelfCheckFailed, _integers
 
 
 class NotWSO(ValueError):
@@ -118,14 +118,14 @@ def _finish(source: str, tag: str, F: Field, left, right,
     c_right = None if right is None else int(F.sqrt(F.from_int(right[1])))
     gen = bordered(GFMatrix.from_int(F, base), left=c_left, right=c_right)
     if not gen.gram().is_zero():
-        raise ArithmeticError(f"{tag}: generator rows are not self-orthogonal")
+        raise SelfCheckFailed(f"{tag}: generator rows are not self-orthogonal")
     code = LinearCode(gen)
     if c_left is not None and code.k != gen.rows:
-        raise ArithmeticError(f"{tag}: identity-bordered generator lost rank")
+        raise SelfCheckFailed(f"{tag}: identity-bordered generator lost rank")
     sd = 2 * code.k == gen.cols
     claim = left is not None and right is None and base.shape[0] == base.shape[1]
     if claim and not sd:
-        raise ArithmeticError(f"{tag}: claimed self-duality does not hold")
+        raise SelfCheckFailed(f"{tag}: claimed self-duality does not hold")
     return ConstructionReport(source, tag, F, c_left, c_right, code, sd, reason)
 
 

@@ -38,7 +38,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .groups import DEGREE_CAP, NotTransitive, PermGroup, _transversal
-from .records import _integers, format_records, read_records
+from .records import SelfCheckFailed, _integers, format_records, read_records
 
 
 class NonConstantBlockSize(ValueError):
@@ -335,7 +335,7 @@ def wso_search(G: PermGroup, alpha: int, p: int = 2) -> list:
             prof = intersection_profile(D, p)
             want = (int(k[u]) % p, int(lo[u]))
             if (prof.a, prof.d) != want:
-                raise ArithmeticError(
+                raise SelfCheckFailed(
                     f"orbit union {choice}: developed profile (a, d) = "
                     f"{(prof.a, prof.d)}, predicted {want}")
             hits.append(SearchHit(choice, D, prof))

@@ -11,7 +11,10 @@ everything:
   whose objects are large, run the same search in numpy instead
   (``PermGroup.set_orbit``): each layer is a 0/1 array of sets, its
   images under every generator are one gather, and the orbit is a point
-  array, one ascending row per set, as ``Design`` takes it.
+  array, one ascending row per set, as ``Design`` takes it. The sets of
+  one orbit have one size, so their ascending point tuples sort in the
+  reverse order of their packed big-endian indicator bytes, the keys the
+  search already keeps: the orbit's order is one sort of those keys.
   ``_transversal`` runs it once from a point with a Schreier vector and
   multiplies out only the elements that reach the points asked for.
 - ``_schreier_sims``, incremental Schreier-Sims, gives a base and, per
@@ -492,8 +495,14 @@ class PermGroup:
         A breadth-first search by layers on 0/1 indicator rows: the image
         of a set under g is its row gathered by g's inverse, one gather for
         the whole frontier and every generator; a row is new unless its
-        packed bytes were seen. The orbit is sorted by one lexsort of its
-        rows' point indices.
+        packed bytes, a slice of the layer's one ``packbits``, were seen.
+
+        Every set of the orbit has |delta| points, so sorting by the packed
+        keys, descending, sorts the point tuples ascending: at the first
+        point where two sets differ, the one that holds it has the smaller
+        tuple and, with that bit set, the larger big-endian key. The points
+        are read once from the stacked layers and reordered by those keys;
+        the n-wide rows are never reordered.
         """
         n = self.degree
         points = _integers(delta, "points", -1)
@@ -505,18 +514,22 @@ class PermGroup:
         start[0, points] = True
         gens = self.generators
         inverses = np.argsort(np.reshape([g.images for g in gens], (len(gens), n)))
-        seen = {np.packbits(start).tobytes()}
+        keys = [np.packbits(start).tobytes()]
+        seen, width = set(keys), len(keys[0])
         layers = [start]
         while len(layers[-1]):
             images = layers[-1][:, inverses].reshape(-1, n)
+            packed = np.packbits(images, axis=1).tobytes()
             fresh = []
-            for i, key in enumerate(map(bytes, np.packbits(images, axis=1))):
-                if key not in seen:
+            for i in range(len(images)):
+                if (key := packed[i * width:(i + 1) * width]) not in seen:
                     seen.add(key)
+                    keys.append(key)
                     fresh.append(i)
             layers.append(images[fresh])
-        sets = np.nonzero(np.concatenate(layers))[1].reshape(-1, np.count_nonzero(start))
-        return sets[np.lexsort(sets.T[::-1])].astype(np.int64, copy=False)
+        points = np.flatnonzero(np.concatenate(layers)) % n
+        order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+        return points.reshape(len(keys), -1)[order]
 
     # -- derived actions ----------------------------------------------------
 

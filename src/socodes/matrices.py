@@ -17,7 +17,8 @@ its (RREF, pivots), and an RREF it returns is its own RREF. Leading
 columns that are a scaled identity, the left border of every construction
 over GF(q), are scaled in one vector operation; the pivot loop runs on the
 field's unchecked elimination kernels, since the constructor has already
-checked every code.
+checked every code. Over GF(2) the elimination runs on a uint8 copy, one
+byte per entry, and only the kept rows return to int64 codes.
 """
 
 from __future__ import annotations
@@ -77,10 +78,6 @@ class GFMatrix:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def identity(cls, field: Field, n: int, scale=1) -> "GFMatrix":
-        return cls(field, np.eye(n, dtype=np.int64) * _scalar_code(field, scale))
-
-    @classmethod
     def from_int(cls, field: Field, entries) -> "GFMatrix":
         """Lift an ordinary integer matrix into the prime subfield."""
         return cls._unchecked(field, _rows(field.from_int(entries)))
@@ -101,9 +98,6 @@ class GFMatrix:
 
     def __repr__(self):
         return f"GFMatrix({self.rows}x{self.cols} over {self.field!r})"
-
-    def transpose(self) -> "GFMatrix":
-        return GFMatrix(self.field, self.a.T)
 
     def is_zero(self) -> bool:
         return not self.a.any()
@@ -140,7 +134,9 @@ class GFMatrix:
         them as they are) and the loop starts at row and column t. At pivot
         (r, c) rows r.. are zero left of c, so only the columns c.. are
         updated; over GF(2) every nonzero factor is 1 and adding codes is
-        XOR, so clearing is one in-place XOR. One boolean mask of column c
+        XOR, so clearing is one in-place XOR, on a uint8 working copy that
+        moves an eighth of the int64 bytes; the RREF returned holds int64
+        codes, as every matrix does. One boolean mask of column c
         per pivot gives both the pivot row (its first nonzero at or after r)
         and the rows to clear. The entries are codes the constructor
         checked, so the loop runs on the field's unchecked kernels.
@@ -150,7 +146,7 @@ class GFMatrix:
         if self._echelon is not None:
             return self._echelon
         F = self.field
-        R = self.a.copy()
+        R = self.a.astype(np.uint8 if F.q == 2 else np.int64)
         m = min(self.rows, self.cols)
         diag = R.diagonal()
         lone = (diag != 0) & (np.count_nonzero(R[:, :m], axis=0) == 1)
@@ -182,8 +178,8 @@ class GFMatrix:
                 R[nonzero, c:] = F._sub_mul(R[nonzero, c:], R[nonzero, c, None], R[r, c:])
             pivots.append(c)
             r += 1
-        E, pivots = GFMatrix._unchecked(F, R[:r]), tuple(pivots)
-        E._pivots = pivots
+        E = GFMatrix._unchecked(F, R[:r].astype(np.int64, copy=False))
+        E._pivots = pivots = tuple(pivots)
         self._echelon = E, pivots
         return self._echelon
 

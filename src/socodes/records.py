@@ -1,4 +1,5 @@
-"""Integer arguments and the line syntax of the group, design and matrix files.
+"""Integer arguments, the self-check error, and the line syntax of the
+group, design and matrix files.
 
 A file is one record per line. ``#`` starts a comment anywhere on a line,
 and a line that is blank once its comment is cut is skipped. The first
@@ -11,6 +12,13 @@ from __future__ import annotations
 import operator
 
 import numpy as np
+
+
+class SelfCheckFailed(AssertionError):
+    """A result failed a check that the theory behind it guarantees, so the
+    program is at fault, not its input: a report's Gram, rank or
+    self-duality, a searched design's predicted profile, or a distance
+    witness. The CLI exits with its own code for it."""
 
 
 def _integers(x, what: str, count: int | None = None):

@@ -23,6 +23,7 @@ from socodes.fields import Field
 from socodes.groups import PermGroup
 from socodes.m11 import m11_degree
 from socodes.matrices import GFMatrix
+from socodes.records import SelfCheckFailed
 
 from oracles import min_distance_naive, null_space_naive, rank_naive
 
@@ -83,7 +84,7 @@ def test_min_distance_zero_code_rejected():
 
 
 def test_min_distance_over_budget_unknown():
-    C = code(GFMatrix.identity(GF2, 8))
+    C = code(GFMatrix(GF2, np.eye(8, dtype=np.int64)))
     assert min_distance(C, budget=2 ** 6) == Unknown()
     assert min_distance(C, budget=2 ** 8) == Exact(1)
 
@@ -137,7 +138,8 @@ FIVE = GFMatrix(GF3, [[1, 1, 1, 1, 1], [0, 0, 0, 1, 1]])
 def test_min_distance_rejects_a_witness_of_another_weight(monkeypatch):
     # a codeword of weight 5 handed back as the lightest, weight 2
     monkeypatch.setattr(analysis, "_lightest_word", lambda C: (2, FIVE.a[0]))
-    with pytest.raises(AssertionError, match=r"^witness of weight 5 claimed as weight 2$"):
+    with pytest.raises(SelfCheckFailed,
+                       match=r"^witness of weight 5 claimed as weight 2$"):
         min_distance(code(FIVE))
 
 
@@ -146,7 +148,8 @@ def test_min_distance_rejects_a_witness_outside_the_code(monkeypatch):
     word = np.array([1, 1, 0, 0, 0])
     monkeypatch.setattr(analysis, "_lightest_word", lambda C: (2, word))
     C = code(FIVE)
-    with pytest.raises(AssertionError, match=r"^witness of weight 2 is not in the row space$"):
+    with pytest.raises(SelfCheckFailed,
+                       match=r"^witness of weight 2 is not in the row space$"):
         min_distance(C)
     assert C.witness is None and C.d == Unknown()
 
@@ -170,7 +173,7 @@ def test_min_distance_stops_once_the_bound_reaches_the_lightest_word():
 
 
 def test_min_distance_over_budget_keeps_no_witness():
-    C = code(GFMatrix.identity(GF3, 5))
+    C = code(GFMatrix(GF3, np.eye(5, dtype=np.int64)))
     assert min_distance(C, budget=3 ** 5 - 1) == Unknown()
     assert C.witness is None and C.d == Unknown()
 
@@ -302,7 +305,7 @@ def test_m11_22_odd_q_displays_pinned():
 
 
 def test_min_distance_budget_counts_q_to_the_k():
-    C = code(GFMatrix.identity(GF3, 6))
+    C = code(GFMatrix(GF3, np.eye(6, dtype=np.int64)))
     assert min_distance(C, budget=3 ** 6 - 1) == Unknown()
     assert min_distance(C, budget=3 ** 6) == Exact(1)
 
@@ -314,7 +317,7 @@ def test_min_distance_row_space_invariant():
 
 
 def test_self_orthogonal_and_dual_flags():
-    assert not is_self_orthogonal(code(GFMatrix.identity(GF2, 2)))
+    assert not is_self_orthogonal(code(GFMatrix(GF2, np.eye(2, dtype=np.int64))))
     row = code(GFMatrix(GF2, [[1, 1, 1, 1]]))
     assert is_self_orthogonal(row) and not is_self_dual(row)
     assert is_self_dual(code(H8))
@@ -343,7 +346,7 @@ def test_display_forms():
     assert display(C) == "[4,1,4]_2"
     C.d = LowerBound(3)
     assert display(C) == "[4,1,≥3]_2"
-    C9 = code(GFMatrix.identity(GF9, 2))
+    C9 = code(GFMatrix(GF9, np.eye(2, dtype=np.int64)))
     assert display(C9) == "[2,2,?]_9"
 
 

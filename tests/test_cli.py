@@ -12,11 +12,12 @@ from math import isqrt
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from socodes import fields
+from socodes import analysis, constructions, designs, fields
 from socodes.cli import main
-from socodes.designs import (INCIDENCE_CAP, Design, format_design_text,
+from socodes.designs import (INCIDENCE_CAP, Design, WSOProfile, format_design_text,
                              from_group_action, stabilizer_orbits)
 from socodes.groups import Perm, PermGroup, format_group_text
 from socodes.m11 import m11_degree
@@ -352,6 +353,36 @@ def test_code_nonconstant_profile_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "code", "from-design", str(penta), "--q", "3")
     assert code == 2
     assert "NonConstantProfile" in err
+
+
+# a failed self-check, one per surface, each handed a wrong value by one
+# patched step: exit 4 and one stderr line, nothing on stdout
+
+
+def test_report_self_check_failure_exits_4(capsys, monkeypatch, d2210):
+    # an all-ones column has a nonzero Gram over GF(2)
+    monkeypatch.setattr(constructions, "bordered", lambda M, left=None, right=None:
+                        GFMatrix(M.field, np.ones((M.rows, 1), dtype=np.int64)))
+    assert run(capsys, "code", "from-design", d2210) == (
+        4, "", "self-check failed: T2.1.1: generator rows are not self-orthogonal\n")
+
+
+def test_search_self_check_failure_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(designs, "intersection_profile",
+                        lambda D, p: WSOProfile(p, 1, 1))
+    assert run(capsys, "design", "search", "m11:22") == (
+        4, "", "self-check failed: orbit union (0,): developed profile "
+        "(a, d) = (1, 1), predicted (1, 0)\n")
+
+
+def test_witness_self_check_failure_exits_4(capsys, monkeypatch, tmp_path):
+    # [5, 2, 2]_3 handed back its weight-5 word as the lightest, weight 2
+    path = tmp_path / "five.mat"
+    path.write_text("2 5 3\n1 1 1 1 1\n0 0 0 1 1\n")
+    monkeypatch.setattr(analysis, "_lightest_word",
+                        lambda C: (2, np.ones(5, dtype=np.int64)))
+    assert run(capsys, "analyze", str(path)) == (
+        4, "", "self-check failed: witness of weight 5 claimed as weight 2\n")
 
 
 # ---------------------------------------------------------------- orbitmat

@@ -27,6 +27,7 @@ from socodes.groups import Perm, PermGroup
 from socodes.m11 import m11_degree
 from socodes.matrices import GFMatrix
 from socodes.orbitmat import BadOrbitProfile, OrbitMatrix
+from socodes.records import SelfCheckFailed
 
 from oracles import gram_naive, min_distance_naive, null_space_naive, rank_naive
 from strategies import small_transitive_groups
@@ -758,7 +759,7 @@ def test_finish_rejects_a_generator_that_is_not_self_orthogonal(monkeypatch):
     # SING3 takes [I | I]; a right border of 1 adds J to the zero Gram 2I
     monkeypatch.setattr(constructions, "_borders",
                         lambda a, d, w, p: (("-a", 1), ("-d", 1)))
-    with pytest.raises(ArithmeticError,
+    with pytest.raises(SelfCheckFailed,
                        match=r"^T2\.1\.3: generator rows are not self-orthogonal$"):
         from_incidence_binary(SING3)
 
@@ -768,7 +769,7 @@ def test_finish_rejects_an_identity_border_that_lost_rank(monkeypatch):
     # borders them with a zero block, which keeps both the Gram and the rank
     monkeypatch.setattr(constructions, "_borders",
                         lambda a, d, w, p: (("d", 0), None))
-    with pytest.raises(ArithmeticError,
+    with pytest.raises(SelfCheckFailed,
                        match=r"^T2\.1\.1: identity-bordered generator lost rank$"):
         from_incidence_binary(REP2)
 
@@ -783,7 +784,7 @@ def test_finish_rejects_a_claimed_self_duality_that_fails(monkeypatch):
                                             np.zeros((M.rows, 1), dtype=np.int64)]))
 
     monkeypatch.setattr(constructions, "bordered", widened)
-    with pytest.raises(ArithmeticError,
+    with pytest.raises(SelfCheckFailed,
                        match=r"^T2\.1\.3: claimed self-duality does not hold$"):
         from_incidence_binary(SING3)
 
@@ -868,7 +869,7 @@ def brute_force_so(code):
     msgs = GFMatrix(F, np.array(list(product(range(F.q), repeat=k)),
                                 dtype=np.int64))
     words = msgs @ B
-    return (words @ B.transpose()).is_zero()
+    return (words @ GFMatrix(F, B.a.T)).is_zero()
 
 
 def test_brute_force_self_orthogonality_small():
@@ -966,7 +967,7 @@ def random_group_cases(draw):
 @given(random_group_cases())
 def test_random_groups_every_entry_point_reports_or_rejects(case):
     # each entry point returns checked reports or raises a documented
-    # rejection; an ArithmeticError (a failed internal check) fails the test
+    # rejection; a SelfCheckFailed (a failed internal check) fails the test
     G, D, H, q, alpha = case
     assert G.order <= 24
     calls = [lambda: from_incidence_binary(D),

@@ -37,6 +37,7 @@ from socodes.fields import Field
 from socodes.matrices import GFMatrix
 from socodes.groups import NotTransitive, Perm, PermGroup
 from socodes.m11 import m11_degree
+from socodes.records import SelfCheckFailed
 from strategies import NON_INTEGERS, small_transitive_groups
 
 
@@ -411,7 +412,7 @@ def test_wso_search_checks_the_predicted_profile(monkeypatch):
     # a developed profile that is not the counted one is an internal fault
     monkeypatch.setattr(designs, "intersection_profile",
                         lambda D, p: WSOProfile(p, 1, 1))
-    with pytest.raises(ArithmeticError, match=r"^orbit union \(0,\): developed "
+    with pytest.raises(SelfCheckFailed, match=r"^orbit union \(0,\): developed "
                        r"profile \(a, d\) = \(1, 1\), predicted \(1, 0\)$"):
         wso_search(m11_degree(22), 0, 2)
 

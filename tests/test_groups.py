@@ -381,6 +381,22 @@ def test_orbits_leave_elements_unenumerated():
     assert M._elements is None
 
 
+def test_set_orbit_memory_is_a_few_indicator_rows_per_set():
+    # the regular action of C_2000: the orbit of {0, 1} is 2000 sets found
+    # one per layer, each an n-wide bool row, and no more than about two
+    # copies of those rows are held at once
+    n = 2000
+    G = PermGroup(n, [Perm.from_cycles(n, [tuple(range(n))])])
+    tracemalloc.start()
+    try:
+        orbit = G.set_orbit({0, 1})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert orbit.shape == (n, 2) and orbit[0].tolist() == [0, 1]
+    assert peak <= 2.5 * n * n, peak
+
+
 def test_chain_keeps_one_image_tuple_per_orbit_point():
     # the regular action of C_1000: one orbit of 1000 points, each with one
     # 1000-image representative (about 8 MB) and no stored inverse

@@ -24,7 +24,7 @@ from socodes.fields import ORDER_CAP, Field, field_for_order, prime_power
 from socodes.groups import (DEGREE_CAP, INDEX_CAP, KSUBSET_CAP, DegreeTooLarge,
                             Perm, PermGroup, format_group_text, parse_group_text)
 from socodes.m11 import m11_degree
-from socodes.matrices import COLS_CAP, GFMatrix
+from socodes.matrices import COLS_CAP, GFMatrix, bordered
 from socodes.orbitmat import fixed_split
 from socodes.records import format_records, read_records
 
@@ -301,7 +301,6 @@ INTEGER_ARGUMENTS = {
     "Field.from_int": (F9.from_int, 1),
     "GFMatrix": (lambda x: GFMatrix(F9, [[x, 2]]), 1),
     "GFMatrix.from_int": (lambda x: GFMatrix.from_int(F9, [[x, 2]]), 1),
-    "GFMatrix.identity": (lambda x: GFMatrix.identity(F9, 2, scale=x), 1),
     "Design.v": (lambda x: Design(x, [(0,)]), 1),
     "Design.blocks": (lambda x: Design(2, [(0, x)]), 1),
     "Design.blocks.array": (lambda x: Design(2, np.array([(0, x)])), 1),
@@ -331,6 +330,17 @@ def test_integer_arguments_are_integers_or_type_error(name):
     for integer in (np.int64, np.int32, np.uint8, bool):
         if integer is not bool or n == 1:
             assert call(integer(n)) == call(n)
+
+
+def test_bordered_reads_its_scalars_as_integers():
+    # the table above cannot hold it: a border of None is no border
+    for side in ("left", "right"):
+        for bad in [x for x in NON_INTEGERS if x is not None]:
+            with pytest.raises(TypeError, match="^scalar code must be integral$"):
+                bordered(GFMatrix(F9, [[2]]), **{side: bad})
+        for integer in (np.int64, np.int32, np.uint8, bool):
+            assert (bordered(GFMatrix(F9, [[2]]), **{side: integer(1)})
+                    == bordered(GFMatrix(F9, [[2]]), **{side: 1}))
 
 
 def test_field_for_order_keeps_one_field_per_order():
@@ -373,11 +383,11 @@ def test_from_cycles_reads_every_point_before_using_it():
     (lambda: M11.set_orbit((0.5, 1.9)), "points must be integral"),
     (lambda: from_group_action(M11, 0, (1.5,)), "orbit indices must be integral"),
     (lambda: wso_search(M11, 0, 2.5), "p must be integral"),
-    (lambda: GFMatrix.identity(F9, 2, scale=1.7), "scalar code must be integral"),
+    (lambda: bordered(GFMatrix(F9, [[2]]), left=1.7), "scalar code must be integral"),
 ])
 def test_non_integers_are_not_truncated(call, message):
     # each was once read by int(): (0 1), the orbit of {0, 1}, orbit 1,
-    # a profile with p=2.5, and the identity
+    # a profile with p=2.5, and the left border
     with pytest.raises(TypeError) as e:
         call()
     assert str(e.value) == message

@@ -12,6 +12,8 @@ import sys
 
 import pytest
 
+from socodes.designs import INCIDENCE_CAP
+
 _LIMITED_CLI = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -37,3 +39,15 @@ def test_search_on_a_regular_cyclic_group(tmp_path):
     lines = proc.stdout.splitlines()
     assert len(lines) == 766
     assert all(line.startswith("Case") for line in lines)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is tested on Linux only")
+def test_design_build_on_a_regular_cyclic_group_stops_at_the_incidence_cap(tmp_path):
+    # the union of the trivial stabilizer's orbits {0} and {1} develops into
+    # 2000 blocks on 2000 points, whose incidence the cap refuses
+    grp = tmp_path / "c2000.grp"
+    grp.write_text("degree 2000\n(" + ",".join(map(str, range(1, 2001))) + ")\n")
+    proc = _run_limited("design", "build", str(grp), "0,1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: ValueError: 2000 blocks on 2000 points: "
+                           f"b * max(b, v) exceeds {INCIDENCE_CAP}\n")
