@@ -9,10 +9,11 @@ precondition failure (wrong orbit profile, non-constant intersection
 residues, forced theorem mismatch, budget exceeded, ...), 3 table
 reproduction mismatch, 4 failed self-check (a result contradicts the theory
 it rests on, so the program is at fault: a report's Gram, rank or
-self-duality, a searched design's predicted profile, a distance witness;
-one ``self-check failed:`` line on stderr), 141 stdout closed before the
-output was written (``socodes ... | head -1``; 128 + SIGPIPE, as a shell
-reports a process a broken pipe ended), with nothing on stderr.
+self-duality, a searched design's predicted profile, an orbit matrix's
+counts, a distance witness; one ``self-check failed:`` line on stderr), 141
+stdout closed before the output was written (``socodes ... | head -1``;
+128 + SIGPIPE, as a shell reports a process a broken pipe ended), with
+nothing on stderr.
 """
 
 from __future__ import annotations

@@ -21,11 +21,11 @@ stabilizer orbits give every union's intersection sizes with its images,
 so only the unions with one residue mod p are developed, and each hit's
 profile is checked against the counted one.
 The four-residue profile (k mod p, common intersection residue) drives
-every construction theorem downstream; it reduces the Gram mod p in place
-and tests the off-diagonal residues by min and max, with the diagonal set
-to one pair's residue. Constant block sizes and replication are min-max
-tests too; ``np.unique`` only builds an error text, since its first call
-in a process imports ``numpy.ma``.
+every construction theorem downstream; it reduces the Gram mod p by floor
+division (``fields._mod``) and tests the off-diagonal residues by min and
+max, with the diagonal set to one pair's residue. Constant block sizes and
+replication are min-max tests too; ``np.unique`` only builds an error
+text, since its first call in a process imports ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from itertools import chain, islice
 
 import numpy as np
 
+from .fields import _mod
 from .groups import DEGREE_CAP, NotTransitive, PermGroup, _transversal
 from .records import SelfCheckFailed, _integers, format_records, read_records
 
@@ -227,8 +228,7 @@ def intersection_profile(D: Design, p: int) -> WSOProfile:
         return D._profiles[p]
     k = _block_size(D)
     M = D.incidence.astype(np.float64)
-    R = (M @ M.T).astype(np.int64)
-    R %= p
+    R = _mod((M @ M.T).astype(np.int64), p)
     # the diagonal holds k, not an intersection: give it one pair's residue
     np.fill_diagonal(R, R[0, 1])
     a = k % p

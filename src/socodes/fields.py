@@ -35,6 +35,11 @@ operation allocates anything of size q^2, nor an l x l matrix for each of
 the q elements. ``matrices`` and ``analysis`` call ``dot`` and the element
 operations and never see a digit or a table.
 
+Large int64 arrays are reduced mod p by ``_mod``: a floor division, a
+product and a difference, several times faster than numpy's ``%`` by a
+scalar (numpy divides by an invariant integer as Granlund and Montgomery,
+PLDI 1994, describe) and, like Python's ``%``, exact for negative values.
+
 The public element operations check that every code they are given lies in
 [0, q). Row elimination (``GFMatrix.rref``) runs on two private kernels
 instead, ``_scale`` (x*c) and ``_sub_mul`` (x - c*y), which read the same
@@ -144,6 +149,15 @@ def _packing(K: int, l: int, p: int) -> tuple:
         s -= 1
 
 
+def _mod(a: np.ndarray, p: int) -> np.ndarray:
+    """a mod p in [0, p) for an int64 array a of at least one dimension, as
+    a new array. The product floor(a/p)*p may wrap past int64, but the
+    difference wraps back to the exact remainder."""
+    r = a // p
+    r *= p
+    return np.subtract(a, r, out=r)
+
+
 def _is_transpose(a, b) -> bool:
     """Whether the array b is a view of the array a transposed: the same
     data, shape and strides reversed."""
@@ -230,7 +244,8 @@ class Field:
 
     def from_int(self, n):
         """Reduce an ordinary integer (array) into the prime subfield."""
-        return self._out(_integers(np.asarray(n), "integers to lift") % self.p)
+        a = _integers(np.asarray(n), "integers to lift")
+        return int(a) % self.p if a.ndim == 0 else _mod(a, self.p)
 
     # -- the encoding: dot --------------------------------------------------
 
@@ -252,13 +267,11 @@ class Field:
                                  "are not exact in float64")
         gram = _is_transpose(a, b)
         if l == 1:
-            # the sums are exact integers: reduce them as int64, whose % is
-            # many times faster than float fmod on large values
+            # the sums are exact integers: reduce them as int64, many times
+            # faster than float fmod on large values
             fa = np.asarray(a, dtype=np.float64)
             fb = fa.T if gram else np.asarray(b, dtype=np.float64)
-            out = (fa @ fb).astype(np.int64)
-            np.remainder(out, p, out=out)
-            return out
+            return _mod((fa @ fb).astype(np.int64), p)
         s, e = _packing(K, l, p)
         # pack[g][x]: digits g*s .. g*s + s - 1 of code x, 2^e apart
         weights = 2.0 ** (e * np.arange(s))

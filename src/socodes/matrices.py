@@ -17,8 +17,10 @@ its (RREF, pivots), and an RREF it returns is its own RREF. Leading
 columns that are a scaled identity, the left border of every construction
 over GF(q), are scaled in one vector operation; the pivot loop runs on the
 field's unchecked elimination kernels, since the constructor has already
-checked every code. Over GF(2) the elimination runs on a uint8 copy, one
-byte per entry, and only the kept rows return to int64 codes.
+checked every code. Over GF(2), a matrix with rows left to reduce after
+that prefix is eliminated on bit rows instead, each row one Python int, as
+in word-packed GF(2) elimination (Albrecht, Bard and Hart, "Algorithm
+898", ACM TOMS 37, 2010): one XOR adds two whole rows.
 """
 
 from __future__ import annotations
@@ -133,52 +135,49 @@ class GFMatrix:
         their rows are scaled by the inverse diagonal at once (c = 1 leaves
         them as they are) and the loop starts at row and column t. At pivot
         (r, c) rows r.. are zero left of c, so only the columns c.. are
-        updated; over GF(2) every nonzero factor is 1 and adding codes is
-        XOR, so clearing is one in-place XOR, on a uint8 working copy that
-        moves an eighth of the int64 bytes; the RREF returned holds int64
-        codes, as every matrix does. One boolean mask of column c
-        per pivot gives both the pivot row (its first nonzero at or after r)
-        and the rows to clear. The entries are codes the constructor
-        checked, so the loop runs on the field's unchecked kernels.
+        updated. One boolean mask of column c per pivot gives both the
+        pivot row (its first nonzero at or after r) and the rows to clear.
+        The entries are codes the constructor checked, so the loop runs on
+        the field's unchecked kernels. Over GF(2), where every nonzero
+        factor is 1 and adding rows is XOR, a matrix with work past the
+        prefix is eliminated by ``_rref_gf2`` on bit rows instead.
         """
         if self._pivots is not None:
             return self, self._pivots
         if self._echelon is not None:
             return self._echelon
         F = self.field
-        R = self.a.astype(np.uint8 if F.q == 2 else np.int64)
         m = min(self.rows, self.cols)
-        diag = R.diagonal()
-        lone = (diag != 0) & (np.count_nonzero(R[:, :m], axis=0) == 1)
+        diag = self.a.diagonal()
+        lone = (diag != 0) & (np.count_nonzero(self.a[:, :m], axis=0) == 1)
         t = int(lone.cumprod().sum())
-        if (diag[:t] != 1).any():
-            R[:t] = F._scale(R[:t], F.inv(diag[:t])[:, None])
-        pivots = list(range(t))
-        r = t
-        for c in range(t, self.cols):
-            if r == self.rows:
-                break
-            nonzero = R[:, c] != 0
-            pr = r + int(nonzero[r:].argmax())
-            if not nonzero[pr]:
-                continue
-            if pr != r:
-                R[[r, pr], c:] = R[[pr, r], c:]
-            # row r was zero in column c if it moved to pr, so after the
-            # swap the rows to clear are the mask less row pr
-            nonzero[pr] = False
-            lead = int(R[r, c])
-            if lead != 1:
-                R[r, c:] = F._scale(R[r, c:], F.inv(lead))
-            if not nonzero.any():
-                pass  # e.g. a column of the identity: no rows to clear
-            elif F.q == 2:
-                R[nonzero, c:] ^= R[r, c:]
-            else:
-                R[nonzero, c:] = F._sub_mul(R[nonzero, c:], R[nonzero, c, None], R[r, c:])
-            pivots.append(c)
-            r += 1
-        E = GFMatrix._unchecked(F, R[:r].astype(np.int64, copy=False))
+        if F.q == 2 and t < m:
+            R, pivots = _rref_gf2(self.a)
+        else:
+            R, pivots, r = self.a.copy(), list(range(t)), t
+            if (diag[:t] != 1).any():
+                R[:t] = F._scale(R[:t], F.inv(diag[:t])[:, None])
+            for c in range(t, self.cols):
+                if r == self.rows:
+                    break
+                nonzero = R[:, c] != 0
+                pr = r + int(nonzero[r:].argmax())
+                if not nonzero[pr]:
+                    continue
+                if pr != r:
+                    R[[r, pr], c:] = R[[pr, r], c:]
+                # row r was zero in column c if it moved to pr, so after the
+                # swap the rows to clear are the mask less row pr
+                nonzero[pr] = False
+                lead = int(R[r, c])
+                if lead != 1:
+                    R[r, c:] = F._scale(R[r, c:], F.inv(lead))
+                if nonzero.any():  # a column of the identity has none to clear
+                    R[nonzero, c:] = F._sub_mul(R[nonzero, c:], R[nonzero, c, None], R[r, c:])
+                pivots.append(c)
+                r += 1
+            R = R[:r]
+        E = GFMatrix._unchecked(F, R)
         E._pivots = pivots = tuple(pivots)
         self._echelon = E, pivots
         return self._echelon
@@ -205,6 +204,39 @@ class GFMatrix:
         if any(not 0 <= x < q for row in data for x in row):
             raise ValueError(f"entries outside [0,{q})")
         return cls(field_for_order(q), np.array(data, dtype=np.int64).reshape(rows, cols))
+
+
+def _rref_gf2(a: np.ndarray) -> tuple:
+    """(RREF, pivot columns) of a 0/1 int64 matrix a over GF(2) with at
+    least one column.
+
+    Each row is packed into one Python int, column 0 its most significant
+    bit, and inserted into a table indexed by its leading bit: it is XORed
+    with the row already there until its slot is free or it is zero. Then,
+    going right to left, each pivot's bit is cleared from the rows above it;
+    a row is already reduced when it clears others, so no cleared bit
+    returns.
+    """
+    rows, cols = a.shape
+    width = (cols + 7) // 8
+    packed = np.packbits(a.astype(np.uint8), axis=1).tobytes()
+    lead = [0] * (8 * width + 1)  # lead[0] stays 0, so a zero row stops the loop
+    for i in range(rows):
+        x = int.from_bytes(packed[i * width:(i + 1) * width], "big")
+        while y := lead[x.bit_length()]:
+            x ^= y
+        if x:
+            lead[x.bit_length()] = x
+    keys = [b for b in range(8 * width, 0, -1) if lead[b]]
+    R = [lead[b] for b in keys]
+    for j in range(len(R) - 1, 0, -1):
+        bit, y = 1 << keys[j] - 1, R[j]
+        for i in range(j):
+            if R[i] & bit:
+                R[i] ^= y
+    out = np.frombuffer(b"".join(x.to_bytes(width, "big") for x in R), dtype=np.uint8)
+    out = np.unpackbits(out.reshape(len(R), width), axis=1, count=cols)
+    return out.astype(np.int64), [8 * width - b for b in keys]
 
 
 def bordered(M: GFMatrix, left=None, right=None) -> GFMatrix:

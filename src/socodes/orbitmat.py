@@ -31,14 +31,14 @@ import numpy as np
 
 from .designs import Design, validate
 from .groups import Perm, PermGroup
-from .records import _integers, format_records
+from .records import SelfCheckFailed, _integers, format_records
 
 
 class NotAnAutomorphismGroup(ValueError):
     pass
 
 
-class IllDefinedEntry(ArithmeticError):
+class IllDefinedEntry(SelfCheckFailed):
     """Orbit counts disagree inside one block orbit or fail the double count.
     Impossible for a true automorphism group; internal inconsistency only."""
 

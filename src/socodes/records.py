@@ -17,8 +17,9 @@ import numpy as np
 class SelfCheckFailed(AssertionError):
     """A result failed a check that the theory behind it guarantees, so the
     program is at fault, not its input: a report's Gram, rank or
-    self-duality, a searched design's predicted profile, or a distance
-    witness. The CLI exits with its own code for it."""
+    self-duality, a searched design's predicted profile, an orbit matrix's
+    counts, or a distance witness. The CLI exits with its own code for
+    it."""
 
 
 def _integers(x, what: str, count: int | None = None):

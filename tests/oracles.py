@@ -4,6 +4,7 @@ Everything here is deliberately written in plain Python with no numpy and no
 imports from socodes, so that agreement between the two codebases is meaningful.
 """
 
+from functools import cache
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -113,13 +114,16 @@ def rref_naive(rows, p, l, modulus):
     """Row-reduce a list of lists of element codes; returns the nonzero rows
     of the reduced row echelon form and their pivot columns.
 
-    Uses only the naive polynomial helpers above.
+    Uses only the naive polynomial helpers above, each product and
+    difference of two codes computed once per call.
     """
     q = p ** l
+    mul = cache(lambda a, b: field_mul_naive(a, b, p, l, modulus))
+    sub = cache(lambda a, b: field_sub_naive(a, b, p, l))
 
     def inv(a):
         for y in range(1, q):
-            if field_mul_naive(a, y, p, l, modulus) == 1:
+            if mul(a, y) == 1:
                 return y
         raise ZeroDivisionError
 
@@ -137,12 +141,11 @@ def rref_naive(rows, p, l, modulus):
             continue
         rows[rix], rows[piv] = rows[piv], rows[rix]
         pin = inv(rows[rix][col])
-        rows[rix] = [field_mul_naive(x, pin, p, l, modulus) for x in rows[rix]]
+        rows[rix] = [mul(x, pin) for x in rows[rix]]
         for i in range(len(rows)):
             if i != rix and rows[i][col] != 0:
                 f = rows[i][col]
-                rows[i] = [field_sub_naive(x, field_mul_naive(f, y, p, l, modulus), p, l)
-                           for x, y in zip(rows[i], rows[rix])]
+                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], rows[rix])]
         pivots.append(col)
         rix += 1
     return rows[:rix], pivots

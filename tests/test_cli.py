@@ -15,7 +15,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from socodes import analysis, constructions, designs, fields
+from socodes import analysis, constructions, designs, fields, orbitmat
 from socodes.cli import main
 from socodes.designs import (INCIDENCE_CAP, Design, WSOProfile, format_design_text,
                              from_group_action, stabilizer_orbits)
@@ -383,6 +383,16 @@ def test_witness_self_check_failure_exits_4(capsys, monkeypatch, tmp_path):
                         lambda C: (2, np.ones(5, dtype=np.int64)))
     assert run(capsys, "analyze", str(path)) == (
         4, "", "self-check failed: witness of weight 5 claimed as weight 2\n")
+
+
+def test_orbit_matrix_self_check_failure_exits_4(capsys, monkeypatch, d2210, inv22):
+    # the identity as the block action puts each block in an orbit of its
+    # own, which meets a 2-point orbit of the involution in one point
+    monkeypatch.setattr(orbitmat, "_block_action",
+                        lambda D, H: [np.arange(D.b)])
+    assert run(capsys, "orbitmat", "build", d2210, inv22) == (
+        4, "", "self-check failed: replication b_t*a[t][j]/v_j = 1/2 is not "
+        "an integer at (0,12)\n")
 
 
 # ---------------------------------------------------------------- orbitmat

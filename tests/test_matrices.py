@@ -251,13 +251,23 @@ def test_rref_with_identity_prefix_matches_oracle(field, rows, extra, t, scale, 
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 60), st.integers(0, 10 ** 6))
-def test_rref_over_gf2_matches_oracle_on_rank_deficient_matrices(rows, cols, seed):
-    # GF(2) eliminates on a uint8 copy; a product through an inner dimension
-    # below rows has dependent rows
+@given(st.integers(1, 70), st.integers(0, 200), st.booleans(), st.integers(0, 10 ** 6))
+@example(1, 0, False, 0)
+@example(9, 64, True, 1)
+@example(70, 200, True, 2)
+def test_rref_over_gf2_matches_oracle_on_rank_deficient_matrices(rows, cols, prefix, seed):
+    # GF(2) eliminates on bit rows, so widths cross byte and 64-bit
+    # boundaries; a product through an inner dimension below rows has
+    # dependent rows (none at all: the zero matrix), and with prefix the
+    # first rows are [I | X] and the rest are sums of them
     rng = np.random.default_rng(seed)
     inner = int(rng.integers(rows))
-    a = rng.integers(0, 2, (rows, inner)) @ rng.integers(0, 2, (inner, cols)) % 2
+    if prefix:
+        t = min(inner, cols)
+        top = np.hstack([np.eye(t, dtype=np.int64), rng.integers(0, 2, (t, cols - t))])
+        a = np.vstack([top, rng.integers(0, 2, (rows - t, t)) @ top % 2])
+    else:
+        a = rng.integers(0, 2, (rows, inner)) @ rng.integers(0, 2, (inner, cols)) % 2
     M = GFMatrix(GF2, a)
     R, pivots = M.rref()
     want_rows, want_pivots = oracles.rref_naive(a.tolist(), 2, 1, GF2.modulus)
@@ -358,6 +368,16 @@ def test_from_int_reduces_mod_p():
     # in an extension field integer counts land in the prime subfield
     M9 = GFMatrix.from_int(GF9, [[5]])
     assert M9.a[0, 0] == 2
+    # negative integers and the int64 extremes reduce as Python's % does,
+    # where floor(n/p)*p wraps past int64
+    n = [-2 ** 63, -2 ** 63 + 1, -61, -7, -1, 0, 1, 7, 60, 2 ** 63 - 2, 2 ** 63 - 1]
+    for p in (2, 3, 5, 61):
+        F = field_for_order(p)
+        want = [x % p for x in n]
+        assert F.from_int(np.array(n)).tolist() == want
+        assert GFMatrix.from_int(F, [n, n[::-1]]).a.tolist() == [want, want[::-1]]
+        assert [F.from_int(x) for x in n] == want
+        assert all(type(F.from_int(x)) is int for x in n)
 
 
 def test_entries_validated_and_immutable():
