@@ -38,7 +38,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .fields import _mod
-from .groups import DEGREE_CAP, NotTransitive, PermGroup, _transversal
+from .groups import DEGREE_CAP, NotTransitive, PermGroup
 from .records import SelfCheckFailed, _integers, format_records, read_records
 
 
@@ -311,8 +311,9 @@ def wso_search(G: PermGroup, alpha: int, p: int = 2) -> list:
     label = np.empty(n, dtype=np.int64)
     for i, orb in enumerate(orbits):
         label[list(orb)] = i
-    reps = _transversal(n, [g.images for g in G.generators], alpha,
-                        [orb[0] for orb in orbits])
+    # any t_s serves: two elements taking alpha to x_s differ by an element
+    # of G_alpha, which fixes every O_j
+    reps = G._transversal(alpha, [orb[0] for orb in orbits])
     # T[s, i, j] counts the y with label[t_s(y)] = i and label[y] = j;
     # laid out as [i, s * r + j] so that M @ T sums over i
     T = np.stack([np.bincount(label[t] * r + label, minlength=r * r) for t in reps])

@@ -36,9 +36,9 @@ the q elements. ``matrices`` and ``analysis`` call ``dot`` and the element
 operations and never see a digit or a table.
 
 Large int64 arrays are reduced mod p by ``_mod``: a floor division, a
-product and a difference, several times faster than numpy's ``%`` by a
-scalar (numpy divides by an invariant integer as Granlund and Montgomery,
-PLDI 1994, describe) and, like Python's ``%``, exact for negative values.
+product and a difference, in place of numpy's ``%`` by a scalar, since
+numpy divides by an invariant integer as Granlund and Montgomery (PLDI
+1994) describe; like Python's ``%``, it is exact for negative values.
 
 The public element operations check that every code they are given lies in
 [0, q). Row elimination (``GFMatrix.rref``) runs on two private kernels

@@ -4,35 +4,32 @@ Point and set orbits, a stabilizer chain, element enumeration, stabilizers,
 derived actions, and elements of a given order. Three routines carry
 everything:
 
-- ``_closure``, one breadth-first search over the generators, gives a
-  point orbit and the coset representatives, from the generators alone;
-  ``point_orbits`` runs the same search as one pass over all the points,
-  on their images in the generators' tuples. Set orbits, the one search
-  whose objects are large, run the same search in numpy instead
-  (``PermGroup.set_orbit``): each layer is a 0/1 array of sets, its
-  images under every generator are one gather, and the orbit is a point
-  array, one ascending row per set, as ``Design`` takes it. The sets of
-  one orbit have one size, so their ascending point tuples sort in the
-  reverse order of their packed big-endian indicator bytes, the keys the
-  search already keeps: the orbit's order is one sort of those keys.
-  ``_transversal`` runs it once from a point with a Schreier vector and
-  multiplies out only the elements that reach the points asked for.
+- ``_search``, one breadth-first search over the generators under any
+  action, keeps a Schreier vector: each object reached maps to the object
+  and the generator it was reached from. Its trees are the chain's orbits
+  and, under the action on right cosets, ``coset_action``'s cosets.
+  ``point_orbits`` runs the same search over all the points at once, on a
+  bytearray. Set orbits, the one search whose objects are large, run it in
+  numpy (``PermGroup.set_orbit``): each layer is a 0/1 array of sets, its
+  images under every generator are one gather, and the orbit is ordered by
+  one sort of the packed indicator bytes the search keeps.
 - ``_schreier_sims``, incremental Schreier-Sims, gives a base and, per
-  level, strong generators and one representative per orbit point. A group
-  keeps one chain, based at each level at the least point it moves: the
-  order is the product of its orbit lengths, membership is sifting, coset
-  labels descend it once, and the elements are the transversal products,
-  built in numpy. Level 1 gives point stabilizers, other points relabelled.
+  level, strong generators and one representative per orbit point, built
+  along that level's ``_search`` tree. A group keeps one chain, based at
+  each level at the least point it moves: the order is the product of its
+  orbit lengths, membership is sifting, coset labels descend it once, the
+  elements are the transversal products, built in numpy, and level 0 gives
+  elements that map one point to others (``PermGroup._transversal``).
+  Level 1 gives point stabilizers, other points relabelled.
 - ``PermGroup.induced(objects, act)`` gives the generators acting on the
   positions of a list of distinct objects they permute: the action on
   k-subsets.
 
-Only ``enumerate`` and ``element_of_order`` list elements; orbits, order,
-membership, stabilizers, coset labels and the derived subgroup read a chain.
-The listing is one sorted array of images, order x degree bytes up to
-degree 256, and a ``Perm`` is made only for an element that is read.
-``element_of_order`` walks each row's cycles only until one has a length
-that does not divide the order asked for.
+Only ``enumerate`` and ``element_of_order`` list elements; orbits read the
+generators, and order, membership, stabilizers, coset labels and the
+derived subgroup read the chain. The listing is one sorted array of
+images, order x degree bytes up to degree 256, and a ``Perm`` is made only
+for an element that is read.
 
 Points are 0-based everywhere internally; the group file format uses the
 1-based convention of the literature and is converted at the I/O boundary.
@@ -183,55 +180,19 @@ class Perm:
         return "Perm" + "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
 
 
-def _closure(start, gens, act) -> set:
-    """Everything reached from start by repeated x -> act(x, g), g in gens,
-    breadth-first."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = act(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return seen
-
-
-def _transversal(n: int, gens, alpha: int, targets) -> np.ndarray:
-    """One element per target x that maps alpha to x, as a row of images.
-
-    One breadth-first search from alpha over the image tuples gens keeps a
-    Schreier vector: the parent point and generator index of each point
-    reached. Only the targets' elements are multiplied out, each along its
-    path back to alpha; every target must lie in alpha's orbit.
-    """
-    parent, via = {alpha: alpha}, {}
-    frontier = [alpha]
-    while frontier:
-        new = []
-        for x in frontier:
-            for i, g in enumerate(gens):
-                y = g[x]
-                if y not in parent:
-                    parent[y], via[y] = x, i
-                    new.append(y)
-        frontier = new
-    table = np.array(gens, dtype=np.int64).reshape(len(gens), n)
-    out = np.empty((len(targets), n), dtype=np.int64)
-    for row, x in zip(out, targets):
-        path = []
-        while x != alpha:
-            path.append(via[x])
-            x = parent[x]
-        t = np.arange(n)
-        for i in reversed(path):
-            # first t, then the generator: (t g)[y] = g[t[y]]
-            t = table[i][t]
-        row[:] = t
-    return out
+def _search(start, gens, act) -> dict:
+    """Breadth-first search from start over x -> act(x, g), g in gens, with
+    a Schreier vector: each object reached maps to (the object it was
+    reached from, the index of that generator), start to (start, -1), in
+    the order the objects were reached."""
+    tree = {start: (start, -1)}
+    queue = [start]
+    for x in queue:
+        for i, g in enumerate(gens):
+            if (y := act(x, g)) not in tree:
+                tree[y] = (x, i)
+                queue.append(y)
+    return tree
 
 
 def _perm(images: tuple) -> Perm:
@@ -293,10 +254,10 @@ def _schreier_sims(n: int, gens) -> list:
     U_i is rebuilt, and every Schreier generator u s (u')^-1 of level i, u'
     the representative of x^s, that does not sift through the deeper levels
     goes to add(i + 1, residue); when u s = u', as on every edge of U_i's
-    BFS tree, it is the identity and is skipped unsifted. The product of the
-    orbit lengths is a lower bound on the order, so U_i's search raises
-    OrderExceedsCap before the representative that takes it past
-    DEFAULT_CAP is made.
+    BFS tree, it is the identity and is skipped unsifted. U_i is built from
+    one ``_search`` tree, in its order. The product of the orbit lengths is
+    a lower bound on the order, so a tree that takes it past DEFAULT_CAP
+    raises OrderExceedsCap before any representative is made.
     """
     cap = DEFAULT_CAP
     ident = tuple(range(n))
@@ -309,16 +270,12 @@ def _schreier_sims(n: int, gens) -> list:
         b, S, _ = levels[i]
         S.append(g)
         others = prod(len(U) for j, (_, _, U) in enumerate(levels) if j != i)
-        U = {b: ident}
-        queue = [b]
-        for x in queue:
-            for s in S:
-                y = s[x]
-                if y not in U:
-                    if others * (len(U) + 1) > cap:
-                        raise OrderExceedsCap(f"group order exceeds cap {cap}")
-                    U[y] = _mul(U[x], s)
-                    queue.append(y)
+        tree = _search(b, S, lambda x, s: s[x])
+        if others * len(tree) > cap:
+            raise OrderExceedsCap(f"group order exceeds cap {cap}")
+        U = {}
+        for y, (x, k) in tree.items():
+            U[y] = _mul(U[x], S[k]) if k >= 0 else ident
         levels[i] = (b, S, U)
         for x, u in U.items():
             for s in S:
@@ -411,6 +368,7 @@ class PermGroup:
         self.generators = gens
         self._elements = None
         self._chain = None
+        self._of_order = {}
 
     # -- enumeration --------------------------------------------------------
 
@@ -445,10 +403,6 @@ class PermGroup:
 
     # -- orbits and stabilizers --------------------------------------------
 
-    def orbit_of(self, point: int) -> tuple:
-        return tuple(sorted(_closure(_point(self.degree, point), self.generators,
-                                     lambda x, g: g.images[x])))
-
     def point_orbits(self) -> list:
         """Sorted point tuples of every orbit, ordered by least point: one
         breadth-first pass over all points."""
@@ -469,7 +423,7 @@ class PermGroup:
         return orbits
 
     def is_transitive(self) -> bool:
-        return len(self.orbit_of(0)) == self.degree if self.degree else True
+        return len(self.point_orbits()) <= 1
 
     def stabilizer(self, point: int) -> "PermGroup":
         """G_point without listing: level 1 of the kept chain for b_0, the
@@ -486,6 +440,16 @@ class PermGroup:
             return PermGroup(n, [t * h * t for h in G0.generators])
         levels = self._stabilizer_chain()
         return PermGroup(n, map(_perm, levels[1][1] if len(levels) > 1 else []))
+
+    def _transversal(self, alpha: int, targets) -> np.ndarray:
+        """One element per target x that maps alpha to x, as an int64 row of
+        images: u_alpha^-1 u_x from level 0 of the kept chain, whose orbit
+        must hold alpha and every target; the trivial group gives the
+        identity."""
+        levels = self._stabilizer_chain()
+        U = levels[0][2] if levels else {alpha: tuple(range(self.degree))}
+        back = _inv(U[alpha])
+        return np.array([_mul(back, U[x]) for x in targets], dtype=np.int64)
 
     def set_orbit(self, delta) -> np.ndarray:
         """Distinct images of the set delta of integer points under the group,
@@ -582,20 +546,21 @@ class PermGroup:
                 p = _mul(U[min(U, key=p.__getitem__)], p)
             return images.setdefault((rep, s), p)
 
-        reps = sorted(_closure(tuple(range(self.degree)), self.generators, canon))
+        reps = sorted(_search(tuple(range(self.degree)), self.generators, canon))
         number = {rep: i for i, rep in enumerate(reps)}
         return PermGroup(len(reps), [Perm([number[images[rep, s]] for rep in reps])
                                      for s in self.generators])
 
     def element_of_order(self, t: int):
-        """The least element of order t in sorted element order, or None.
+        """The least element of order t in sorted element order, or None,
+        kept per t.
 
         The listing's rows are read 8 at a time, since the first hit comes
         early; only the element returned is made a Perm."""
-        for images in _row_lists(self.enumerate().rows, 8):
-            if _has_order(images, t):
-                return _perm(tuple(images))
-        return None
+        if t not in self._of_order:
+            rows = _row_lists(self.enumerate().rows, 8)
+            self._of_order[t] = next((_perm(tuple(g)) for g in rows if _has_order(g, t)), None)
+        return self._of_order[t]
 
     def derived_subgroup(self) -> "PermGroup":
         """G', the normal closure of the commutators a^-1 b^-1 a b of pairs

@@ -5,6 +5,7 @@ numpy script (incidence ranks, pairwise intersections, orbit unions)
 before this module existed; they are frozen here.
 """
 
+from collections import Counter
 from itertools import combinations
 from math import isqrt
 
@@ -380,6 +381,29 @@ def test_wso_search_degree165_frozen():
         (1, 3, 4, 5, 6, 7), (0, 1, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7),
     ]
     assert all(h.design.b == 165 for h in hits)
+
+
+@pytest.mark.parametrize("degree", [11, 12, 22, 55, 66])
+def test_wso_search_hits_do_not_depend_on_alpha(degree):
+    # point stabilizers of a transitive action are conjugate, so every
+    # alpha gives the same hits up to a relabelling of the orbits
+    G = m11_degree(degree)
+
+    def hits(alpha, p):
+        return Counter((parameters(h.design), h.profile, h.design.b)
+                       for h in wso_search(G, alpha, p))
+
+    for p in (2, 3):
+        want = hits(0, p)
+        assert want
+        for alpha in (1, degree // 2, degree - 1):
+            assert hits(alpha, p) == want, (alpha, p)
+
+
+def test_wso_search_degree1_trivial_group_has_no_hits():
+    # one orbit, so no proper nonempty union; the empty chain gives t_0
+    for gens in ([], [Perm((0,))]):
+        assert wso_search(PermGroup(1, gens), 0, 2) == []
 
 
 # at most 2^8 - 2 orbit unions per group keeps each example near 0.1 s

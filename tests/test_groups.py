@@ -57,8 +57,9 @@ def assert_least_point_chain(G):
         assert all(s[x] == x for s in S for x in range(b))
         assert b in U and len(U) >= 2
     assert len(levels) <= 1 + math.log2(groups.DEFAULT_CAP)
-    for x in range(G.degree):
-        assert len(G.orbit_of(x)) * G.stabilizer(x).order == G.order
+    for orbit in G.point_orbits():
+        for x in orbit:
+            assert len(orbit) * G.stabilizer(x).order == G.order
 
 
 def test_perm_basics():
@@ -235,6 +236,9 @@ def test_element_of_order_makes_only_the_perm_it_returns(monkeypatch):
     assert g.order() == 11 and made == [g.images]
     made.clear()
     assert G.element_of_order(7) is None and made == []
+    # kept per t: asking again scans nothing
+    monkeypatch.setattr(groups, "_has_order", None)
+    assert G.element_of_order(11) is g and G.element_of_order(7) is None
 
 
 def test_over_cap_raises_before_listing():
@@ -260,23 +264,36 @@ def test_orbit_stabilizer():
     G = m11()
     S = G.stabilizer(0)
     assert S.order == 720
+    [orbit] = G.point_orbits()
     for pt in range(3):
-        assert len(G.orbit_of(pt)) * G.stabilizer(pt).order == G.order
+        assert len(orbit) * G.stabilizer(pt).order == G.order
+
+
+@pytest.mark.parametrize("degree", [11, 12, 22])
+def test_transversal_rows_map_alpha_to_each_target(degree):
+    G = m11_degree(degree)
+    targets = list(range(degree))[::-1]
+    for alpha in range(degree):
+        rows = G._transversal(alpha, targets)
+        assert rows.dtype == np.int64 and rows.shape == (degree, degree)
+        assert rows[:, alpha].tolist() == targets
+        assert all(Perm(row) in G for row in rows.tolist())
+    # the trivial group keeps no chain level: its one row is the identity
+    assert PermGroup(1, [])._transversal(0, [0]).tolist() == [[0]]
 
 
 def test_points_outside_the_degree_are_value_errors():
     # a negative point was once a tuple index: stabilizer(-1) returned G_10,
-    # orbit_of(-1) twelve "points", and stabilizer(11) raised IndexError
+    # and stabilizer(11) raised IndexError
     G = m11()
     assert G.order == 7920              # the kept chain is built
     for point in (-1, -11, 11, 12):
-        for call in (G.stabilizer, G.orbit_of, PermGroup(11, []).stabilizer):
+        for call in (G.stabilizer, PermGroup(11, []).stabilizer):
             with pytest.raises(ValueError, match=f"^point {point} is not within 0..10$"):
                 call(point)
     for bad in NON_INTEGERS + (0.0,):
-        for call in (G.stabilizer, G.orbit_of):
-            with pytest.raises(TypeError):
-                call(bad)
+        with pytest.raises(TypeError):
+            G.stabilizer(bad)
     assert G.stabilizer(np.int64(10)).order == 720
 
 
@@ -368,7 +385,7 @@ def test_set_orbit_rejects_points_outside_the_degree():
 
 def test_orbits_leave_elements_unenumerated():
     G = PermGroup(165, m11_degree(165).generators)
-    assert G.orbit_of(0) == tuple(range(165))
+    assert G.point_orbits() == [tuple(range(165))]
     assert len(G.set_orbit((0, 1, 2))) == 3960
     assert G.set_orbit(()).shape == (1, 0)
     assert _rows(G.set_orbit(())) == [()]
