@@ -18,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from socodes.groups import PermGroup, format_group_text
+from socodes.groups import Perm, PermGroup, format_group_text
 from socodes.m11 import m11_degree
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "socodes" / "data" / "m11_12.grp"
@@ -31,7 +31,8 @@ def derive() -> str:
 
     x = G.element_of_order(11)
     # <x, y> is either that subgroup or all of M11
-    candidates = (PermGroup(11, [x, y]) for y in G.enumerate() if y.order() == 2)
+    involutions = (y for y in map(Perm, G.enumerate().tolist()) if y.order() == 2)
+    candidates = (PermGroup(11, [x, y]) for y in involutions)
     H = next(c for c in candidates if c.order == 660)
 
     A = G.coset_action(H)

@@ -25,14 +25,14 @@ K*s*(p - 1)^2, so e is its bit length, and the packed sums stay exact while
 (2s - 1)*e <= 53. ``dot`` takes the widest such s <= l and makes one
 product per pair of digit groups; s = 1 needs only K*(p - 1)^2 < 2^53,
 which ``dot`` checks before it converts anything, and every matrix under
-``matrices.COLS_CAP`` and ``ORDER_CAP`` stays below 2^49. ``add`` adds
-base-p digits (integers mod p when l = 1), and the lexicographic order of
-canonical square roots reads digits. Products and inverses are index
-arithmetic on the standard logarithm tables (Lidl and Niederreiter,
-*Finite Fields*, 1997): exp[i] = g^i for a primitive element g and its
-inverse log, read-only and of length O(q), built once per field. No
-operation allocates anything of size q^2, nor an l x l matrix for each of
-the q elements. ``matrices`` and ``analysis`` call ``dot`` and the element
+``matrices.COLS_CAP`` and ``ORDER_CAP`` stays below 2^49. Elimination's
+``_sub_mul`` subtracts base-p digits (integers mod p when l = 1), and the
+lexicographic order of canonical square roots reads digits. Products and
+inverses are index arithmetic on the standard logarithm tables (Lidl and
+Niederreiter, *Finite Fields*, 1997): exp[i] = g^i for a primitive element
+g and its inverse log, read-only and of length O(q), built once per field.
+No operation allocates anything of size q^2, nor an l x l matrix for each
+of the q elements. ``matrices`` and ``analysis`` call ``dot`` and the element
 operations and never see a digit or a table.
 
 Large int64 arrays are reduced mod p by ``_mod``: a floor division, a
@@ -302,12 +302,6 @@ class Field:
         return out
 
     # -- arithmetic ---------------------------------------------------------
-
-    def add(self, x, y):
-        a, b = self._codes(x), self._codes(y)
-        if self.l == 1:
-            return self._out((a + b) % self.p)
-        return self._out(((self._digits[a] + self._digits[b]) % self.p) @ self._powers)
 
     def mul(self, x, y):
         return self._out(self._scale(self._codes(x), self._codes(y)))

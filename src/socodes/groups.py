@@ -27,9 +27,10 @@ everything:
 
 Only ``enumerate`` and ``element_of_order`` list elements; orbits read the
 generators, and order, membership, stabilizers, coset labels and the
-derived subgroup read the chain. The listing is one sorted array of
-images, order x degree bytes up to degree 256, and a ``Perm`` is made only
-for an element that is read.
+derived subgroup read the chain. The listing is one sorted, read-only
+array of images, order x degree bytes up to degree 256; there is no
+``Perm`` view of it, and ``element_of_order`` makes a ``Perm`` only of the
+element it returns.
 
 Points are 0-based everywhere internally; the group file format uses the
 1-based convention of the literature and is converted at the I/O boundary.
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from collections.abc import Sequence
 from itertools import combinations
 from math import comb, lcm, prod
 
@@ -328,35 +328,6 @@ def _element_rows(n: int, levels) -> np.ndarray:
     return rows
 
 
-def _row_lists(rows: np.ndarray, size: int):
-    """The rows of a 2-D array as lists of Python ints, converted size rows
-    at a time, so that no second copy of the whole array is held."""
-    for start in range(0, len(rows), size):
-        yield from rows[start:start + size].tolist()
-
-
-class _Elements(Sequence):
-    """A group's elements, read-only, over the sorted array of image rows
-    ``_element_rows`` builds; an element becomes a Perm when it is read."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i) -> Perm:
-        # numpy raises the IndexError past either end
-        return _perm(tuple(self.rows[operator.index(i)].tolist()))
-
-    def __iter__(self):
-        # 512 rows at a time: a whole-array tolist() would hold a second
-        # copy of every image as a Python list while the Perms are made
-        return (_perm(tuple(images)) for images in _row_lists(self.rows, 512))
-
-
 class PermGroup:
     """Group generated by a list of permutations of common degree."""
 
@@ -379,14 +350,15 @@ class PermGroup:
             self._chain = _schreier_sims(self.degree, [g.images for g in self.generators])
         return self._chain
 
-    def enumerate(self) -> Sequence:
-        """Every element, sorted by image tuple: the products of the kept
-        chain's transversals, kept as one array of order x degree bytes (up
-        to degree 256). The same read-only sequence is returned on every
-        call; each Perm is made when it is read. Raises OrderExceedsCap
-        above DEFAULT_CAP before anything is listed."""
+    def enumerate(self) -> np.ndarray:
+        """Every element as one row of images, rows sorted: the products of
+        the kept chain's transversals, one (order x degree) array of one
+        byte per image up to degree 256. The same read-only array is
+        returned on every call. Raises OrderExceedsCap above DEFAULT_CAP
+        before anything is listed."""
         if self._elements is None:
-            self._elements = _Elements(_element_rows(self.degree, self._stabilizer_chain()))
+            self._elements = _element_rows(self.degree, self._stabilizer_chain())
+            self._elements.setflags(write=False)
         return self._elements
 
     @property
@@ -547,9 +519,7 @@ class PermGroup:
             return images.setdefault((rep, s), p)
 
         reps = sorted(_search(tuple(range(self.degree)), self.generators, canon))
-        number = {rep: i for i, rep in enumerate(reps)}
-        return PermGroup(len(reps), [Perm([number[images[rep, s]] for rep in reps])
-                                     for s in self.generators])
+        return self.induced(reps, lambda s, rep: images[rep, s])
 
     def element_of_order(self, t: int):
         """The least element of order t in sorted element order, or None,
@@ -558,8 +528,10 @@ class PermGroup:
         The listing's rows are read 8 at a time, since the first hit comes
         early; only the element returned is made a Perm."""
         if t not in self._of_order:
-            rows = _row_lists(self.enumerate().rows, 8)
-            self._of_order[t] = next((_perm(tuple(g)) for g in rows if _has_order(g, t)), None)
+            rows = self.enumerate()
+            found = (g for i in range(0, len(rows), 8) for g in rows[i:i + 8].tolist()
+                     if _has_order(g, t))
+            self._of_order[t] = next((_perm(tuple(g)) for g in found), None)
         return self._of_order[t]
 
     def derived_subgroup(self) -> "PermGroup":

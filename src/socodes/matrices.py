@@ -12,15 +12,15 @@ kernel makes, a product, a Gram matrix, an RREF, a lift ``from_int`` or a
 ``bordered`` generator, holds codes by construction and is wrapped by the
 private ``_unchecked`` instead.
 
-A matrix is immutable, so ``rref`` eliminates once per matrix: it keeps
-its (RREF, pivots), and an RREF it returns is its own RREF. Leading
-columns that are a scaled identity, the left border of every construction
-over GF(q), are scaled in one vector operation; the pivot loop runs on the
-field's unchecked elimination kernels, since the constructor has already
-checked every code. Over GF(2), a matrix with rows left to reduce after
-that prefix is eliminated on bit rows instead, each row one Python int, as
-in word-packed GF(2) elimination (Albrecht, Bard and Hart, "Algorithm
-898", ACM TOMS 37, 2010): one XOR adds two whole rows.
+A matrix is immutable, so ``rref`` eliminates once per matrix and keeps
+its (RREF, pivots). Leading columns that are a scaled identity, the left
+border of every construction over GF(q), are scaled in one vector
+operation; the pivot loop runs on the field's unchecked elimination
+kernels, since the constructor has already checked every code. Over
+GF(2), a matrix with rows left to reduce after that prefix is eliminated
+on bit rows instead, each row one Python int, as in word-packed GF(2)
+elimination (Albrecht, Bard and Hart, "Algorithm 898", ACM TOMS 37,
+2010): one XOR adds two whole rows.
 """
 
 from __future__ import annotations
@@ -65,9 +65,8 @@ class GFMatrix:
         a.setflags(write=False)
         self.field = field
         self.a = a
-        # rref's (RREF, pivots), and the pivots of a matrix that is an RREF
+        # rref's (RREF, pivots)
         self._echelon = None
-        self._pivots = None
 
     @classmethod
     def _unchecked(cls, field: Field, a: np.ndarray) -> "GFMatrix":
@@ -125,10 +124,7 @@ class GFMatrix:
         """Reduced row echelon form and its pivot columns, computed once.
 
         The RREF is the canonical basis of the row space: equal row spaces
-        give byte-identical results. A matrix keeps its (RREF, pivots), and
-        the RREF it returns is marked as reduced, so its own ``rref`` returns
-        itself; the mark is its pivots, not a reference to itself, so no
-        matrix is part of a reference cycle.
+        give byte-identical results. A matrix keeps its (RREF, pivots).
 
         Leading columns 0..t-1 whose one nonzero lies on the diagonal, as
         in a generator [c*I | M | e*1], are t pivots with nothing to clear:
@@ -142,8 +138,6 @@ class GFMatrix:
         factor is 1 and adding rows is XOR, a matrix with work past the
         prefix is eliminated by ``_rref_gf2`` on bit rows instead.
         """
-        if self._pivots is not None:
-            return self, self._pivots
         if self._echelon is not None:
             return self._echelon
         F = self.field
@@ -177,9 +171,7 @@ class GFMatrix:
                 pivots.append(c)
                 r += 1
             R = R[:r]
-        E = GFMatrix._unchecked(F, R)
-        E._pivots = pivots = tuple(pivots)
-        self._echelon = E, pivots
+        self._echelon = GFMatrix._unchecked(F, R), tuple(pivots)
         return self._echelon
 
     # -- serialization ------------------------------------------------------

@@ -5,7 +5,11 @@ whose name has no leading underscore. Uses are read from the syntax trees of
 the Python files under src, demos, scripts and perfbench, so a docstring or
 a builtin call of the same name (``enumerate``, ``order``) is no use:
 
-- a method is used when some attribute access loads its name (``x.name``);
+- a method is used when some attribute access loads its name (``x.name``),
+  unless x is a name that every assignment in the same function binds to a
+  set, dict or list (a display, a comprehension, or a ``set()``,
+  ``dict()`` or ``list()`` call): ``seen.add(key)`` on a set is no use of
+  ``Field.add``;
 - a module-level function or class is used when a name loads it, a
   ``from ... import`` names it, or an attribute access loads it.
 
@@ -54,12 +58,56 @@ def public_definitions():
                         yield f"{node.name}.{item.name}", item.name, True
 
 
+CONTAINERS = (ast.Set, ast.Dict, ast.List, ast.SetComp, ast.DictComp, ast.ListComp)
+
+
+def is_container(value) -> bool:
+    """Whether an expression builds a set, dict or list."""
+    return isinstance(value, CONTAINERS) or (
+        isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+        and value.func.id in ("set", "dict", "list"))
+
+
+def container_loads(tree) -> set:
+    """The attribute loads x.name, as nodes, whose x is a name that every
+    binding in the enclosing function binds to a set, dict or list; a tuple
+    assignment pairs its targets with the values of a tuple display."""
+    skipped = set()
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(scope))
+        built = set()
+        for node in nodes:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                        pairs = zip(target.elts, node.value.elts)
+                    else:
+                        pairs = [(target, node.value)]
+                    built.update(t for t, v in pairs if is_container(v))
+        stores = {}
+        for node in nodes:
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                stores.setdefault(node.id, []).append(node in built)
+            elif isinstance(node, ast.arg):
+                stores.setdefault(node.arg, []).append(False)
+        local = {name for name, flags in stores.items() if all(flags)}
+        skipped.update(node for node in nodes if isinstance(node, ast.Attribute)
+                       and isinstance(node.value, ast.Name) and node.value.id in local)
+    return skipped
+
+
 def loaded_names():
     """(names loaded by attribute access, names loaded or imported bare)."""
     attributes, names = set(), set()
     for place in PLACES:
         for path in sorted((ROOT / place).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            skipped = container_loads(tree)
+            for node in ast.walk(tree):
+                if node in skipped:
+                    continue
                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     attributes.add(node.attr)
                 elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -82,3 +130,11 @@ def test_every_public_name_is_used_outside_the_tests():
 def test_allowlist_holds_only_unused_names():
     # an allowed name that gained a caller leaves the allowlist
     assert sorted(set(ALLOWED) - set(unused_names())) == []
+
+
+def test_a_load_on_a_local_container_is_no_use():
+    tree = ast.parse("def f(field, keys):\n"
+                     "    seen, width = set(keys), 1\n"
+                     "    seen.add(width)\n"
+                     "    field.add(width, 1)\n")
+    assert [node.value.id for node in container_loads(tree)] == ["seen"]

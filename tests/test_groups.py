@@ -38,10 +38,15 @@ def m11():
     return PermGroup(11, M11_GENS)
 
 
+def elements(G) -> list:
+    """G's listing, one Perm per row, in its sorted order."""
+    return [Perm(g) for g in G.enumerate().tolist()]
+
+
 def set_stabilizer_order(G, delta) -> int:
     """|{g : delta g = delta}|, counted over the enumerated elements."""
     target = tuple(sorted(delta))
-    return sum(1 for g in G.enumerate() if g.apply_set(delta) == target)
+    return sum(1 for g in elements(G) if g.apply_set(delta) == target)
 
 
 def assert_least_point_chain(G):
@@ -110,7 +115,7 @@ def test_cyclic_group_order():
 def test_trivial_group():
     G = PermGroup(4, [])
     assert G.order == 1
-    assert tuple(G.enumerate()) == (Perm.identity(4),)
+    assert G.enumerate().tolist() == [[0, 1, 2, 3]]
 
 
 def test_m11_order():
@@ -164,7 +169,7 @@ def test_enumeration_cap(monkeypatch):
     with pytest.raises(OrderExceedsCap):
         PermGroup(3, []).enumerate()
     monkeypatch.setattr(groups, "DEFAULT_CAP", 1)
-    assert tuple(PermGroup(3, []).enumerate()) == (Perm.identity(3),)
+    assert PermGroup(3, []).enumerate().tolist() == [[0, 1, 2]]
 
 
 # sha256 of the little-endian uint16 image rows of each shipped action's
@@ -186,23 +191,20 @@ def test_m11_elements_from_chain_match_closure(degree):
     assert G.order == 7920
     assert_least_point_chain(G)
     assert G._elements is None          # the order comes from the chain
-    rows = np.asarray([g.images for g in G.enumerate()], dtype="<u2")
+    rows = G.enumerate().astype("<u2")
     assert hashlib.sha256(rows.tobytes()).hexdigest() == M11_ELEMENT_DIGESTS[degree]
-    assert all(type(x) is int for x in G.enumerate()[-1].images)
 
 
-def test_listing_is_a_read_only_sequence():
+def test_listing_is_one_read_only_array():
     G = PermGroup(11, M11_GENS)
-    elements = G.enumerate()
-    assert G.enumerate() is elements
-    assert len(elements) == 7920
-    assert elements[0] == Perm.identity(11)
-    assert elements[-1] == elements[7919] and elements[-7920] == elements[0]
-    for i in (7920, -7921):
-        with pytest.raises(IndexError):
-            elements[i]
-    assert list(elements) == [elements[i] for i in range(7920)]
-    assert all(type(x) is int for x in elements[-1].images)
+    rows = G.enumerate()
+    assert G.enumerate() is rows
+    assert rows.shape == (7920, 11) and rows.dtype == np.uint8
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1
+    assert rows[0].tolist() == list(range(11))
+    assert rows.tolist() == sorted(rows.tolist())
 
 
 def test_listing_keeps_one_array_of_order_times_degree_bytes():
@@ -212,11 +214,11 @@ def test_listing_keeps_one_array_of_order_times_degree_bytes():
     size = G.order * G.degree
     tracemalloc.start()
     try:
-        elements = G.enumerate()
+        rows = G.enumerate()
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(elements) == 7920
+    assert len(rows) == 7920
     assert kept <= size + 64 * 1024, kept
     assert peak <= 3 * size, peak
 
@@ -350,9 +352,9 @@ def test_set_orbit_m11_matches_closure():
         assert len(orbit) * set_stabilizer_order(G, delta) == 7920
 
 
-def _set_orbit_by_elements(elements, delta):
-    """Sorted distinct images of delta under the rows of elements."""
-    images = np.sort(elements[:, sorted(delta)], axis=1)
+def _set_orbit_by_elements(rows, delta):
+    """Sorted distinct images of delta under the elements, one per row."""
+    images = np.sort(rows[:, sorted(delta)], axis=1)
     return sorted(set(map(tuple, images.tolist())))
 
 
@@ -365,7 +367,7 @@ def test_set_orbit_at_benchmark_sizes(degree):
     # every orbit union of the stabilizer orbits, or the degree-165 three,
     # against the images under every one of the 7920 elements
     G = m11_degree(degree)
-    elements = np.array([g.images for g in G.enumerate()])
+    rows = G.enumerate()
     orbits = stabilizer_orbits(G, 0)
     choices = UNIONS_165 if degree == 165 else [
         [i for i in range(len(orbits)) if mask >> i & 1]
@@ -373,7 +375,7 @@ def test_set_orbit_at_benchmark_sizes(degree):
     for choice in choices:
         delta = set().union(*(orbits[i] for i in choice))
         orbit = _rows(G.set_orbit(delta))
-        assert orbit == _set_orbit_by_elements(elements, delta), (degree, choice)
+        assert orbit == _set_orbit_by_elements(rows, delta), (degree, choice)
 
 
 def test_set_orbit_rejects_points_outside_the_degree():
@@ -474,15 +476,15 @@ def test_group_layer_matches_naive(case):
         mp.setattr(groups, "DEFAULT_CAP", order)
         assert PermGroup(n, gens).order == order
         assert_least_point_chain(G)
-        assert [g.images for g in G.enumerate()] == sorted(closure)
+        assert list(map(tuple, G.enumerate().tolist())) == sorted(closure)
         for x in range(n):
-            assert ([g.images for g in G.stabilizer(x).enumerate()]
+            assert (list(map(tuple, G.stabilizer(x).enumerate().tolist()))
                     == sorted(g for g in closure if g[x] == x))
         # G' against <[x, s] : x in G, s in gens>, whose oracle lists G:
         # a bound of 5040 elements (S7) keeps each example under 0.1 s
         if order <= 5040:
             D = G.derived_subgroup()
-            assert ({g.images for g in D.enumerate()}
+            assert (set(map(tuple, D.enumerate().tolist()))
                     == derived_subgroup_naive(gens, n))
         mp.setattr(groups, "DEFAULT_CAP", order - 1)
         with pytest.raises(OrderExceedsCap):
@@ -494,7 +496,7 @@ def test_group_layer_matches_naive(case):
     assert G.point_orbits() == orbits
     assert _rows(G.set_orbit(delta)) == set_orbit_naive(gens, n, delta)
 
-    hs = [G.enumerate()[pick % order].images for pick in picks]
+    hs = [tuple(G.enumerate()[pick % order].tolist()) for pick in picks]
     for hgens in (hs[:1], hs):
         H = PermGroup(n, hgens)
         with pytest.MonkeyPatch.context() as mp:
@@ -578,7 +580,7 @@ def test_induced_matches_naive(case):
         B = G.induced(blocks, Perm.apply_set)
         assert [g.images for g in B.generators] == want
 
-    for g in G.enumerate():
+    for g in elements(G):
         assert g.order() == perm_order_naive(g.images)
         assert g.cycle_type() == cycle_type_naive(g.images)
 
@@ -727,7 +729,7 @@ def test_m11_involutions_cycle_type():
     # for every one of them
     g = m11().element_of_order(2)
     assert g.cycle_type() == ((1, 3), (2, 4))   # 3 fixed points, four 2-cycles
-    involutions = [h for h in m11().enumerate() if h.order() == 2]
+    involutions = [h for h in elements(m11()) if h.order() == 2]
     assert len(involutions) == 165
     assert {h.cycle_type() for h in involutions} == {g.cycle_type()}
 
@@ -735,15 +737,16 @@ def test_m11_involutions_cycle_type():
 @pytest.mark.parametrize("degree", [11, 12, 22, 55, 66, 165])
 def test_element_of_order_is_the_first_listed_of_that_order(degree):
     G = m11_degree(degree)
-    orders = [g.order() for g in G.enumerate()]
+    listed = elements(G)
+    orders = [g.order() for g in listed]
     for t in range(13):
-        want = next((g for g, o in zip(G.enumerate(), orders) if o == t), None)
+        want = next((g for g, o in zip(listed, orders) if o == t), None)
         assert G.element_of_order(t) == want, t
 
 
 def test_m11_order11_subgroups():
     # 1440 elements of order 11, ten to each cyclic subgroup
-    assert sum(h.order() == 11 for h in m11().enumerate()) == 1440
+    assert sum(h.order() == 11 for h in elements(m11())) == 1440
     assert PermGroup(11, [m11().element_of_order(11)]).order == 11
 
 

@@ -133,7 +133,7 @@ def invariant_designs(draw):
         base = draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k))
         blocks += G.set_orbit(sorted(base)).tolist() * draw(st.integers(1, 2))
     blocks = draw(st.permutations(blocks))
-    gens = draw(st.lists(st.sampled_from(G.enumerate()), max_size=2))
+    gens = draw(st.lists(st.sampled_from(G.enumerate().tolist()), max_size=2))
     return Design(n, blocks), PermGroup(n, gens)
 
 

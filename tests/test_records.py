@@ -297,8 +297,8 @@ def _corners(om1, om2):
 # every entry point that reads an integer argument, as a call of that one
 # argument, with a Python int the entry point accepts there
 INTEGER_ARGUMENTS = {
-    "Field.add": (lambda x: F9.add(x, 1), 1),
     "Field.from_int": (F9.from_int, 1),
+    "Field.mul": (lambda x: F9.mul(x, 1), 1),
     "GFMatrix": (lambda x: GFMatrix(F9, [[x, 2]]), 1),
     "GFMatrix.from_int": (lambda x: GFMatrix.from_int(F9, [[x, 2]]), 1),
     "Design.v": (lambda x: Design(x, [(0,)]), 1),
