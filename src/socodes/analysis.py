@@ -12,12 +12,19 @@ reported distance is a certificate.
   generator matrices G_1, G_2, ... of the same code, G_j the identity on
   its own pivot columns I_j and of rank r_j = |I_j| there. The I_j are
   disjoint and r_1 = k; the sets stop when no remaining column adds rank.
+  Over GF(2) the later G_j are row-reduced on bit rows, one Python int
+  each, as ``matrices`` does, with the pivot columns taken in that same
+  order, so they are the same matrices.
 * Enumeration. For w = 1, 2, ... every message of weight w is encoded
-  against each G_j with ``Field.dot``, in chunks of at most ``_CHUNK``
-  codeword entries. Over GF(q), q > 2, only messages whose first nonzero
-  coefficient is 1 are encoded: a scalar multiple has the same weight, so
-  there is one message per projective point. The lightest word seen is
-  kept; U is its weight.
+  against each G_j, its supports in lexicographic order, in chunks of at
+  most ``_CHUNK`` codeword entries. Over GF(2) each G_j is packed 64
+  columns to a little-endian uint64 word (as in Albrecht, Bard and Hart,
+  "Algorithm 898", ACM TOMS 37, 2010): a chunk of words is the XOR of the
+  gathered rows of its supports, weighed by popcount, and only the
+  lightest word is unpacked. Over GF(q), q > 2, the messages are encoded
+  with ``Field.dot``, and only those whose first nonzero coefficient is 1:
+  a scalar multiple has the same weight, so there is one message per
+  projective point. The first lightest word seen is kept; U is its weight.
 * Lower bound. A word not yet seen has a message of weight above w on
   every G_j enumerated through weight w. On I_j it then has weight at
   least w + 1 - (k - r_j), because only the k - r_j rows off I_j can
@@ -43,10 +50,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
+from math import comb
 
 import numpy as np
 
-from .matrices import GFMatrix
+from .matrices import GFMatrix, _clear_back
 from .records import SelfCheckFailed
 
 DEFAULT_BUDGET = 2 ** 26
@@ -142,18 +150,72 @@ def _information_sets(C: LinearCode):
         rest = [c for c in rest if c not in used]
 
 
+def _pivot_rows(lead: dict, rows, mask: int) -> list:
+    """Reduce each bit row by the pivot rows in lead, keyed by their lowest
+    bit in mask, until its own lowest bit there is no key, and make it the
+    pivot row of that bit; the rows left with no bit in mask."""
+    left = []
+    for x in rows:
+        while (low := x & mask & -(x & mask)) in lead:
+            x ^= lead[low]
+        if low:
+            lead[low] = x
+        else:
+            left.append(x)
+    return left
+
+
+def _information_sets_gf2(C: LinearCode):
+    """``_information_sets`` over GF(2), each G_j a (k, ceil(n/64)) array
+    of little-endian uint64 words, column c bit c % 64 of word c // 64.
+
+    The later G_j are eliminated on bit rows, one Python int each, column c
+    its bit c, in the column order rest + others: the rows take their
+    pivots in rest by their lowest bit there, the rows with no bit left in
+    rest then in the others. Clearing each pivot's bit from the rows before
+    it, as ``matrices._rref_gf2`` does, gives the one RREF in that order."""
+    B, pivots = C.generator.rref()
+    n, k = C.n, len(pivots)
+    width = 8 * -(-n // 64)   # bytes per row
+    packed = np.zeros((k, width), np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(B.a.astype(np.uint8), axis=1, bitorder="little")
+    yield packed.view("<u8"), k
+    data = packed.tobytes()
+    rows = [int.from_bytes(data[i:i + width], "little") for i in range(0, k * width, width)]
+    others = sum(1 << c for c in pivots)
+    rest = (1 << n) - 1 - others
+    while rest:
+        lead = {}
+        left = _pivot_rows(lead, rows, rest)
+        if not (r := len(lead)):
+            return
+        _pivot_rows(lead, left, others)
+        keys = list(lead)
+        keys = sorted(keys[:r]) + sorted(keys[r:])
+        rows = [lead[bit] for bit in keys]
+        _clear_back(rows, keys)
+        words = b"".join(x.to_bytes(width, "little") for x in rows)
+        yield np.frombuffer(words, "<u8").reshape(k, -1), r
+        used = sum(keys[:r])
+        rest, others = rest ^ used, others | used
+
+
+def _supports(k: int, w: int, per: int):
+    """The w-subsets of range(k) in lexicographic order, as (m, w) int64
+    arrays of at most ``per`` rows each."""
+    supports, total = combinations(range(k), w), comb(k, w)
+    for start in range(0, total, per):
+        m = min(per, total - start)
+        yield np.fromiter(chain.from_iterable(islice(supports, m)), np.int64, m * w).reshape(m, w)
+
+
 def _messages(k: int, w: int, q: int, rows: int):
     """The messages of weight w whose first nonzero coefficient is 1, as
     (m, k) code arrays of at most ``rows`` messages each."""
     patterns = (q - 1) ** (w - 1)   # coefficients after the leading 1
     place = (q - 1) ** np.arange(w - 1)
-    per = max(1, rows // patterns)   # supports per chunk
-    supports = combinations(range(k), w)
-    while True:
-        sup = np.fromiter(chain.from_iterable(islice(supports, per)), np.int64)
-        if not sup.size:
-            return
-        sup = sup.reshape(-1, 1, w)
+    for sup in _supports(k, w, max(1, rows // patterns)):   # supports per chunk
+        sup = sup[:, None, :]
         for start in range(0, patterns, rows):
             t = np.arange(start, min(patterns, start + rows))
             coef = np.ones((t.size, w), dtype=np.int64)
@@ -164,14 +226,13 @@ def _messages(k: int, w: int, q: int, rows: int):
             yield m.reshape(-1, k)
 
 
-def _divisor(B: GFMatrix) -> int:
-    """4, 2 or 1: a number that the code shows divides every weight."""
-    if B.field.q != 2:
-        return 1
-    weights = np.count_nonzero(B.a, axis=1)
+def _divisor(P: np.ndarray) -> int:
+    """4, 2 or 1: a number that the binary code of the packed basis P shows
+    divides every weight."""
+    weights = np.bitwise_count(P).sum(axis=1)
     if (weights % 2).any():
         return 1
-    if (weights % 4).any() or not B.gram().is_zero():
+    if (weights % 4).any() or (np.bitwise_count(P[:, None] & P).sum(axis=2) % 2).any():
         return 2
     return 4
 
@@ -179,15 +240,28 @@ def _divisor(B: GFMatrix) -> int:
 def _lightest_word(C: LinearCode):
     """(d, a nonzero codeword of weight d), d the minimum weight."""
     F, k = C.field, C.k
-    divisor = _divisor(C.basis())
     rows = max(1, _CHUNK // C.n)
     best, lightest = C.n + 1, None
+    if F.q == 2:
+        sets = _information_sets_gf2(C)
+
+        def weigh(G, w):
+            for sup in _supports(k, w, rows):
+                words = G[sup[:, 0]]
+                for t in range(1, w):
+                    words ^= G[sup[:, t]]
+                yield words, np.bitwise_count(words).sum(axis=1)
+    else:
+        sets = _information_sets(C)
+
+        def weigh(G, w):
+            for msgs in _messages(k, w, F.q, rows):
+                words = F.dot(msgs, G)
+                yield words, np.count_nonzero(words, axis=1)
 
     def encode(G, w):
         nonlocal best, lightest
-        for msgs in _messages(k, w, F.q, rows):
-            words = F.dot(msgs, G)
-            weights = np.count_nonzero(words, axis=1)
+        for words, weights in weigh(G, w):
             i = int(weights.argmin())
             if weights[i] < best:
                 best, lightest = int(weights[i]), words[i]
@@ -195,8 +269,8 @@ def _lightest_word(C: LinearCode):
     # G_j adds nothing to the bound before w = k - r_j, so it joins then and
     # catches up on the lighter weights; ranks never rise, so only the next
     # set can be due
-    sets, active = _information_sets(C), []
-    waiting = next(sets)
+    waiting, active = next(sets), []
+    divisor = _divisor(waiting[0]) if F.q == 2 else 1
     for w in range(1, k + 1):
         while waiting is not None and k - waiting[1] <= w:
             for v in range(1, w):
@@ -207,6 +281,9 @@ def _lightest_word(C: LinearCode):
             encode(G, w)
             bound = sum(max(0, w + (i <= j) - (k - r)) for i, (_, r) in enumerate(active))
             if -(-bound // divisor) * divisor >= best or w == k:
+                if F.q == 2:
+                    lightest = np.unpackbits(np.ascontiguousarray(lightest, "<u8").view(np.uint8),
+                                             count=C.n, bitorder="little").astype(np.int64)
                 return best, lightest
     raise AssertionError("unreachable: w = k visits every message")
 

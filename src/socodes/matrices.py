@@ -205,9 +205,8 @@ def _rref_gf2(a: np.ndarray) -> tuple:
     Each row is packed into one Python int, column 0 its most significant
     bit, and inserted into a table indexed by its leading bit: it is XORed
     with the row already there until its slot is free or it is zero. Then,
-    going right to left, each pivot's bit is cleared from the rows above it;
-    a row is already reduced when it clears others, so no cleared bit
-    returns.
+    going right to left, each pivot's bit is cleared from the rows above it
+    (``_clear_back``).
     """
     rows, cols = a.shape
     width = (cols + 7) // 8
@@ -221,14 +220,22 @@ def _rref_gf2(a: np.ndarray) -> tuple:
             lead[x.bit_length()] = x
     keys = [b for b in range(8 * width, 0, -1) if lead[b]]
     R = [lead[b] for b in keys]
-    for j in range(len(R) - 1, 0, -1):
-        bit, y = 1 << keys[j] - 1, R[j]
-        for i in range(j):
-            if R[i] & bit:
-                R[i] ^= y
+    _clear_back(R, [1 << b - 1 for b in keys])
     out = np.frombuffer(b"".join(x.to_bytes(width, "big") for x in R), dtype=np.uint8)
     out = np.unpackbits(out.reshape(len(R), width), axis=1, count=cols)
     return out.astype(np.int64), [8 * width - b for b in keys]
+
+
+def _clear_back(rows: list, bits: list) -> None:
+    """Reduce bit rows in echelon form in place, rows[j] the pivot row of
+    the single-bit mask bits[j]: going back from the last pivot, its bit is
+    cleared from the rows before it. A row is already reduced when it
+    clears others, so no cleared bit returns."""
+    for j in range(len(rows) - 1, 0, -1):
+        bit, y = bits[j], rows[j]
+        for i in range(j):
+            if rows[i] & bit:
+                rows[i] ^= y
 
 
 def bordered(M: GFMatrix, left=None, right=None) -> GFMatrix:

@@ -6,9 +6,12 @@ check is one-directional: every expected row must occur among the produced
 codes. The pipelines also emit codes the tables do not list (rows from
 other dispatch cases of the same orbit-union search), which is fine.
 
-Minimum distances are computed only for produced codes whose (n, k) matches
-an expected row, within the table's enumeration budget; everything else
-stays at Unknown, so the harness never walks a 2^66 message space.
+Minimum distances are computed, within the table's enumeration budget, only
+for produced codes whose (n, k) is that of an expected row not yet matched,
+in produced order; everything else stays at Unknown, so the harness never
+walks a 2^66 message space. Each row's match is still the first produced
+code that realizes it: an earlier code of that (n, k) was either certified
+with another d or passed over once every row of its (n, k) was matched.
 """
 
 from __future__ import annotations
@@ -110,27 +113,16 @@ TABLES = {
 def check_table(table_id: str):
     """Run one table's pipeline and match its expected rows.
 
-    Returns (matches, missing): matches maps each found expected row to a
-    report, and missing lists rows no produced code realized.
+    Returns (matches, missing): matches maps each found expected row to the
+    first report in produced order that realizes it, and missing lists rows
+    no produced code realized.
     """
     tab = TABLES[table_id]
-    wanted_nk = {(n, k) for n, k, _ in tab.rows}
-    entries = []
+    matches: dict = {}
     for rep in tab.pipeline():
         n, k = rep.code.n, rep.code.k
-        d = None
-        if (n, k) in wanted_nk and k > 0:
+        if k > 0 and any(row[:2] == (n, k) and row not in matches for row in tab.rows):
             got = min_distance(rep.code, tab.budget)
-            if isinstance(got, Exact):
-                d = got.value
-        entries.append((n, k, d, rep))
-    matches: dict = {}
-    missing = []
-    for row in tab.rows:
-        for n, k, d, rep in entries:
-            if (n, k, d) == row:
-                matches[row] = rep
-                break
-        else:
-            missing.append(row)
-    return matches, missing
+            if isinstance(got, Exact) and (n, k, got.value) in tab.rows:
+                matches.setdefault((n, k, got.value), rep)
+    return matches, [row for row in tab.rows if row not in matches]

@@ -154,22 +154,44 @@ def test_min_distance_rejects_a_witness_outside_the_code(monkeypatch):
     assert C.witness is None and C.d == Unknown()
 
 
+def drawn_supports(C: LinearCode) -> list:
+    """min_distance(C) with analysis._supports wrapped: the (w, supports)
+    of each chunk drawn, in order."""
+    drawn = []
+    supports = analysis._supports
+
+    def counted(k, w, per):
+        for chunk in supports(k, w, per):
+            drawn.append((w, len(chunk)))
+            yield chunk
+
+    with mock.patch.object(analysis, "_supports", counted):
+        min_distance(C)
+    return drawn
+
+
 def test_min_distance_stops_once_the_bound_reaches_the_lightest_word():
     """[I | I | I] over GF(2), k = 4, has d = 3 and three information sets
     of rank 4. After the weight-1 messages on G_1 alone the bound is
     (1 + 1) + 1 + 1 = 4 >= 3, so exactly k = 4 messages are encoded."""
     C = code(GFMatrix(GF2, np.hstack([np.eye(4, dtype=int)] * 3)))
-    encoded = []
-    messages = analysis._messages
+    assert sum(m for _, m in drawn_supports(C)) == 4
+    assert C.d == Exact(3)
 
-    def counted(*args):
-        for chunk in messages(*args):
-            encoded.append(len(chunk))
-            yield chunk
 
-    with mock.patch.object(analysis, "_messages", counted):
-        assert min_distance(C) == Exact(3)
-    assert sum(encoded) == 4
+def test_min_distance_stops_once_the_bound_reaches_the_lightest_word_gf3():
+    """[I_5 | P] over GF(3), the rows of P five projective points of
+    PG(2, 3) other than the unit points, is a shortened Hamming code with
+    d = 3. G_1 has rank 5 and G_2, on the three columns of P, rank 3, so G_2
+    joins at w = 2. Weight 1 on G_1 bounds by 2 < 3; at w = 2, G_2 catches
+    up on weight 1, and weight 2 on G_1 bounds by 3 + 0 = 3. So 5 + 5 + 10
+    supports are drawn, 5 + 5 + 10 * 2 = 30 messages with a leading 1."""
+    P = [[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1], [1, 2, 0]]
+    C = code(GFMatrix(GF3, np.hstack([np.eye(5, dtype=int), P])))
+    drawn = drawn_supports(C)
+    assert drawn == [(1, 5), (1, 5), (2, 10)]
+    assert sum(m * (3 - 1) ** (w - 1) for w, m in drawn) == 30
+    assert C.d == Exact(3)
 
 
 def test_min_distance_over_budget_keeps_no_witness():
@@ -251,6 +273,50 @@ def test_min_distance_matches_naive_any_chunk(M, chunk):
     word = C.witness.a.tolist()[0]
     assert sum(1 for x in word if x) == d.value
     assert rank_naive(rows + [word], F.p, F.l, F.modulus) == C.k
+
+
+@st.composite
+def wide_binary_generators(draw):
+    """Generators over GF(2) with n in {1, 63, 64, 65, 130}: a codeword of
+    one word, of one word to its last bit, and of one or more bits into a
+    second or third word. k <= 6 rows keeps the oracle quick. The columns
+    are drawn either at random or from a palette of at most four, so the
+    later information sets run short of rank."""
+    n = draw(st.sampled_from((1, 63, 64, 65, 130)))
+    k = draw(st.integers(1, 6))
+    column = st.integers(0, 2 ** k - 1)   # a column as a k-bit number
+    if draw(st.booleans()):
+        columns = draw(st.lists(column, min_size=n, max_size=n))
+    else:
+        palette = draw(st.lists(column, min_size=1, max_size=4))
+        columns = [palette[i] for i in draw(st.lists(st.integers(0, len(palette) - 1),
+                                                       min_size=n, max_size=n))]
+    return GFMatrix(GF2, [[c >> i & 1 for c in columns] for i in range(k)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_binary_generators(), st.integers(1, 300))
+# a row filling the first word and a row of one bit in the second: the
+# later G_j have rank 1
+@example(GFMatrix(GF2, [[1] * 63 + [1, 0], [0] * 63 + [0, 1]]), 64)
+# d = 3 from a row with two of its three bits in the first word: the parity
+# is read on every word, so there is no rounding up to even
+@example(GFMatrix(GF2, [[int(c in (32, 54, 62, 63)) for c in range(65)],
+                        [int(c in (21, 32, 64)) for c in range(65)]]), 300)
+def test_min_distance_on_several_words_matches_naive(M, chunk):
+    """Over GF(2) the codewords are packed 64 columns to a word: the
+    certified distance still equals the oracle's, for any chunking, and its
+    witness has that weight and lies in the row space."""
+    C = code(M)
+    if C.k == 0:
+        return
+    with mock.patch.object(analysis, "_CHUNK", chunk):
+        d = min_distance(C)
+    rows = C.basis().a.tolist()
+    assert d == Exact(min_distance_naive(rows, 2, 1, GF2.modulus))
+    word = C.witness.a.tolist()[0]
+    assert len(word) == C.n and sum(word) == d.value
+    assert rank_naive(rows + [word], 2, 1, GF2.modulus) == C.k
 
 
 # display(rep.code) of the incidence, orbit-matrix (<11-cycle>) and fixed-split

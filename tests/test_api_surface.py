@@ -8,8 +8,9 @@ a builtin call of the same name (``enumerate``, ``order``) is no use:
 - a method is used when some attribute access loads its name (``x.name``),
   unless x is a name that every assignment in the same function binds to a
   set, dict or list (a display, a comprehension, or a ``set()``,
-  ``dict()`` or ``list()`` call): ``seen.add(key)`` on a set is no use of
-  ``Field.add``;
+  ``dict()`` or ``list()`` call), or a ``setdefault`` call with such a
+  default: ``seen.add(key)`` on a set and
+  ``own.setdefault(k, set()).add(x)`` are no use of a method ``add``;
 - a module-level function or class is used when a name loads it, a
   ``from ... import`` names it, or an attribute access loads it.
 
@@ -68,10 +69,19 @@ def is_container(value) -> bool:
         and value.func.id in ("set", "dict", "list"))
 
 
+def is_container_default(value) -> bool:
+    """Whether an expression is a call d.setdefault(key, default) whose
+    default builds a set, dict or list."""
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute)
+            and value.func.attr == "setdefault" and len(value.args) == 2
+            and is_container(value.args[1]))
+
+
 def container_loads(tree) -> set:
     """The attribute loads x.name, as nodes, whose x is a name that every
-    binding in the enclosing function binds to a set, dict or list; a tuple
-    assignment pairs its targets with the values of a tuple display."""
+    binding in the enclosing function binds to a set, dict or list, or a
+    ``setdefault`` call with such a default; a tuple assignment pairs its
+    targets with the values of a tuple display."""
     skipped = set()
     for scope in ast.walk(tree):
         if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -94,7 +104,8 @@ def container_loads(tree) -> set:
                 stores.setdefault(node.arg, []).append(False)
         local = {name for name, flags in stores.items() if all(flags)}
         skipped.update(node for node in nodes if isinstance(node, ast.Attribute)
-                       and isinstance(node.value, ast.Name) and node.value.id in local)
+                       and (isinstance(node.value, ast.Name) and node.value.id in local
+                            or is_container_default(node.value)))
     return skipped
 
 
@@ -133,8 +144,11 @@ def test_allowlist_holds_only_unused_names():
 
 
 def test_a_load_on_a_local_container_is_no_use():
-    tree = ast.parse("def f(field, keys):\n"
+    tree = ast.parse("def f(field, keys, own):\n"
                      "    seen, width = set(keys), 1\n"
                      "    seen.add(width)\n"
-                     "    field.add(width, 1)\n")
-    assert [node.value.id for node in container_loads(tree)] == ["seen"]
+                     "    field.add(width, 1)\n"
+                     "    own.setdefault(width, set()).add(1)\n"
+                     "    own.setdefault(width, field).add(1)\n")
+    assert sorted(ast.unparse(node.value) for node in container_loads(tree)) == [
+        "own.setdefault(width, set())", "seen"]
